@@ -31,13 +31,12 @@ print("predicted class:", predict(params, x))
 print("\ncross-entropy if the true class were 2:   ", round(cross_entropy(2, probs), 4))
 print("complementary loss for 'is NOT class 2':", round(negative_cross_entropy(2, probs), 4))
 
-batch = [
-    (rng.random(8), int(rng.integers(0, 4)), "positive", 1.0),
-    (rng.random(8), int(rng.integers(0, 4)), "positive", 1.0),
-    (rng.random(8), int(rng.integers(0, 4)), "negative", 1.0),
-    (rng.random(8), int(rng.integers(0, 4)), "negative", 1.0),
-]
-analytic = gradient(params, batch)
+# Four rows: the first two take cross-entropy on their label, the last two
+# the complementary loss; every row weighs 1.
+X = rng.random((4, 8))
+labels = rng.integers(0, 4, size=4)
+batch = (X, labels, np.array([False, False, True, True]), 1.0)
+analytic = gradient(params, *batch)
 
 h = 1e-4
 numeric = np.zeros_like(analytic)
@@ -46,8 +45,8 @@ for i in range(params.values.size):
     up[i] += h
     down[i] -= h
     numeric[i] = (
-        batch_loss(ModelParams(up, params.shapes), batch)
-        - batch_loss(ModelParams(down, params.shapes), batch)
+        batch_loss(ModelParams(up, params.shapes), *batch)
+        - batch_loss(ModelParams(down, params.shapes), *batch)
     ) / (2 * h)
 
 rel = np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric))

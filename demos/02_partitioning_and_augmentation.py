@@ -8,16 +8,16 @@ import numpy as np
 
 from fedseal import augment_strong, augment_weak, partition, stream, synthetic_blobs
 
-pool = synthetic_blobs(2000, 5, 16, stream(3, "demo-pool"))
+_, labels = synthetic_blobs(2000, 5, 16, stream(3, "demo-pool"))
 
 print("IID partition: 4 clients x 250 instances, 5 classes")
-for k, shard in enumerate(partition(pool, 4, "iid", 250, rng_seed=1)):
-    counts = np.bincount([inst.label for inst in shard], minlength=5)
+for k, shard in enumerate(partition(labels, 4, "iid", 250, rng_seed=1)):
+    counts = np.bincount(labels[shard], minlength=5)
     print(f"  client {k}: {counts}")
 
 print("\nDirichlet(0.3) partition: same request, skewed classes")
-for k, shard in enumerate(partition(pool, 4, "dirichlet", 250, rng_seed=1, alpha=0.3)):
-    counts = np.bincount([inst.label for inst in shard], minlength=5)
+for k, shard in enumerate(partition(labels, 4, "dirichlet", 250, rng_seed=1, alpha=0.3)):
+    counts = np.bincount(labels[shard], minlength=5)
     print(f"  client {k}: {counts}")
 
 

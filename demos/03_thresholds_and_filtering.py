@@ -36,19 +36,19 @@ taus = compute_thresholds(model, split.server_val)
 print("per-class confidence thresholds:", np.round(taus, 3))
 
 shard = split.client_train[0]
-confidence = update_ensemble(EnsembleState.empty(), model, shard)
-positive = build_positive_set(confidence, taus, shard)
-negative = build_negative_set(confidence, taus, theta=0.05, local_data=shard,
-                              rng=stream(11, "neg"))
+confidence = update_ensemble(EnsembleState.empty(), model, shard.X)
+sets = FilteredSets(
+    build_positive_set(confidence, taus),
+    build_negative_set(confidence, taus, theta=0.05, rng=stream(11, "neg")),
+)
+n_pos, n_neg = len(sets.positive[0]), len(sets.negative[0])
 
 print(f"\nclient shard: {len(shard)} unlabeled instances")
-print(f"  positive set (pseudo-labeled):      {len(positive)}")
-print(f"  negative set (complementary-label): {len(negative)}")
-print(f"  left out of both:                   {len(shard) - len(positive) - len(negative)}")
+print(f"  positive set (pseudo-labeled):      {n_pos}")
+print(f"  negative set (complementary-label): {n_neg}")
+print(f"  left out of both:                   {len(shard) - n_pos - n_neg}")
 
-pos_rate, neg_rate = label_correct_rates(
-    FilteredSets(positive, negative), split.hidden_labels()
-)
+pos_rate, neg_rate = label_correct_rates([(sets, split.hidden_labels(0))])
 print("\nchecked against the hidden true labels (metrics-only accessor):")
 print(f"  pseudo-labels correct:        {pos_rate:.1%}")
 print(f"  complementary labels correct: {neg_rate:.1%}")

@@ -21,9 +21,10 @@ from .client import (
 )
 from .config import ConfigError, config_hash, parse_config, parse_config_text, serialize_config
 from .data import (
+    UNLABELED,
+    Collection,
     DataConfig,
     DatasetSplit,
-    Instance,
     augment_strong,
     augment_weak,
     build_split,
@@ -50,7 +51,6 @@ from .nn import (
     OptimizerState,
     batch_loss,
     cross_entropy,
-    decay_lr,
     forward,
     forward_batch,
     gradient,

@@ -37,7 +37,6 @@ class RunManifest:
     config_text: str
     artifacts: dict[str, str]
     started_at: str
-    ended_at: None
     version: str
 
 
@@ -144,7 +143,6 @@ def run(argv: list[str] | None = None) -> int:
                 "summary_json": str(out_dir / "summary.json"),
             },
             started_at=datetime.now(timezone.utc).isoformat(),
-            ended_at=None,
             version=__version__,
         )
         with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:

@@ -11,7 +11,7 @@ of the rest, and trains on the weighted combination of both signals.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,110 +55,100 @@ class ClientConfig:
 
 
 class EnsembleState:
-    """Running average of historical models' confidence per instance."""
+    """Running average of historical models' confidence, one row per shard row."""
 
-    def __init__(self, ids: np.ndarray, avg: np.ndarray, count: int):
-        self.ids = np.asarray(ids, dtype=np.int64)
+    def __init__(self, avg: np.ndarray, count: int):
         self.avg = avg
         self.count = count
-        self._row = {int(i): r for r, i in enumerate(self.ids)}
 
     @classmethod
     def empty(cls) -> "EnsembleState":
-        return cls(np.empty(0, dtype=np.int64), np.empty((0, 0)), 0)
+        return cls(np.empty((0, 0)), 0)
 
-    def confidence(self, instance_id: int) -> np.ndarray:
-        if instance_id not in self._row:
-            raise KeyError(f"instance {instance_id} is not in the ensemble state")
-        return self.avg[self._row[instance_id]]
 
-    def rows_for(self, instances) -> np.ndarray:
-        try:
-            return self.avg[[self._row[inst.id] for inst in instances]]
-        except KeyError as exc:
-            raise KeyError(f"instance {exc.args[0]} is not in the ensemble state") from None
+def _no_rows() -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
 @dataclass
 class FilteredSets:
-    """Per-round (instance id, label) pairs; the id sets never overlap."""
+    """Per-round (shard rows, labels) array pairs; the row sets never overlap."""
 
-    positive: list[tuple[int, int]]
-    negative: list[tuple[int, int]]
+    positive: tuple[np.ndarray, np.ndarray] = field(default_factory=_no_rows)
+    negative: tuple[np.ndarray, np.ndarray] = field(default_factory=_no_rows)
+
+    def __post_init__(self) -> None:
+        for name in ("positive", "negative"):
+            rows, labels = (np.asarray(a, dtype=np.int64) for a in getattr(self, name))
+            if rows.shape != labels.shape or rows.ndim != 1:
+                raise ValueError(f"{name} set needs one label per row")
+            setattr(self, name, (rows, labels))
 
 
 def update_ensemble(
-    state: EnsembleState, model: nn.ModelParams, local_data
+    state: EnsembleState, model: nn.ModelParams, features: np.ndarray
 ) -> EnsembleState:
-    """Fold the current model's confidence into the running average.
+    """Fold the current model's confidence on a shard into the running average.
 
     With t models seen so far the update is avg <- ((t-1)/t) avg + (1/t) p,
     which keeps avg equal to the plain mean of every model's output without
     storing the models.  The first call simply stores the outputs.
     """
-    feats = np.stack([inst.features for inst in local_data])
-    probs = nn.forward_batch(model, feats)
-    ids = np.array([inst.id for inst in local_data], dtype=np.int64)
+    probs = nn.forward_batch(model, features)
     if state.count == 0:
-        return EnsembleState(ids, probs, 1)
-    if not np.array_equal(ids, state.ids):
+        return EnsembleState(probs, 1)
+    if probs.shape != state.avg.shape:
         raise ValueError("ensemble update saw a different instance set")
     t = state.count + 1
     avg = ((t - 1) / t) * state.avg + (1.0 / t) * probs
-    return EnsembleState(ids, avg, t)
+    return EnsembleState(avg, t)
 
 
-def pseudo_label(state: EnsembleState, instance_id: int) -> tuple[int, float]:
-    """Most likely class under the ensemble, with its confidence."""
-    conf = state.confidence(instance_id)
+def pseudo_label(state: EnsembleState, row: int) -> tuple[int, float]:
+    """Most likely class of a shard row under the ensemble, with its confidence."""
+    conf = state.avg[row]
     label = int(np.argmax(conf))  # first maximum = lowest index on ties
     return label, float(conf[label])
 
 
-def build_positive_set(
-    state: EnsembleState, taus: np.ndarray, local_data
-) -> list[tuple[int, int]]:
-    """Instances whose pseudo-label confidence clears its class threshold."""
-    if not local_data:
-        return []
-    conf = state.rows_for(local_data)
+def _filter(state: EnsembleState, taus: np.ndarray):
+    """Per-row pseudo-labels and whether each clears its class threshold."""
+    conf = state.avg
     labels = np.argmax(conf, axis=1)
-    top = conf[np.arange(len(local_data)), labels]
-    keep = top >= np.asarray(taus)[labels]
-    return [
-        (inst.id, int(labels[i])) for i, inst in enumerate(local_data) if keep[i]
-    ]
+    top = conf[np.arange(len(conf)), labels]
+    return labels, top >= np.asarray(taus)[labels]
+
+
+def build_positive_set(
+    state: EnsembleState, taus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows whose pseudo-label confidence clears its class threshold, with those labels."""
+    labels, keep = _filter(state, taus)
+    rows = np.flatnonzero(keep)
+    return rows, labels[rows]
 
 
 def build_negative_set(
     state: EnsembleState,
     taus: np.ndarray,
     theta: float,
-    local_data,
     rng: np.random.Generator,
-) -> list[tuple[int, int]]:
-    """Complementary labels for instances kept out of the positive set.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Complementary labels for rows kept out of the positive set.
 
-    For each such instance, any class with ensemble confidence <= theta is a
-    candidate; one is drawn uniformly.  Instances with no candidate class are
-    skipped, so the result is disjoint from the positive set by construction.
+    For each such row, any class with ensemble confidence <= theta is a
+    candidate; one is drawn uniformly, with one ``rng.integers`` call over
+    all rows in row order.  Rows with no candidate class are skipped, so the
+    result is disjoint from the positive set by construction.
     """
-    if not local_data:
-        return []
-    conf = state.rows_for(local_data)
-    labels = np.argmax(conf, axis=1)
-    top = conf[np.arange(len(local_data)), labels]
-    in_positive = top >= np.asarray(taus)[labels]
-    out = []
-    for i, inst in enumerate(local_data):
-        if in_positive[i]:
-            continue
-        candidates = np.flatnonzero(conf[i] <= theta)
-        if candidates.size == 0:
-            continue
-        comp = int(candidates[rng.integers(0, candidates.size)])
-        out.append((inst.id, comp))
-    return out
+    _, in_positive = _filter(state, taus)
+    candidates = state.avg <= theta
+    counts = candidates.sum(axis=1)
+    rows = np.flatnonzero(~in_positive & (counts > 0))
+    picks = rng.integers(0, counts[rows])
+    # The picks-th candidate is the first column whose running count exceeds it.
+    comp = np.argmax(np.cumsum(candidates[rows], axis=1) > picks[:, None], axis=1)
+    return rows, comp
 
 
 def lambda_at(round_index: int, cfg: ClientConfig) -> float:
@@ -171,40 +161,30 @@ def lambda_at(round_index: int, cfg: ClientConfig) -> float:
 def client_train(
     global_model: nn.ModelParams,
     sets: FilteredSets,
-    local_data,
+    features: np.ndarray,
     cfg: ClientConfig,
     round_index: int,
     rng: np.random.Generator,
     strong_augment_fn=None,
 ) -> nn.ModelParams:
-    """Local SGD on lambda * positive loss + negative loss.
+    """Local SGD on lambda * positive loss + negative loss over a shard.
 
-    Positive instances train with strong augmentation against their
-    pseudo-labels; negative instances train un-augmented against the
+    Positive rows train with strong augmentation against their
+    pseudo-labels; negative rows train un-augmented against the
     complementary loss.  An empty component drops out of the objective; if
     both sets are empty the global model is returned untouched.
     """
-    features = {inst.id: inst.features for inst in local_data}
-    positive = [(features[i], label) for i, label in sets.positive]
-    negative = [(features[i], label) for i, label in sets.negative]
-    if not positive and not negative:
-        return global_model
-
+    pos_rows, pos_labels = sets.positive
+    neg_rows, neg_labels = sets.negative
+    n_pos, n_neg = len(pos_rows), len(neg_rows)
     lam = lambda_at(round_index, cfg)
-    params = global_model
-    opt = nn.OptimizerState(
-        learning_rate=cfg.learning_rate,
-        decay=cfg.lr_decay,
-        momentum=cfg.momentum,
-        velocity=np.zeros(params.values.size),
-    )
-    n_pos, n_neg = len(positive), len(negative)
     use_pos = n_pos > 0 and lam > 0.0
     batches = max(-(-n_pos // cfg.batch_size) if use_pos else 0,
-                  -(-n_neg // cfg.batch_size) if n_neg else 0)
-    if batches == 0:
+                  -(-n_neg // cfg.batch_size))
+    if batches == 0 or cfg.epochs == 0:
         return global_model
 
+    opt = nn.OptimizerState(global_model, cfg.learning_rate, cfg.momentum)
     for _ in range(cfg.epochs):
         pos_order = rng.permutation(n_pos) if use_pos else None
         neg_order = rng.permutation(n_neg) if n_neg else None
@@ -212,21 +192,18 @@ def client_train(
             lo, hi = b * cfg.batch_size, (b + 1) * cfg.batch_size
             grad = None
             if use_pos and lo < n_pos:
-                batch = []
-                for i in pos_order[lo:hi]:
-                    x, label = positive[i]
-                    if strong_augment_fn is not None:
-                        x = strong_augment_fn(x, rng)
-                    batch.append((x, label, nn.POSITIVE, 1.0))
-                grad = lam * nn.gradient(params, batch)
-            if n_neg and lo < n_neg:
-                batch = [
-                    (negative[i][0], negative[i][1], nn.NEGATIVE, 1.0)
-                    for i in neg_order[lo:hi]
-                ]
-                neg_grad = nn.gradient(params, batch)
+                picked = pos_order[lo:hi]
+                rows = pos_rows[picked]
+                if strong_augment_fn is None:
+                    x = features[rows]
+                else:
+                    x = np.stack([strong_augment_fn(features[r], rng) for r in rows])
+                grad = lam * nn.gradient(opt.params, x, pos_labels[picked], False, 1.0)
+            if lo < n_neg:
+                picked = neg_order[lo:hi]
+                neg_grad = nn.gradient(
+                    opt.params, features[neg_rows[picked]], neg_labels[picked], True, 1.0
+                )
                 grad = neg_grad if grad is None else grad + neg_grad
-            if grad is None:
-                continue
-            params, opt = nn.sgd_step(params, grad, opt)
-    return params
+            nn.sgd_step(opt, grad)
+    return opt.result()

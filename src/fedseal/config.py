@@ -10,6 +10,7 @@ reproduces cfg exactly, and the run manifest hashes that canonical text.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import fields, replace
 
 from .client import ClientConfig
@@ -138,9 +139,14 @@ def parse_config_text(text: str, source: str = "config") -> ExperimentConfig:
         )
 
     def _blame_line(section_name: str, message: str) -> str:
-        for key, line_no in key_lines[section_name].items():
-            field_name = _SCHEMA[section_name][key][0]
-            if field_name in message or key in message:
+        # Validators name the offending field as a word of their message;
+        # the first word that is exactly a key or field set in this section
+        # picks the line.
+        lines = key_lines[section_name]
+        by_field = {_SCHEMA[section_name][key][0]: line_no for key, line_no in lines.items()}
+        for word in re.findall(r"[A-Za-z_]\w*", message):
+            line_no = lines.get(word, by_field.get(word))
+            if line_no is not None:
                 return f"{source}: line {line_no}: {message}"
         return f"{source}: [{section_name}]: {message}"
 

@@ -1,11 +1,13 @@
 """Datasets: ingestion, client partitioning, augmentation.
 
-Instances are flat float vectors in [0, 1] with an optional class label.
-A :class:`DatasetSplit` carves one labeled pool into the four collections a
+A dataset is a pair of arrays: an (n, width) feature matrix with values in
+[0, 1] and n integer class labels, ``UNLABELED`` where a row has none.  A
+:class:`DatasetSplit` carves one labeled pool into the four collections a
 run needs (server train, server validation, per-client unlabeled shards,
-test).  Client shards expose no labels to algorithm code; the true labels
-are retained in a side table reachable only through
-:meth:`DatasetSplit.hidden_label`, which exists for correctness metrics and
+test), each a row-aligned :class:`Collection` built once.  Client shards
+expose no labels to algorithm code; their true labels are kept in arrays
+aligned with the shards, reachable only through
+:meth:`DatasetSplit.hidden_labels`, which exists for correctness metrics and
 the label-oracle baseline.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -26,15 +28,33 @@ IDX_LABEL_MAGIC = 0x00000801
 IID = "iid"
 DIRICHLET = "dirichlet"
 
+UNLABELED = -1
 
-@dataclass(eq=False)
-class Instance:
-    id: int
-    features: np.ndarray
-    label: int | None = None
 
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+class Collection:
+    """Row-aligned ids, (n, width) features and labels of one collection.
+
+    ``y`` is None for client shards.  All three are read-only views.
+    """
+
+    def __init__(self, ids, X, y=None):
+        self.ids = _frozen(np.asarray(ids, dtype=np.int64))
+        self.X = _frozen(np.asarray(X, dtype=np.float64))
+        self.y = None if y is None else _frozen(np.asarray(y, dtype=np.int64))
+        n = self.ids.size
+        if self.ids.ndim != 1 or self.X.ndim != 2 or self.X.shape[0] != n:
+            raise ValueError(f"features of shape {self.X.shape} for {n} ids")
+        if self.y is not None and self.y.shape != (n,):
+            raise ValueError(f"{self.y.size} labels for {n} ids")
+
+    def __len__(self) -> int:
+        return self.ids.size
 
 
 class DatasetSplit:
@@ -42,64 +62,60 @@ class DatasetSplit:
 
     def __init__(
         self,
-        server_train: list[Instance],
-        server_val: list[Instance],
-        client_train: list[list[Instance]],
-        test: list[Instance],
-        hidden_labels: dict[int, int],
+        server_train: Collection,
+        server_val: Collection,
+        client_train: list[Collection],
+        test: Collection,
+        hidden_labels: list[np.ndarray],
     ):
         self.server_train = server_train
         self.server_val = server_val
-        self.client_train = client_train
+        self.client_train = list(client_train)
         self.test = test
-        self._hidden_labels = dict(hidden_labels)
+        self._hidden_labels = [_frozen(np.asarray(h, dtype=np.int64)) for h in hidden_labels]
         self._validate()
 
     def _validate(self) -> None:
-        collections = [self.server_train, self.server_val, self.test, *self.client_train]
-        seen: set[int] = set()
-        width = None
-        for coll in collections:
-            for inst in coll:
-                if inst.id in seen:
-                    raise ValueError(f"instance id {inst.id} appears in two collections")
-                seen.add(inst.id)
-                if width is None:
-                    width = inst.features.size
-                elif inst.features.size != width:
-                    raise ValueError(
-                        f"instance {inst.id} has width {inst.features.size}, expected {width}"
-                    )
-        for inst in [*self.server_train, *self.server_val, *self.test]:
-            if inst.label is None:
-                raise ValueError(f"instance {inst.id} must be labeled")
-        for shard in self.client_train:
-            for inst in shard:
-                if inst.label is not None:
-                    raise ValueError(f"client instance {inst.id} leaks a label")
-                if inst.id not in self._hidden_labels:
-                    raise ValueError(f"client instance {inst.id} missing a hidden label")
+        labeled = {"server_train": self.server_train, "server_val": self.server_val,
+                   "test": self.test}
+        collections = [*labeled.values(), *self.client_train]
+        ids = np.concatenate([coll.ids for coll in collections])
+        unique, counts = np.unique(ids, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"instance id {unique[counts > 1][0]} appears in two collections")
+        widths = sorted({coll.X.shape[1] for coll in collections})
+        if len(widths) > 1:
+            raise ValueError(f"collections disagree on feature width: {widths}")
+        for name, coll in labeled.items():
+            if coll.y is None or (coll.y < 0).any():
+                raise ValueError(f"{name} rows must be labeled")
+        if len(self._hidden_labels) != len(self.client_train):
+            raise ValueError(
+                f"{len(self._hidden_labels)} hidden label arrays for "
+                f"{len(self.client_train)} client shards"
+            )
+        for k, (shard, hidden) in enumerate(zip(self.client_train, self._hidden_labels)):
+            if shard.y is not None:
+                raise ValueError(f"client shard {k} leaks its labels")
+            if hidden.shape != (len(shard),) or (hidden < 0).any():
+                raise ValueError(f"client shard {k} needs one hidden label per row")
 
     @property
     def n_classes(self) -> int:
-        labels = [inst.label for inst in self.server_train + self.server_val + self.test]
-        return int(max(labels)) + 1
+        return int(max(coll.y.max() for coll in (self.server_train, self.server_val, self.test)
+                       if len(coll))) + 1
 
     @property
     def feature_width(self) -> int:
-        return self.server_train[0].features.size
+        return self.server_train.X.shape[1]
 
-    def hidden_label(self, instance_id: int) -> int:
-        """True label of a client instance.
+    def hidden_labels(self, k: int) -> np.ndarray:
+        """True labels of client shard ``k``, aligned with its rows.
 
         For correctness metrics and the label-oracle baseline only; algorithm
         code must never call this.
         """
-        return self._hidden_labels[instance_id]
-
-    def hidden_labels(self) -> dict[int, int]:
-        """Copy of the id -> true label table (metrics/oracle use only)."""
-        return dict(self._hidden_labels)
+        return self._hidden_labels[k]
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +135,12 @@ def _read_binary(path) -> bytes:
         return f.read()
 
 
-def ingest_idx(images_path, labels_path) -> list[Instance]:
+def ingest_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Load an IDX image/label file pair (big-endian, standard magics).
 
-    Pixels are scaled by 1/255 and flattened row-major.  Paths ending in
-    ``.gz`` are decompressed transparently.
+    Returns (features, labels): pixels scaled by 1/255 and flattened
+    row-major, one row per image.  Paths ending in ``.gz`` are decompressed
+    transparently.
     """
     img_buf = _read_binary(images_path)
     lbl_buf = _read_binary(labels_path)
@@ -163,14 +180,16 @@ def ingest_idx(images_path, labels_path) -> list[Instance]:
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, offset=16)
     images = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-    labels = np.frombuffer(lbl_buf, dtype=np.uint8, offset=8)
-    return [
-        Instance(id=i, features=images[i], label=int(labels[i])) for i in range(count)
-    ]
+    labels = np.frombuffer(lbl_buf, dtype=np.uint8, offset=8).astype(np.int64)
+    return images, labels
 
 
-def ingest_csv(path) -> list[Instance]:
-    """Load instances from ``label,f0,f1,...`` CSV; empty label = unlabeled."""
+def ingest_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Load ``label,f0,f1,...`` CSV into (features, labels).
+
+    An empty label cell reads as ``UNLABELED``.  Feature cells must be finite
+    numbers in [0, 1]; a bad cell fails with its file and line.
+    """
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines:
@@ -182,40 +201,48 @@ def ingest_csv(path) -> list[Instance]:
         raise ValueError(f"{path}: line 1: expected header 'label,f0,f1,...'")
     width = len(header) - 1
 
-    instances = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    features = np.empty((len(lines) - 1, width))
+    labels = np.empty(len(lines) - 1, dtype=np.int64)
+    for row, line in enumerate(lines[1:]):
+        line_no = row + 2
         cells = line.split(",")
         if len(cells) != width + 1:
             raise ValueError(
                 f"{path}: line {line_no}: expected {width + 1} cells, got {len(cells)}"
             )
         if cells[0] == "":
-            label = None
+            labels[row] = UNLABELED
         else:
             try:
-                label = int(cells[0])
+                labels[row] = int(cells[0])
             except ValueError:
                 raise ValueError(
                     f"{path}: line {line_no}: non-integer label {cells[0]!r}"
                 ) from None
+            if labels[row] < 0:
+                raise ValueError(f"{path}: line {line_no}: negative label {cells[0]!r}")
         try:
-            features = np.array([float(c) for c in cells[1:]])
+            x = np.array([float(c) for c in cells[1:]])
         except ValueError:
             raise ValueError(
                 f"{path}: line {line_no}: non-numeric feature cell"
             ) from None
-        instances.append(Instance(id=line_no - 2, features=features, label=label))
-    return instances
+        if not np.isfinite(x).all():
+            raise ValueError(f"{path}: line {line_no}: non-finite feature value")
+        if ((x < 0.0) | (x > 1.0)).any():
+            raise ValueError(f"{path}: line {line_no}: feature value outside [0, 1]")
+        features[row] = x
+    return features, labels
 
 
-def write_csv(instances: list[Instance], path) -> None:
+def write_csv(features: np.ndarray, labels: np.ndarray, path) -> None:
     """Inverse of :func:`ingest_csv`; floats written with full precision."""
-    width = instances[0].features.size if instances else 0
+    features = np.asarray(features, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as f:
-        f.write("label," + ",".join(f"f{i}" for i in range(width)) + "\n")
-        for inst in instances:
-            label = "" if inst.label is None else str(inst.label)
-            f.write(label + "," + ",".join(repr(float(v)) for v in inst.features) + "\n")
+        f.write("label," + ",".join(f"f{i}" for i in range(features.shape[1])) + "\n")
+        for x, label in zip(features, labels):
+            cell = "" if label == UNLABELED else str(int(label))
+            f.write(cell + "," + ",".join(repr(float(v)) for v in x) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +250,13 @@ def write_csv(instances: list[Instance], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _class_pools(pool: list[Instance], rng: np.random.Generator):
-    labels = [inst.label for inst in pool]
-    if any(lbl is None for lbl in labels):
+def _class_pools(labels: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+    """Per class, the positions of its rows in ``labels``, shuffled."""
+    if (labels < 0).any():
         raise ValueError("partition pool must be fully labeled")
-    n_classes = int(max(labels)) + 1
-    pools: list[list[Instance]] = [[] for _ in range(n_classes)]
-    for inst in pool:
-        pools[inst.label].append(inst)
-    for class_pool in pools:
-        order = rng.permutation(len(class_pool))
-        class_pool[:] = [class_pool[i] for i in order]
-    return pools
+    n_classes = int(labels.max()) + 1
+    pools = [np.flatnonzero(labels == m) for m in range(n_classes)]
+    return [pool[rng.permutation(len(pool))] for pool in pools]
 
 
 def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -248,30 +270,33 @@ def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray
 
 
 def partition(
-    pool: list[Instance],
+    labels: np.ndarray,
     n_clients: int,
     mode: str,
     per_client: int,
     rng_seed: int,
     alpha: float = 0.5,
-) -> list[list[Instance]]:
+) -> list[np.ndarray]:
     """Split a labeled pool into disjoint per-client shards of fixed size.
 
-    ``iid`` deals per_client / n_classes instances of every class to each
-    client (the request must divide evenly).  ``dirichlet`` draws per-client
-    class proportions from Dirichlet(alpha), then samples without
-    replacement; when a class pool runs dry the deficit moves to the classes
-    with the most stock left.
+    Takes the pool's labels and returns, per client, the positions of its
+    rows in the pool.  ``iid`` deals per_client / n_classes rows of every
+    class to each client (the request must divide evenly).  ``dirichlet``
+    draws per-client class proportions from Dirichlet(alpha), then samples
+    without replacement; when a class pool runs dry the deficit moves to the
+    classes with the most stock left.
     """
+    labels = np.asarray(labels, dtype=np.int64)
     if n_clients < 1:
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
-    if len(pool) < n_clients * per_client:
+    if len(labels) < n_clients * per_client:
         raise ValueError(
-            f"pool of {len(pool)} instances cannot supply "
+            f"pool of {len(labels)} instances cannot supply "
             f"{n_clients} clients x {per_client} instances"
         )
     rng = stream(rng_seed, "partition")
-    pools = _class_pools(pool, rng)
+    # Each class pool is dealt from its end.
+    pools = [pool[::-1] for pool in _class_pools(labels, rng)]
     n_classes = len(pools)
 
     if mode == IID:
@@ -281,33 +306,34 @@ def partition(
                 f"got {per_client}"
             )
         per_class = per_client // n_classes
-        for m, class_pool in enumerate(pools):
-            if len(class_pool) < per_class * n_clients:
+        for m, pool in enumerate(pools):
+            if len(pool) < per_class * n_clients:
                 raise ValueError(
-                    f"class {m} has {len(class_pool)} instances, "
+                    f"class {m} has {len(pool)} instances, "
                     f"iid partition needs {per_class * n_clients}"
                 )
         return [
-            [class_pool.pop() for class_pool in pools for _ in range(per_class)]
-            for _ in range(n_clients)
+            np.concatenate([pool[k * per_class : (k + 1) * per_class] for pool in pools])
+            for k in range(n_clients)
         ]
 
     if mode == DIRICHLET:
+        taken = np.zeros(n_classes, dtype=int)
         shards = []
         for _ in range(n_clients):
             proportions = rng.dirichlet(np.full(n_classes, alpha))
             counts = _largest_remainder_counts(proportions, per_client)
-            remaining = np.array([len(p) for p in pools])
+            remaining = np.array([len(pool) for pool in pools]) - taken
             counts = np.minimum(counts, remaining)
             while counts.sum() < per_client:
                 # Top up from the class with the most stock left.
                 stock = remaining - counts
                 counts[int(np.argmax(stock))] += 1
-            shard = []
-            for m, count in enumerate(counts):
-                for _ in range(count):
-                    shard.append(pools[m].pop())
-            shards.append(shard)
+            shards.append(np.concatenate([
+                pool[start : start + count]
+                for pool, start, count in zip(pools, taken, counts)
+            ]))
+            taken += counts
         return shards
 
     raise ValueError(f"unknown partition mode {mode!r}")
@@ -494,7 +520,7 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
     test_pool = None
     client_pool = None
     if cfg.kind == "synthetic":
-        # Server/val/test instances draw from streams that do not involve
+        # Server/val/test rows draw from streams that do not involve
         # n_clients, so those collections are identical whatever the client
         # count; only the client pool scales.  All parts share one set of
         # class centers.
@@ -502,32 +528,28 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
             0.2, 0.8, size=(cfg.n_classes, cfg.n_features)
         )
         core_n = cfg.server_train_n + cfg.server_val_n + cfg.test_n
-        pool = _blob_instances(
-            centers, core_n, stream(seed, "data-core"), cfg.spread
+        pool = _blob_pool(centers, core_n, stream(seed, "data-core"), cfg.spread)
+        client_pool = _blob_pool(
+            centers, n_clients * cfg.per_client, stream(seed, "data-clients"), cfg.spread
         )
-        client_pool = _blob_instances(
-            centers,
-            n_clients * cfg.per_client,
-            stream(seed, "data-clients"),
-            cfg.spread,
-            id_offset=core_n,
-        )
-    elif cfg.kind == "idx":
-        pool = ingest_idx(cfg.train_images, cfg.train_labels)
-        if cfg.test_images:
-            test_pool = ingest_idx(cfg.test_images, cfg.test_labels)
     else:
-        pool = ingest_csv(cfg.train_csv)
-        if any(inst.label is None for inst in pool):
-            raise ValueError("csv training pool must be fully labeled")
-        if cfg.test_csv:
-            test_pool = ingest_csv(cfg.test_csv)
+        if cfg.kind == "idx":
+            train = ingest_idx(cfg.train_images, cfg.train_labels)
+            test = ingest_idx(cfg.test_images, cfg.test_labels) if cfg.test_images else None
+        else:
+            train = ingest_csv(cfg.train_csv)
+            if (train[1] == UNLABELED).any():
+                raise ValueError("csv training pool must be fully labeled")
+            test = ingest_csv(cfg.test_csv) if cfg.test_csv else None
+        pool = _array_pool(*train)
+        if test is not None:
+            test_X, test_y = test
+            if 0 < cfg.test_n < len(test_y):
+                keep = stream(seed, "test").permutation(len(test_y))[: cfg.test_n]
+                test_X, test_y = test_X[keep], test_y[keep]
+            test_pool = _array_pool(test_X, test_y)
 
-    if test_pool is not None and 0 < cfg.test_n < len(test_pool):
-        order = stream(seed, "test").permutation(len(test_pool))
-        test_pool = [test_pool[i] for i in order[: cfg.test_n]]
-
-    return build_split(
+    return _carve(
         pool,
         n_clients=n_clients,
         per_client=cfg.per_client,
@@ -546,23 +568,41 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
 # Synthetic data and split assembly
 # ---------------------------------------------------------------------------
 
+# A pool is (labels, take): take(positions) returns the feature rows at those
+# positions, and is called once per pool.
+_BLOB_CHUNK = 256
 
-def _blob_instances(
-    centers: np.ndarray,
-    n_instances: int,
-    rng: np.random.Generator,
-    spread: float,
-    id_offset: int = 0,
-) -> list[Instance]:
-    n_classes, n_features = centers.shape
-    instances = []
-    for i in range(n_instances):
-        label = i % n_classes
-        features = np.clip(
-            centers[label] + rng.normal(0.0, spread, size=n_features), 0.0, 1.0
-        )
-        instances.append(Instance(id=id_offset + i, features=features, label=label))
-    return instances
+
+def _array_pool(features, labels):
+    features = np.asarray(features, dtype=np.float64)
+    return np.asarray(labels, dtype=np.int64), lambda positions: features[positions]
+
+
+def _blob_pool(centers: np.ndarray, n: int, rng: np.random.Generator, spread: float):
+    """An n-row Gaussian-blob pool whose features are generated on ``take``.
+
+    Row i has label i % n_classes and features clip(center + N(0, spread)),
+    drawn from ``rng`` in row order.  ``take`` generates the rows chunk by
+    chunk and keeps only the requested ones, so the whole pool is never held
+    in memory beside the collections cut from it.
+    """
+    n_classes, width = centers.shape
+    labels = np.arange(n) % n_classes
+
+    def take(positions: np.ndarray) -> np.ndarray:
+        out = np.empty((len(positions), width))
+        dest = np.full(n, -1)
+        dest[positions] = np.arange(len(positions))
+        for lo in range(0, n, _BLOB_CHUNK):
+            hi = min(lo + _BLOB_CHUNK, n)
+            block = rng.normal(0.0, spread, size=(hi - lo, width))
+            block += centers[labels[lo:hi]]
+            np.clip(block, 0.0, 1.0, out=block)
+            kept = dest[lo:hi] >= 0
+            out[dest[lo:hi][kept]] = block[kept]
+        return out
+
+    return labels, take
 
 
 def synthetic_blobs(
@@ -571,14 +611,15 @@ def synthetic_blobs(
     n_features: int,
     rng: np.random.Generator,
     spread: float = 0.1,
-) -> list[Instance]:
-    """Balanced Gaussian class blobs with features clipped to [0, 1]."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced Gaussian class blobs as (features, labels), features in [0, 1]."""
     centers = rng.uniform(0.2, 0.8, size=(n_classes, n_features))
-    return _blob_instances(centers, n_instances, rng, spread)
+    labels, take = _blob_pool(centers, n_instances, rng, spread)
+    return take(np.arange(n_instances)), labels
 
 
 def build_split(
-    pool: list[Instance],
+    pool: tuple[np.ndarray, np.ndarray],
     n_clients: int,
     per_client: int,
     server_train_n: int,
@@ -587,81 +628,93 @@ def build_split(
     partition_mode: str = IID,
     alpha: float = 0.5,
     test_n: int = 0,
-    test_pool: list[Instance] | None = None,
-    client_pool: list[Instance] | None = None,
+    test_pool: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DatasetSplit:
-    """Carve one labeled pool into a full run split.
+    """Carve one labeled (features, labels) pool into a full run split.
 
     The server training set is class-balanced (equal count per class, as
-    evenly divisible); validation and test (when carved rather than supplied)
-    are random draws from the remainder.  Client shards come from
-    :func:`partition` over ``client_pool`` when given, otherwise over what is
-    left of ``pool``; their labels move to the hidden side table.  Instance
-    ids are reassigned to be globally unique.
+    evenly divisible); validation and test (when carved rather than supplied
+    as ``test_pool``) are random draws from the remainder.  Client shards
+    come from :func:`partition` over what is left; their labels move to the
+    hidden arrays.  Ids number the rows of the split consecutively: server
+    train, validation, test, then each shard.
     """
+    return _carve(
+        _array_pool(*pool), n_clients, per_client, server_train_n, server_val_n, seed,
+        partition_mode, alpha, test_n,
+        None if test_pool is None else _array_pool(*test_pool), None,
+    )
+
+
+def _carve(
+    pool, n_clients, per_client, server_train_n, server_val_n, seed,
+    partition_mode, alpha, test_n, test_pool, client_pool,
+) -> DatasetSplit:
+    """:func:`build_split` over pools; shards come from ``client_pool`` if given."""
+    labels, _ = pool
     rng = stream(seed, "split")
-    labels = [inst.label for inst in pool]
-    if any(lbl is None for lbl in labels):
+    if (labels < 0).any():
         raise ValueError("split pool must be fully labeled")
-    n_classes = int(max(labels)) + 1
+    n_classes = int(labels.max()) + 1
     if server_train_n % n_classes != 0:
         raise ValueError(
             f"server_train_n {server_train_n} not divisible by {n_classes} classes"
         )
 
-    pools = _class_pools(pool, rng)
+    pools = _class_pools(labels, rng)
     per_class = server_train_n // n_classes
-    server_train = []
     for m, class_pool in enumerate(pools):
         if len(class_pool) < per_class:
             raise ValueError(f"class {m} has too few instances for the server split")
-        server_train.extend(class_pool[:per_class])
-        pools[m] = class_pool[per_class:]
-
-    remainder = [inst for class_pool in pools for inst in class_pool]
-    order = rng.permutation(len(remainder))
-    remainder = [remainder[i] for i in order]
+    server_train = np.concatenate([class_pool[:per_class] for class_pool in pools])
+    remainder = np.concatenate([class_pool[per_class:] for class_pool in pools])
+    remainder = remainder[rng.permutation(len(remainder))]
 
     if server_val_n > len(remainder):
         raise ValueError("not enough instances left for the validation split")
-    server_val = remainder[:server_val_n]
-    remainder = remainder[server_val_n:]
+    server_val, remainder = remainder[:server_val_n], remainder[server_val_n:]
 
     if test_pool is None:
         if test_n > len(remainder):
             raise ValueError("not enough instances left for the test split")
-        test = remainder[:test_n]
-        remainder = remainder[test_n:]
+        test, remainder = (pool, remainder[:test_n]), remainder[test_n:]
     else:
-        test = list(test_pool)
+        test = (test_pool, np.arange(len(test_pool[0])))
 
-    shards = partition(
-        client_pool if client_pool is not None else remainder,
-        n_clients, partition_mode, per_client, seed, alpha,
+    if client_pool is None:
+        shard_pool, candidates = pool, remainder
+    else:
+        shard_pool, candidates = client_pool, np.arange(len(client_pool[0]))
+    shards = [
+        (shard_pool, candidates[rows])
+        for rows in partition(
+            shard_pool[0][candidates], n_clients, partition_mode, per_client, seed, alpha
+        )
+    ]
+
+    parts = _take_all([(pool, server_train), (pool, server_val), test, *shards])
+    offsets = np.cumsum([0] + [len(y) for _, y in parts])
+    collections = [
+        Collection(np.arange(lo, hi), X, y) for (X, y), lo, hi in zip(parts, offsets, offsets[1:])
+    ]
+    return DatasetSplit(
+        collections[0],
+        collections[1],
+        [Collection(coll.ids, coll.X) for coll in collections[3:]],
+        collections[2],
+        [coll.y for coll in collections[3:]],
     )
 
-    next_id = 0
 
-    def reid(instances: list[Instance], hide: bool = False) -> list[Instance]:
-        nonlocal next_id
-        out = []
-        for inst in instances:
-            out.append(
-                replace(inst, id=next_id, label=None if hide else inst.label)
-            )
-            next_id += 1
-        return out
-
-    server_train = reid(server_train)
-    server_val = reid(server_val)
-    test = reid(test)
-    hidden: dict[int, int] = {}
-    hidden_shards = []
-    for shard in shards:
-        start = next_id
-        hidden_shard = reid(shard, hide=True)
-        for offset, inst in enumerate(shard):
-            hidden[start + offset] = inst.label
-        hidden_shards.append(hidden_shard)
-
-    return DatasetSplit(server_train, server_val, hidden_shards, test, hidden)
+def _take_all(requests):
+    """(features, labels) for each (pool, positions) request, one take per pool."""
+    by_pool: dict[int, tuple] = {}
+    for i, (pool, positions) in enumerate(requests):
+        by_pool.setdefault(id(pool), (pool, []))[1].append((i, positions))
+    out: list = [None] * len(requests)
+    for (labels, take), items in by_pool.values():
+        sizes = [len(positions) for _, positions in items]
+        rows = take(np.concatenate([positions for _, positions in items]))
+        for (i, positions), X in zip(items, np.split(rows, np.cumsum(sizes)[:-1])):
+            out[i] = (X, labels[positions])
+    return out

@@ -32,7 +32,14 @@ from .client import (
     lambda_at,
     update_ensemble,
 )
-from .data import DataConfig, DatasetSplit, augment_strong, augment_weak, load_split
+from .data import (
+    Collection,
+    DataConfig,
+    DatasetSplit,
+    augment_strong,
+    augment_weak,
+    load_split,
+)
 from .rng import stream
 from .server import ServerConfig, aggregate, bootstrap, compute_thresholds, server_train
 
@@ -126,35 +133,33 @@ def sample_clients(n_clients: int, k: int, round_index: int, seed: int) -> list[
     return sorted(int(c) for c in rng.choice(n_clients, size=k, replace=False))
 
 
-def evaluate(model: nn.ModelParams, test_set) -> float:
-    """Fraction of test instances whose predicted class is the true label."""
-    if not test_set:
+def evaluate(model: nn.ModelParams, test_set: Collection) -> float:
+    """Fraction of test rows whose predicted class is the true label."""
+    if not len(test_set):
         raise ValueError("test set is empty")
-    if any(inst.label is None for inst in test_set):
+    if test_set.y is None or (test_set.y < 0).any():
         raise ValueError("test set must be fully labeled")
-    feats = np.stack([inst.features for inst in test_set])
-    labels = np.array([inst.label for inst in test_set])
-    preds = nn.predict_batch(model, feats)
-    return float((preds == labels).mean())
+    preds = nn.predict_batch(model, test_set.X)
+    return float((preds == test_set.y).mean())
 
 
-def label_correct_rates(
-    sets: FilteredSets, hidden_labels
-) -> tuple[float | None, float | None]:
-    """Correctness of the filtered sets against the hidden true labels.
+def label_correct_rates(per_client) -> tuple[float | None, float | None]:
+    """Correctness of filtered sets against the hidden true labels.
 
-    A pseudo-label is correct when it equals the true label; a complementary
-    label is correct when it differs.  Empty sets report None, not 0.
+    ``per_client`` holds (FilteredSets, hidden labels of that shard) pairs;
+    the rates pool every client's rows.  A pseudo-label is correct when it
+    equals the true label; a complementary label is correct when it differs.
+    Empty sets report None, not 0.
     """
-    pos_rate = None
-    if sets.positive:
-        hits = sum(1 for i, y in sets.positive if hidden_labels[i] == y)
-        pos_rate = hits / len(sets.positive)
-    neg_rate = None
-    if sets.negative:
-        hits = sum(1 for i, y in sets.negative if hidden_labels[i] != y)
-        neg_rate = hits / len(sets.negative)
-    return pos_rate, neg_rate
+    pos_hits = pos_n = neg_hits = neg_n = 0
+    for sets, hidden in per_client:
+        rows, labels = sets.positive
+        pos_hits += int((hidden[rows] == labels).sum())
+        pos_n += len(rows)
+        rows, labels = sets.negative
+        neg_hits += int((hidden[rows] != labels).sum())
+        neg_n += len(rows)
+    return (pos_hits / pos_n if pos_n else None, neg_hits / neg_n if neg_n else None)
 
 
 def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus):
@@ -165,9 +170,7 @@ def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus):
 
     if cfg.algorithm == FEDAVG_SL:
         # Label oracle: reveal the hidden labels and train supervised.
-        labeled = [
-            replace(inst, label=state.split.hidden_label(inst.id)) for inst in data_k
-        ]
+        labeled = Collection(data_k.ids, data_k.X, state.split.hidden_labels(k))
         sup_cfg = ServerConfig(
             epochs=cfg.client.epochs,
             batch_size=cfg.client.batch_size,
@@ -176,29 +179,29 @@ def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus):
             momentum=cfg.client.momentum,
         )
         local = server_train(w_t, labeled, sup_cfg, client_rng, state.weak_augment)
-        return k, local, FilteredSets([], [])
+        return k, local, FilteredSets()
 
     ccfg = replace(cfg.client, learning_rate=state.client_lr)
     if cfg.algorithm == FEDAVG_FIXMATCH:
-        conf = update_ensemble(EnsembleState.empty(), w_t, data_k)
+        conf = update_ensemble(EnsembleState.empty(), w_t, data_k.X)
         taus = np.full(w_t.n_classes, cfg.fixmatch_threshold)
         ccfg = replace(ccfg, lambda_max=1.0, lambda_ramp_rounds=1)
     elif cfg.client.use_ensemble:
         conf = state.ensembles[k]
     else:
         # Ablation: confidence from the current model only.
-        conf = update_ensemble(EnsembleState.empty(), w_t, data_k)
+        conf = update_ensemble(EnsembleState.empty(), w_t, data_k.X)
 
-    positive = build_positive_set(conf, taus, data_k)
+    positive = build_positive_set(conf, taus)
     if cfg.algorithm == FEDAVG_FIXMATCH:
-        negative = []
+        sets = FilteredSets(positive)
     else:
         negative = build_negative_set(
-            conf, taus, ccfg.theta, data_k, stream(cfg.seed, "negative", k, round_index)
+            conf, taus, ccfg.theta, stream(cfg.seed, "negative", k, round_index)
         )
-    sets = FilteredSets(positive, negative)
+        sets = FilteredSets(positive, negative)
     local = client_train(
-        w_t, sets, data_k, ccfg, round_index, client_rng, state.strong_augment
+        w_t, sets, data_k.X, ccfg, round_index, client_rng, state.strong_augment
     )
     return k, local, sets
 
@@ -240,7 +243,7 @@ def run_round(state: ExperimentState, round_index: int):
             )
             for k in targets:
                 state.ensembles[k] = update_ensemble(
-                    state.ensembles[k], w_t, state.split.client_train[k]
+                    state.ensembles[k], w_t, state.split.client_train[k].X
                 )
         task = partial(_train_client, state, round_index=round_index, w_t=w_t, taus=taus)
         if cfg.parallel_clients > 1 and len(sampled) > 1:
@@ -254,11 +257,9 @@ def run_round(state: ExperimentState, round_index: int):
             sets_by_client[k] = sets
 
     # Metrics.
-    merged = FilteredSets(
-        [pair for s in sets_by_client.values() for pair in s.positive],
-        [pair for s in sets_by_client.values() for pair in s.negative],
+    pos_rate, neg_rate = label_correct_rates(
+        (sets_by_client[k], state.split.hidden_labels(k)) for k in sampled
     )
-    pos_rate, neg_rate = label_correct_rates(merged, state.split.hidden_labels())
     if cfg.algorithm == FEDAVG_FIXMATCH:
         lam = 1.0
     else:
@@ -267,8 +268,8 @@ def run_round(state: ExperimentState, round_index: int):
         round=round_index,
         test_accuracy=evaluate(w_t, state.split.test),
         taus=tuple(float(v) for v in taus),
-        pos_sizes=tuple(len(sets_by_client[k].positive) for k in sampled),
-        neg_sizes=tuple(len(sets_by_client[k].negative) for k in sampled),
+        pos_sizes=tuple(len(sets_by_client[k].positive[0]) for k in sampled),
+        neg_sizes=tuple(len(sets_by_client[k].negative[0]) for k in sampled),
         pos_correct_rate=pos_rate,
         neg_correct_rate=neg_rate,
         lambda_weight=lam,

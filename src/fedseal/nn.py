@@ -3,8 +3,9 @@
 The network is a plain MLP (tanh hidden layers, softmax head) over flat
 feature vectors.  Parameters live in a single flat float64 vector plus layer
 shape metadata, so a whole model can be averaged, diffed and shipped around
-as one array.  Everything here is a pure function over value-semantic
-inputs: nothing mutates its arguments.
+as one array.  A :class:`ModelParams` is read-only; training works on a
+private copy inside an :class:`OptimizerState`, which :func:`sgd_step`
+updates in place and which becomes a new ``ModelParams`` when the loop ends.
 
 Alternate backbones only need to reproduce the call signatures of
 ``init_params`` / ``forward`` / ``predict`` / ``gradient``; the rest of the
@@ -13,16 +14,13 @@ package is indifferent to what is inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 # Probabilities are clamped away from 0 and 1 before any log; keeps both
 # loss functions finite on overconfident models.
 PROB_FLOOR = 1e-12
-
-POSITIVE = "positive"
-NEGATIVE = "negative"
 
 
 @dataclass
@@ -58,23 +56,41 @@ class ModelParams:
         return ModelParams(values=values, shapes=self.shapes)
 
 
-@dataclass
+def _wrap(values: np.ndarray, shapes) -> ModelParams:
+    """A ModelParams over the read-only ``values`` itself, without a copy."""
+    params = object.__new__(ModelParams)
+    params.values = values
+    params.shapes = shapes
+    return params
+
+
 class OptimizerState:
-    """SGD-with-momentum state; ``velocity`` matches the parameter length."""
+    """SGD with momentum on a private copy of one model's parameters.
 
-    learning_rate: float
-    decay: float
-    momentum: float
-    velocity: np.ndarray
+    :func:`sgd_step` updates the copy and ``velocity`` in place.  ``params``
+    is a read-only view of the copy, so a gradient taken through it always
+    sees the current values.  :meth:`result` freezes the copy and returns it
+    as the trained model, after which the state takes no more steps.  Each
+    training loop owns its state, so client threads share no buffers.
+    """
 
-    def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not 0 < self.decay <= 1:
-            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        self.velocity = np.asarray(self.velocity, dtype=np.float64)
+    def __init__(self, params: ModelParams, learning_rate: float, momentum: float):
+        if learning_rate < 0:
+            raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
+        if not 0 <= momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        self.learning_rate = float(learning_rate)
+        self.momentum = float(momentum)
+        self._values = params.values.copy()
+        self._scratch = np.empty_like(self._values)
+        self.velocity = np.zeros_like(self._values)
+        view = self._values.view()
+        view.flags.writeable = False
+        self.params = _wrap(view, params.shapes)
+
+    def result(self) -> ModelParams:
+        self._values.flags.writeable = False
+        return _wrap(self._values, self.params.shapes)
 
 
 def shapes_for(dims: tuple[int, ...] | list[int]) -> tuple[tuple[int, int], ...]:
@@ -191,45 +207,44 @@ def negative_cross_entropy(comp_label: int, confidence: np.ndarray) -> float:
     return float(-np.log(np.clip(1.0 - confidence[comp_label], PROB_FLOOR, 1.0)))
 
 
-def _as_batch_arrays(params: ModelParams, batch):
-    if len(batch) == 0:
+def _batch_arrays(params: ModelParams, X, labels, negative, weights):
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != params.n_inputs:
+        got = X.shape[1] if X.ndim == 2 else X.shape
+        raise ValueError(
+            f"feature width mismatch: network expects {params.n_inputs}, got {got}"
+        )
+    n = X.shape[0]
+    if n == 0:
         raise ValueError("empty batch; callers must skip empty loss components")
-    feats = np.empty((len(batch), params.n_inputs))
-    labels = np.empty(len(batch), dtype=np.int64)
-    weights = np.empty(len(batch))
-    negative = np.zeros(len(batch), dtype=bool)
-    for i, (x, label, kind, weight) in enumerate(batch):
-        x = np.asarray(x, dtype=np.float64)
-        if x.size != params.n_inputs:
-            raise ValueError(
-                f"feature width mismatch: network expects {params.n_inputs}, got {x.size}"
-            )
-        if kind == NEGATIVE:
-            negative[i] = True
-            labels[i] = _check_label(label, params.n_classes, "complementary label")
-        elif kind == POSITIVE:
-            labels[i] = _check_label(label, params.n_classes, "label")
-        else:
-            raise ValueError(f"unknown loss kind {kind!r}")
-        feats[i] = x
-        weights[i] = float(weight)
-    return feats, labels, weights, negative
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n,):
+        raise ValueError(f"{labels.size} labels for {n} rows")
+    if labels.min() < 0 or labels.max() >= params.n_classes:
+        bad = labels[(labels < 0) | (labels >= params.n_classes)][0]
+        raise ValueError(f"label {bad} out of range [0, {params.n_classes})")
+    negative = np.broadcast_to(np.asarray(negative, dtype=bool), (n,))
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n,))
+    return X, labels, negative, weights
 
 
-def batch_loss(params: ModelParams, batch) -> float:
+def batch_loss(params: ModelParams, X, labels, negative, weights) -> float:
     """Weighted mean loss over a mixed positive/negative batch.
 
-    The mean is weight-normalized (sum of w_i * loss_i over sum of w_i), so a
-    duplicated instance is interchangeable with doubling its weight.  A batch
-    with all-zero weights has loss 0 by convention.
+    ``X`` is an (n, width) feature matrix and ``labels`` the n class labels.
+    Rows where ``negative`` is true take the complementary loss on their
+    label, the rest cross-entropy; ``negative`` and ``weights`` are per-row
+    arrays or one value for every row.  The mean is weight-normalized (sum
+    of w_i * loss_i over sum of w_i), so a duplicated row is interchangeable
+    with doubling its weight.  A batch with all-zero weights has loss 0 by
+    convention.
     """
-    feats, labels, weights, negative = _as_batch_arrays(params, batch)
+    X, labels, negative, weights = _batch_arrays(params, X, labels, negative, weights)
     total = weights.sum()
     if total == 0.0:
         return 0.0
-    probs = forward_batch(params, feats)
-    rows = np.arange(len(batch))
-    p = probs[rows, labels]
+    probs = forward_batch(params, X)
+    p = probs[np.arange(len(labels)), labels]
     losses = np.where(
         negative,
         -np.log(np.clip(1.0 - p, PROB_FLOOR, 1.0)),
@@ -238,37 +253,28 @@ def batch_loss(params: ModelParams, batch) -> float:
     return float((weights * losses).sum() / total)
 
 
-def gradient(params: ModelParams, batch) -> np.ndarray:
-    """Analytic gradient of ``batch_loss`` with respect to the flat vector.
-
-    Batch entries are (features, label, kind, weight) with kind POSITIVE
-    (cross-entropy on label) or NEGATIVE (complementary loss on label).
-    """
-    feats, labels, weights, negative = _as_batch_arrays(params, batch)
+def gradient(params: ModelParams, X, labels, negative, weights) -> np.ndarray:
+    """Analytic gradient of ``batch_loss`` with respect to the flat vector."""
+    X, labels, negative, weights = _batch_arrays(params, X, labels, negative, weights)
     total = weights.sum()
     if total == 0.0:
         return np.zeros(params.values.size)
 
-    probs, inputs, layers = _forward_cached(params, feats)
-    rows = np.arange(len(batch))
+    probs, inputs, layers = _forward_cached(params, X)
+    rows = np.arange(len(labels))
     p = probs[rows, labels]
 
-    # d(loss)/d(logits) per row, before weighting.
-    grad_z = np.empty_like(probs)
-    pos = ~negative
-    if pos.any():
-        g = probs[pos].copy()
-        g[np.arange(pos.sum()), labels[pos]] -= 1.0
-        # Clamped rows have a locally constant loss, hence zero gradient.
-        g[p[pos] < PROB_FLOOR] = 0.0
-        grad_z[pos] = g
+    # d(loss)/d(logits) per row, before weighting.  Positive rows: p - onehot.
+    grad_z = probs.copy()
+    grad_z[rows, labels] -= 1.0
+    # Clamped rows have a locally constant loss, hence zero gradient.
+    grad_z[~negative & (p < PROB_FLOOR)] = 0.0
     if negative.any():
-        pn = probs[negative]
         pc = p[negative]
         q = 1.0 - pc
         scale = np.where(q < PROB_FLOOR, 0.0, pc / np.maximum(q, PROB_FLOOR))
-        g = -scale[:, None] * pn
-        g[np.arange(negative.sum()), labels[negative]] += scale
+        g = -scale[:, None] * probs[negative]
+        g[np.arange(scale.size), labels[negative]] += scale
         grad_z[negative] = g
 
     grad_z *= (weights / total)[:, None]
@@ -286,26 +292,19 @@ def gradient(params: ModelParams, batch) -> np.ndarray:
     return np.concatenate(grads)
 
 
-def sgd_step(
-    params: ModelParams, grad: np.ndarray, opt: OptimizerState
-) -> tuple[ModelParams, OptimizerState]:
-    """One momentum-SGD update; returns fresh params and state."""
+def sgd_step(opt: OptimizerState, grad: np.ndarray) -> None:
+    """One momentum-SGD update of ``opt``'s parameters and velocity, in place."""
+    if not opt._values.flags.writeable:
+        raise RuntimeError("optimizer state already handed out its result")
     grad = np.asarray(grad, dtype=np.float64)
-    if grad.size != params.values.size:
+    if grad.shape != opt._values.shape:
         raise ValueError(
-            f"gradient length {grad.size} does not match parameter length {params.values.size}"
+            f"gradient length {grad.size} does not match parameter length {opt._values.size}"
         )
-    if opt.velocity.size != params.values.size:
-        raise ValueError(
-            f"velocity length {opt.velocity.size} does not match parameter length {params.values.size}"
-        )
-    velocity = opt.momentum * opt.velocity + grad
-    values = params.values - opt.learning_rate * velocity
-    if not np.isfinite(values).all():
+    velocity = opt.velocity
+    velocity *= opt.momentum
+    velocity += grad
+    np.multiply(velocity, opt.learning_rate, out=opt._scratch)
+    opt._values -= opt._scratch
+    if not np.isfinite(opt._values).all():
         raise FloatingPointError("non-finite parameter values after SGD step")
-    return params.with_values(values), replace(opt, velocity=velocity)
-
-
-def decay_lr(opt: OptimizerState) -> OptimizerState:
-    """Per-round learning-rate decay; everything else unchanged."""
-    return replace(opt, learning_rate=opt.learning_rate * opt.decay)

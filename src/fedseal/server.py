@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
+from .data import Collection
 
 TRUE_COUNT = "true_count"
 PREDICTED_COUNT = "predicted_count"
@@ -81,57 +82,49 @@ def aggregate(
 
 def server_train(
     global_model: nn.ModelParams,
-    instances,
+    data: Collection,
     cfg: ServerConfig,
     rng: np.random.Generator,
     augment_fn=None,
 ) -> nn.ModelParams:
     """Refine the model with shuffled mini-batch SGD on cross-entropy.
 
-    Inputs pass through ``augment_fn`` (weak augmentation), re-drawn for
-    every batch of every epoch.  The input model is not modified.
+    ``data`` is a labeled collection.  Inputs pass through ``augment_fn``
+    (weak augmentation), re-drawn for every batch of every epoch.  The input
+    model is not modified.
     """
-    if not instances:
+    if not len(data):
         raise ValueError("server training set is empty")
-    params = global_model
-    opt = nn.OptimizerState(
-        learning_rate=cfg.learning_rate,
-        decay=cfg.lr_decay,
-        momentum=cfg.momentum,
-        velocity=np.zeros(params.values.size),
-    )
-    n = len(instances)
+    opt = nn.OptimizerState(global_model, cfg.learning_rate, cfg.momentum)
+    n = len(data)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = []
-            for i in order[start : start + cfg.batch_size]:
-                inst = instances[i]
-                x = inst.features
-                if augment_fn is not None:
-                    x = augment_fn(x, rng)
-                batch.append((x, inst.label, nn.POSITIVE, 1.0))
-            grad = nn.gradient(params, batch)
-            params, opt = nn.sgd_step(params, grad, opt)
-    return params
+            rows = order[start : start + cfg.batch_size]
+            if augment_fn is None:
+                x = data.X[rows]
+            else:
+                x = np.stack([augment_fn(data.X[r], rng) for r in rows])
+            grad = nn.gradient(opt.params, x, data.y[rows], False, 1.0)
+            nn.sgd_step(opt, grad)
+    return opt.result()
 
 
 def compute_thresholds(
-    model: nn.ModelParams, validation, denominator: str = TRUE_COUNT
+    model: nn.ModelParams, validation: Collection, denominator: str = TRUE_COUNT
 ) -> np.ndarray:
-    """Per-class confidence thresholds from the validation set.
+    """Per-class confidence thresholds from the labeled validation collection.
 
-    tau_m sums the confidence of validation instances *predicted* as class m
-    and divides by the count of instances *truly* in class m, then clamps to
+    tau_m sums the confidence of validation rows *predicted* as class m
+    and divides by the count of rows *truly* in class m, then clamps to
     [0, 1].  A class absent from the validation set gets tau_m = 1.0, so only
-    full-confidence instances can pass its filter.  ``denominator`` can be
+    full-confidence rows can pass its filter.  ``denominator`` can be
     switched to PREDICTED_COUNT to condition both sides on the prediction.
     """
-    if not validation:
+    if not len(validation):
         raise ValueError("validation set is empty")
-    feats = np.stack([inst.features for inst in validation])
-    labels = np.array([inst.label for inst in validation])
-    probs = nn.forward_batch(model, feats)
+    labels = validation.y
+    probs = nn.forward_batch(model, validation.X)
     preds = np.argmax(probs, axis=1)
 
     n_classes = model.n_classes
@@ -150,18 +143,18 @@ def compute_thresholds(
 
 
 def bootstrap(
-    instances,
+    data: Collection,
     cfg: ServerConfig,
     rng: np.random.Generator,
     dims,
     augment_fn=None,
 ) -> nn.ModelParams:
     """Train the initial model on server data alone, from a fresh init."""
-    if not instances:
+    if not len(data):
         raise ValueError("bootstrap training set is empty")
     params = nn.init_params(dims, rng)
     if cfg.bootstrap_epochs == 0:
         return params
     return server_train(
-        params, instances, replace(cfg, epochs=cfg.bootstrap_epochs), rng, augment_fn
+        params, data, replace(cfg, epochs=cfg.bootstrap_epochs), rng, augment_fn
     )

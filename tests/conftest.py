@@ -1,10 +1,11 @@
-"""Shared test helpers: finite differences, forced RNGs, tiny datasets."""
+"""Shared test helpers: finite differences, forced RNGs, tiny datasets,
+reference oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from fedseal import ModelParams, Instance, batch_loss, init_params, stream
+from fedseal import Collection, ModelParams, batch_loss, init_params, stream
 
 
 def fd_gradient(params: ModelParams, loss_fn, h: float = 1e-4) -> np.ndarray:
@@ -22,7 +23,7 @@ def fd_gradient(params: ModelParams, loss_fn, h: float = 1e-4) -> np.ndarray:
 
 
 def fd_batch_gradient(params: ModelParams, batch, h: float = 1e-4) -> np.ndarray:
-    return fd_gradient(params, lambda p: batch_loss(p, batch), h)
+    return fd_gradient(params, lambda p: batch_loss(p, *batch), h)
 
 
 def rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:
@@ -35,24 +36,41 @@ def make_params(dims, seed: int = 0) -> ModelParams:
 
 
 def random_batch(params: ModelParams, n: int, seed: int, mixed: bool = True):
-    """Random mixed positive/negative batch with random weights."""
+    """Random (X, labels, negative, weights) batch; odd rows negative if mixed."""
     rng = stream(seed, "test-batch")
-    batch = []
+    X = np.empty((n, params.n_inputs))
+    labels = np.empty(n, dtype=np.int64)
+    weights = np.empty(n)
     for i in range(n):
-        x = rng.random(params.n_inputs)
-        label = int(rng.integers(0, params.n_classes))
-        kind = "negative" if (mixed and i % 2 == 1) else "positive"
-        weight = float(rng.uniform(0.2, 2.0))
-        batch.append((x, label, kind, weight))
-    return batch
+        X[i] = rng.random(params.n_inputs)
+        labels[i] = rng.integers(0, params.n_classes)
+        weights[i] = rng.uniform(0.2, 2.0)
+    negative = (np.arange(n) % 2 == 1) & mixed
+    return X, labels, negative, weights
 
 
-def labeled_instances(n: int, width: int, n_classes: int, seed: int) -> list[Instance]:
+def labeled_rows(n: int, width: int, n_classes: int, seed: int) -> Collection:
     rng = stream(seed, "test-instances")
-    return [
-        Instance(id=i, features=rng.random(width), label=int(rng.integers(0, n_classes)))
-        for i in range(n)
-    ]
+    X = np.empty((n, width))
+    y = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        X[i] = rng.random(width)
+        y[i] = rng.integers(0, n_classes)
+    return Collection(np.arange(n), X, y)
+
+
+def reference_negative_set(conf: np.ndarray, taus, theta: float, rng) -> list[tuple[int, int]]:
+    """Per-row oracle for build_negative_set: one scalar draw per eligible row."""
+    out = []
+    for i, row in enumerate(conf):
+        label = int(np.argmax(row))
+        if row[label] >= taus[label]:
+            continue
+        candidates = np.flatnonzero(row <= theta)
+        if candidates.size == 0:
+            continue
+        out.append((i, int(candidates[rng.integers(0, candidates.size)])))
+    return out
 
 
 class ForcedRng:

@@ -22,7 +22,6 @@ from fedseal import (
     DataConfig,
     EnsembleState,
     ExperimentConfig,
-    Instance,
     ServerConfig,
     aggregate,
     batch_loss,
@@ -39,7 +38,13 @@ from fedseal import (
 from fedseal.cli import run
 from fedseal.data import augment_strong, augment_weak
 
-from conftest import fd_gradient, labeled_instances, make_params, rel_error
+from conftest import (
+    fd_gradient,
+    labeled_rows,
+    make_params,
+    reference_negative_set,
+    rel_error,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -100,11 +105,11 @@ def test_criterion_1_oracle_equivalences():
     # Thresholds vs a direct transcription of the per-class ratio.
     for seed in range(100):
         model = make_params((4, 6, 3), seed=seed)
-        val = labeled_instances(int(stream(seed, "c1-n").integers(3, 12)), 4, 3, seed=seed)
+        val = labeled_rows(int(stream(seed, "c1-n").integers(3, 12)), 4, 3, seed=seed)
         taus = compute_thresholds(model, val)
-        probs = forward_batch(model, np.stack([inst.features for inst in val]))
+        probs = forward_batch(model, val.X)
         preds = probs.argmax(axis=1)
-        labels = np.array([inst.label for inst in val])
+        labels = val.y
         for m in range(3):
             den = int((labels == m).sum())
             expected = min(probs[preds == m, m].sum() / den, 1.0) if den else 1.0
@@ -114,12 +119,11 @@ def test_criterion_1_oracle_equivalences():
     # Incremental ensemble vs the batch average of all models' outputs.
     for seed in range(100):
         rng = stream(seed, "c1-ens")
-        data = [Instance(id=i, features=rng.random(3)) for i in range(5)]
+        feats = np.stack([rng.random(3) for _ in range(5)])
         models = [make_params((3, 4, 3), seed=seed * 31 + j) for j in range(int(rng.integers(2, 9)))]
         state = EnsembleState.empty()
         for model in models:
-            state = update_ensemble(state, model, data)
-        feats = np.stack([inst.features for inst in data])
+            state = update_ensemble(state, model, feats)
         batch_avg = np.mean([forward_batch(m, feats) for m in models], axis=0)
         assert np.max(np.abs(state.avg - batch_avg)) <= 1e-12
 
@@ -130,31 +134,21 @@ def test_criterion_1_oracle_equivalences():
         rows = rng.dirichlet(np.ones(n_classes) * 0.5, size=n)
         taus = rng.uniform(0.0, 1.0, n_classes)
         theta = float(rng.uniform(0.01, 0.35))
-        data = [Instance(id=200 + i, features=np.zeros(2)) for i in range(n)]
-        state = EnsembleState(np.array([inst.id for inst in data]), rows, 1)
+        state = EnsembleState(rows, 1)
 
-        positive = build_positive_set(state, taus, data)
+        pos_rows, pos_labels = build_positive_set(state, taus)
+        positive = list(zip(pos_rows.tolist(), pos_labels.tolist()))
         expected_pos = []
         for i in range(n):
             label = int(np.argmax(rows[i]))
             if rows[i][label] >= taus[label]:
-                expected_pos.append((200 + i, label))
+                expected_pos.append((i, label))
         assert positive == expected_pos
 
-        negative = build_negative_set(state, taus, theta, data, stream(seed, "c1-neg"))
-        oracle_rng = stream(seed, "c1-neg")
-        expected_neg = []
-        pos_ids = {i for i, _ in expected_pos}
-        for i in range(n):
-            if 200 + i in pos_ids:
-                continue
-            candidates = np.flatnonzero(rows[i] <= theta)
-            if candidates.size:
-                expected_neg.append(
-                    (200 + i, int(candidates[oracle_rng.integers(0, candidates.size)]))
-                )
-        assert negative == expected_neg
-        assert {i for i, _ in negative}.isdisjoint(pos_ids)
+        neg_rows, neg_labels = build_negative_set(state, taus, theta, stream(seed, "c1-neg"))
+        negative = list(zip(neg_rows.tolist(), neg_labels.tolist()))
+        assert negative == reference_negative_set(rows, taus, theta, stream(seed, "c1-neg"))
+        assert {i for i, _ in negative}.isdisjoint(i for i, _ in expected_pos)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
@@ -176,36 +170,32 @@ def test_criterion_2_gradient_correctness():
         width, n_classes = dims[0], dims[-1]
         n = int(rng.integers(3, 7))
 
-        server_batch = [
-            (augment_weak(rng.random(width), rng), int(rng.integers(0, n_classes)),
-             "positive", 1.0)
-            for _ in range(n)
-        ]
-        positive_batch = [
-            (augment_strong(rng.random(width), rng), int(rng.integers(0, n_classes)),
-             "positive", 1.0)
-            for _ in range(n)
-        ]
-        negative_batch = [
-            (rng.random(width), int(rng.integers(0, n_classes)), "negative", 1.0)
-            for _ in range(n)
-        ]
+        def draw(augment, negative):
+            rows = [
+                (augment(rng.random(width)), int(rng.integers(0, n_classes)))
+                for _ in range(n)
+            ]
+            return np.stack([x for x, _ in rows]), [y for _, y in rows], negative, 1.0
+
+        server_batch = draw(lambda x: augment_weak(x, rng), False)
+        positive_batch = draw(lambda x: augment_strong(x, rng), False)
+        negative_batch = draw(lambda x: x, True)
         lam = float(rng.uniform(0.05, 1.0))
 
         for batch in (server_batch, positive_batch, negative_batch):
             err = rel_error(
-                gradient(params, batch),
-                fd_gradient(params, lambda p, b=batch: batch_loss(p, b), h=1e-4),
+                gradient(params, *batch),
+                fd_gradient(params, lambda p, b=batch: batch_loss(p, *b), h=1e-4),
             )
             worst = max(worst, err)
             assert err < 1e-4
 
-        combined_analytic = lam * gradient(params, positive_batch) + gradient(
-            params, negative_batch
+        combined_analytic = lam * gradient(params, *positive_batch) + gradient(
+            params, *negative_batch
         )
         combined_fd = fd_gradient(
             params,
-            lambda p: lam * batch_loss(p, positive_batch) + batch_loss(p, negative_batch),
+            lambda p: lam * batch_loss(p, *positive_batch) + batch_loss(p, *negative_batch),
             h=1e-4,
         )
         err = rel_error(combined_analytic, combined_fd)

@@ -103,6 +103,21 @@ def test_constraint_violation_names_line():
         parse_config_text(text)
 
 
+@pytest.mark.parametrize(
+    "server_lines, line_no",
+    [
+        # "epochs" is a substring of "bootstrap_epochs": the error must still
+        # cite the bootstrap_epochs line, not the epochs line above it.
+        ("epochs = 3\nbootstrap_epochs = -1\n", 5),
+        ("bootstrap_epochs = 10\nepochs = -1\n", 5),
+    ],
+)
+def test_constraint_violation_blames_exact_key(server_lines, line_no):
+    text = "[experiment]\nalgorithm = fedseal\n[server]\n" + server_lines
+    with pytest.raises(ConfigError, match=rf"line {line_no}: \w*epochs must be >= 0"):
+        parse_config_text(text)
+
+
 def test_missing_algorithm_is_error():
     with pytest.raises(ConfigError, match="algorithm"):
         parse_config_text("[experiment]\nrounds = 5\n")
@@ -204,7 +219,7 @@ def test_run_single_round_on_bundled_synthetic_config(tmp_path):
     }
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["version"]
-    assert manifest["ended_at"] is None
+    assert set(manifest) == {"config_text", "artifacts", "started_at", "version"}
 
 
 def test_run_missing_config_flag_returns_one(capsys):

@@ -7,7 +7,6 @@ from fedseal import (
     ClientConfig,
     EnsembleState,
     FilteredSets,
-    Instance,
     OptimizerState,
     build_negative_set,
     build_positive_set,
@@ -22,19 +21,21 @@ from fedseal import (
 )
 from fedseal.data import augment_strong
 
-from conftest import fd_gradient, make_params, rel_error
+from conftest import fd_gradient, make_params, reference_negative_set, rel_error
 
 
-def unlabeled(n: int, width: int, seed: int) -> list[Instance]:
+def unlabeled(n: int, width: int, seed: int) -> np.ndarray:
     rng = stream(seed, "client-data")
-    return [Instance(id=100 + i, features=rng.random(width)) for i in range(n)]
+    return np.stack([rng.random(width) for _ in range(n)])
 
 
-def state_from_rows(rows: np.ndarray, ids=None, count: int = 1) -> EnsembleState:
-    rows = np.asarray(rows, dtype=float)
-    if ids is None:
-        ids = 100 + np.arange(len(rows))
-    return EnsembleState(np.asarray(ids), rows, count)
+def state_from_rows(rows: np.ndarray, count: int = 1) -> EnsembleState:
+    return EnsembleState(np.asarray(rows, dtype=float), count)
+
+
+def pairs(rows_and_labels) -> list[tuple[int, int]]:
+    rows, labels = rows_and_labels
+    return [(int(r), int(y)) for r, y in zip(rows, labels)]
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +47,7 @@ def test_first_update_stores_forward_outputs_exactly():
     data = unlabeled(7, 4, seed=0)
     model = make_params((4, 6, 3), seed=0)
     state = update_ensemble(EnsembleState.empty(), model, data)
-    expected = forward_batch(model, np.stack([i.features for i in data]))
+    expected = forward_batch(model, data)
     assert state.count == 1
     np.testing.assert_array_equal(state.avg, expected)
 
@@ -66,8 +67,7 @@ def test_incremental_average_equals_batch_mean_of_three_models():
     state = EnsembleState.empty()
     for model in models:
         state = update_ensemble(state, model, data)
-    feats = np.stack([i.features for i in data])
-    batch_mean = np.mean([forward_batch(m, feats) for m in models], axis=0)
+    batch_mean = np.mean([forward_batch(m, data) for m in models], axis=0)
     np.testing.assert_allclose(state.avg, batch_mean, atol=1e-12)
 
 
@@ -77,8 +77,7 @@ def test_incremental_average_drift_over_hundred_updates():
     state = EnsembleState.empty()
     for model in models:
         state = update_ensemble(state, model, data)
-    feats = np.stack([i.features for i in data])
-    batch_mean = np.mean([forward_batch(m, feats) for m in models], axis=0)
+    batch_mean = np.mean([forward_batch(m, data) for m in models], axis=0)
     assert state.count == 100
     np.testing.assert_allclose(state.avg, batch_mean, atol=1e-12)
 
@@ -97,12 +96,12 @@ def test_update_rejects_changed_instance_set():
 
 def test_pseudo_label_argmax_and_confidence():
     state = state_from_rows([[0.1, 0.8, 0.1]])
-    assert pseudo_label(state, 100) == (1, 0.8)
+    assert pseudo_label(state, 0) == (1, 0.8)
 
 
 def test_pseudo_label_uniform_breaks_tie_low():
     state = state_from_rows([[0.25, 0.25, 0.25, 0.25]])
-    assert pseudo_label(state, 100) == (0, 0.25)
+    assert pseudo_label(state, 0) == (0, 0.25)
 
 
 def test_pseudo_label_matches_exhaustive_scan():
@@ -114,12 +113,12 @@ def test_pseudo_label_matches_exhaustive_scan():
         for m in range(1, 7):
             if rows[i][m] > best_p:
                 best, best_p = m, rows[i][m]
-        assert pseudo_label(state, 100 + i) == (best, best_p)
+        assert pseudo_label(state, i) == (best, best_p)
 
 
 def test_pseudo_label_unknown_id():
     state = state_from_rows([[0.5, 0.5]])
-    with pytest.raises(KeyError, match="999"):
+    with pytest.raises(IndexError, match="999"):
         pseudo_label(state, 999)
 
 
@@ -131,54 +130,51 @@ def test_pseudo_label_unknown_id():
 def filter_fixture(seed: int, n: int = 20, n_classes: int = 5):
     rng = stream(seed, "filters")
     rows = rng.dirichlet(np.ones(n_classes) * 0.6, size=n)
-    data = [Instance(id=100 + i, features=np.zeros(2)) for i in range(n)]
-    return state_from_rows(rows), data, rows
+    return state_from_rows(rows), rows
 
 
 def test_positive_set_zero_thresholds_keeps_everything():
-    state, data, _ = filter_fixture(7)
-    assert len(build_positive_set(state, np.zeros(5), data)) == 20
+    state, _ = filter_fixture(7)
+    assert len(build_positive_set(state, np.zeros(5))[0]) == 20
 
 
 def test_positive_set_unit_thresholds_empty():
-    state, data, rows = filter_fixture(8)
+    state, rows = filter_fixture(8)
     assert rows.max() < 1.0
-    assert build_positive_set(state, np.ones(5), data) == []
+    assert pairs(build_positive_set(state, np.ones(5))) == []
 
 
 def test_positive_set_matches_brute_force_comparison():
-    state, data, rows = filter_fixture(9)
+    state, rows = filter_fixture(9)
     taus = stream(9, "taus").uniform(0.1, 0.9, 5)
-    got = build_positive_set(state, taus, data)
+    got = pairs(build_positive_set(state, taus))
     expected = []
     for i in range(20):
         label = int(np.argmax(rows[i]))
         if rows[i][label] >= taus[label]:
-            expected.append((100 + i, label))
+            expected.append((i, label))
     assert got == expected
 
 
 def test_positive_set_monotone_in_tau():
-    state, data, _ = filter_fixture(10)
+    state, _ = filter_fixture(10)
     taus = stream(10, "taus").uniform(0.2, 0.8, 5)
-    base = set(build_positive_set(state, taus, data))
+    base = set(pairs(build_positive_set(state, taus)))
     for m in range(5):
         lowered = taus.copy()
         lowered[m] *= 0.5
-        assert base <= set(build_positive_set(state, lowered, data))
+        assert base <= set(pairs(build_positive_set(state, lowered)))
 
 
 def test_negative_set_singleton_candidate():
     state = state_from_rows([[0.9, 0.02, 0.08]])
-    data = [Instance(id=100, features=np.zeros(2))]
-    got = build_negative_set(state, np.ones(3), 0.05, data, stream(0, "neg"))
-    assert got == [(100, 1)]
+    got = build_negative_set(state, np.ones(3), 0.05, stream(0, "neg"))
+    assert pairs(got) == [(0, 1)]
 
 
 def test_negative_set_skips_when_no_class_below_theta():
     state = state_from_rows([[0.4, 0.3, 0.3]])
-    data = [Instance(id=100, features=np.zeros(2))]
-    assert build_negative_set(state, np.ones(3), 0.05, data, stream(0, "neg")) == []
+    assert pairs(build_negative_set(state, np.ones(3), 0.05, stream(0, "neg"))) == []
 
 
 def test_negative_set_disjoint_from_positive_over_random_configs():
@@ -188,15 +184,39 @@ def test_negative_set_disjoint_from_positive_over_random_configs():
         rows = rng.dirichlet(np.ones(n_classes) * 0.4, size=n)
         taus = rng.uniform(0.0, 1.0, n_classes)
         theta = float(rng.uniform(0.01, 0.4))
-        data = [Instance(id=100 + i, features=np.zeros(2)) for i in range(n)]
         state = state_from_rows(rows)
-        pos_ids = {i for i, _ in build_positive_set(state, taus, data)}
-        neg = build_negative_set(state, taus, theta, data, rng)
-        neg_ids = {i for i, _ in neg}
-        assert pos_ids.isdisjoint(neg_ids)
-        assert len(pos_ids | neg_ids) <= n
+        pos_rows = set(build_positive_set(state, taus)[0].tolist())
+        neg = pairs(build_negative_set(state, taus, theta, rng))
+        neg_rows = {i for i, _ in neg}
+        assert pos_rows.isdisjoint(neg_rows)
+        assert len(pos_rows | neg_rows) <= n
         for i, comp in neg:
-            assert rows[i - 100][comp] <= theta
+            assert rows[i][comp] <= theta
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_negative_set_matches_per_row_reference(seed):
+    # One vectorized draw must give the same pairs, and leave the generator
+    # in the same state, as one scalar draw per eligible row.  Low
+    # concentration and a wide theta range give rows with no candidate
+    # class, rows with several, and (with low taus) all-positive shards.
+    rng = stream(seed, "neg-oracle")
+    n, n_classes = int(rng.integers(1, 40)), int(rng.integers(2, 8))
+    rows = rng.dirichlet(np.ones(n_classes) * rng.uniform(0.1, 2.0), size=n)
+    taus = rng.uniform(0.0, 1.0 if seed % 5 else 0.05, n_classes)
+    theta = float(rng.uniform(0.001, 0.5))
+    state = state_from_rows(rows)
+    got_rng, ref_rng = stream(seed, "neg-draws"), stream(seed, "neg-draws")
+    got = pairs(build_negative_set(state, taus, theta, got_rng))
+    assert got == reference_negative_set(rows, taus, theta, ref_rng)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_negative_set_all_positive_shard_draws_nothing():
+    state = state_from_rows([[0.9, 0.05, 0.05], [0.02, 0.96, 0.02]])
+    rng, untouched = stream(1, "neg"), stream(1, "neg")
+    assert pairs(build_negative_set(state, np.zeros(3), 0.1, rng)) == []
+    assert rng.bit_generator.state == untouched.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +252,7 @@ def test_client_train_no_sets_returns_global_unchanged():
     data = unlabeled(6, 4, seed=11)
     model = make_params((4, 6, 3), seed=11)
     out = client_train(
-        model, FilteredSets([], []), data, ClientConfig(), 1, stream(11, "c")
+        model, FilteredSets(), data, ClientConfig(), 1, stream(11, "c")
     )
     np.testing.assert_array_equal(out.values, model.values)
 
@@ -242,29 +262,28 @@ def test_client_train_positive_only_matches_pseudo_label_oracle():
     # pseudo-label SGD; the oracle below re-implements that loop directly.
     data = unlabeled(10, 4, seed=12)
     model = make_params((4, 6, 3), seed=12)
-    pseudo = [(inst.id, i % 3) for i, inst in enumerate(data)]
+    pseudo = [(i, i % 3) for i in range(len(data))]
     cfg = ClientConfig(
         epochs=2, batch_size=4, learning_rate=0.05, momentum=0.9,
         lambda_max=1.0, lambda_ramp_rounds=1,
     )
     trained = client_train(
-        model, FilteredSets(pseudo, []), data, cfg, round_index=5,
+        model, FilteredSets(tuple(zip(*pseudo))), data, cfg, round_index=5,
         rng=stream(12, "train"), strong_augment_fn=augment_strong,
     )
 
     rng = stream(12, "train")
-    params = model
-    opt = OptimizerState(0.05, cfg.lr_decay, 0.9, np.zeros(model.values.size))
-    feats = {inst.id: inst.features for inst in data}
+    opt = OptimizerState(model, 0.05, 0.9)
     for _ in range(2):
         order = rng.permutation(len(pseudo))
         for start in range(0, len(pseudo), 4):
-            batch = []
+            xs, labels = [], []
             for i in order[start : start + 4]:
-                inst_id, label = pseudo[i]
-                batch.append((augment_strong(feats[inst_id], rng), label, "positive", 1.0))
-            params, opt = sgd_step(params, gradient(params, batch), opt)
-    np.testing.assert_array_equal(trained.values, params.values)
+                row, label = pseudo[i]
+                xs.append(augment_strong(data[row], rng))
+                labels.append(label)
+            sgd_step(opt, gradient(opt.params, np.stack(xs), labels, False, 1.0))
+    np.testing.assert_array_equal(trained.values, opt.result().values)
 
 
 def test_client_combined_loss_gradient_matches_finite_differences():
@@ -274,14 +293,14 @@ def test_client_combined_loss_gradient_matches_finite_differences():
     neg = [(rng.random(3), int(rng.integers(0, 4))) for _ in range(3)]
     lam = 0.37
 
-    pos_batch = [(x, y, "positive", 1.0) for x, y in pos]
-    neg_batch = [(x, y, "negative", 1.0) for x, y in neg]
-    analytic = lam * gradient(model, pos_batch) + gradient(model, neg_batch)
+    pos_batch = (np.stack([x for x, _ in pos]), [y for _, y in pos], False, 1.0)
+    neg_batch = (np.stack([x for x, _ in neg]), [y for _, y in neg], True, 1.0)
+    analytic = lam * gradient(model, *pos_batch) + gradient(model, *neg_batch)
 
     from fedseal import batch_loss
 
     def combined(p):
-        return lam * batch_loss(p, pos_batch) + batch_loss(p, neg_batch)
+        return lam * batch_loss(p, *pos_batch) + batch_loss(p, *neg_batch)
 
     assert rel_error(analytic, fd_gradient(model, combined, h=1e-4)) < 1e-4
 
@@ -290,8 +309,8 @@ def test_client_train_bit_deterministic():
     data = unlabeled(12, 4, seed=14)
     model = make_params((4, 6, 3), seed=14)
     sets = FilteredSets(
-        [(data[i].id, i % 3) for i in range(6)],
-        [(data[i].id, (i + 1) % 3) for i in range(6, 10)],
+        (np.arange(6), np.arange(6) % 3),
+        (np.arange(6, 10), (np.arange(6, 10) + 1) % 3),
     )
     cfg = ClientConfig(epochs=2, batch_size=4, learning_rate=0.03)
     a = client_train(model, sets, data, cfg, 3, stream(14, "t"), augment_strong)
@@ -302,7 +321,7 @@ def test_client_train_bit_deterministic():
 def test_client_train_lambda_zero_and_no_negatives_is_noop():
     data = unlabeled(8, 4, seed=15)
     model = make_params((4, 6, 3), seed=15)
-    sets = FilteredSets([(inst.id, 0) for inst in data], [])
+    sets = FilteredSets((np.arange(8), np.zeros(8)))
     cfg = ClientConfig(lambda_max=0.0)
     out = client_train(model, sets, data, cfg, 2, stream(15, "t"), augment_strong)
     assert np.array_equal(out.values, model.values)
@@ -311,14 +330,11 @@ def test_client_train_lambda_zero_and_no_negatives_is_noop():
 def test_client_train_negative_only_component():
     data = unlabeled(8, 4, seed=16)
     model = make_params((4, 6, 3), seed=16)
-    sets = FilteredSets([], [(inst.id, 1) for inst in data])
+    sets = FilteredSets(negative=(np.arange(8), np.ones(8)))
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.1, momentum=0.0)
     out = client_train(model, sets, data, cfg, 1, stream(16, "t"))
-    batch = [(inst.features, 1, "negative", 1.0) for inst in data]
     # One full batch, momentum 0: exactly one plain SGD step on the
     # complementary loss (row order does not change the weighted mean).
-    expected, _ = sgd_step(
-        model, gradient(model, batch),
-        OptimizerState(0.1, 1.0, 0.0, np.zeros(model.values.size)),
-    )
-    np.testing.assert_allclose(out.values, expected.values, rtol=1e-12, atol=1e-15)
+    opt = OptimizerState(model, 0.1, 0.0)
+    sgd_step(opt, gradient(model, data, np.ones(8), True, 1.0))
+    np.testing.assert_allclose(out.values, opt.result().values, rtol=1e-12, atol=1e-15)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fedseal import (
+    UNLABELED,
     DataConfig,
-    Instance,
     augment_strong,
     augment_weak,
     build_split,
@@ -48,11 +48,11 @@ def test_ingest_idx_exact_pixels(tmp_path):
         dtype=np.uint8,
     )
     images_path, labels_path = write_idx_pair(tmp_path, pixels, [7, 0, 3])
-    instances = ingest_idx(images_path, labels_path)
-    assert [inst.label for inst in instances] == [7, 0, 3]
-    assert [inst.id for inst in instances] == [0, 1, 2]
-    for inst, img in zip(instances, pixels):
-        np.testing.assert_array_equal(inst.features, img.ravel() / 255.0)
+    features, labels = ingest_idx(images_path, labels_path)
+    assert labels.tolist() == [7, 0, 3]
+    assert features.shape == (3, 4)
+    for x, img in zip(features, pixels):
+        np.testing.assert_array_equal(x, img.ravel() / 255.0)
 
 
 def test_ingest_idx_gzip_transparent(tmp_path):
@@ -63,15 +63,16 @@ def test_ingest_idx_gzip_transparent(tmp_path):
     for path in (images_path, labels_path):
         with open(path, "rb") as raw, gzip.open(f"{path}.gz", "wb") as gz:
             gz.write(raw.read())
-    instances = ingest_idx(f"{images_path}.gz", f"{labels_path}.gz")
-    assert instances[0].label == 4
-    np.testing.assert_array_equal(instances[0].features, pixels[0].ravel() / 255.0)
+    features, labels = ingest_idx(f"{images_path}.gz", f"{labels_path}.gz")
+    assert labels.tolist() == [4]
+    np.testing.assert_array_equal(features[0], pixels[0].ravel() / 255.0)
 
 
 def test_ingest_idx_zero_count(tmp_path):
     pixels = np.zeros((0, 2, 2), dtype=np.uint8)
     images_path, labels_path = write_idx_pair(tmp_path, pixels, [])
-    assert ingest_idx(images_path, labels_path) == []
+    features, labels = ingest_idx(images_path, labels_path)
+    assert features.shape == (0, 4) and labels.shape == (0,)
 
 
 def test_ingest_idx_count_mismatch(tmp_path):
@@ -113,36 +114,28 @@ def test_ingest_idx_truncated_reports_offset(tmp_path):
 def test_ingest_csv_labeled_row(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("label,f0,f1\n1,0.5,0.5\n")
-    (inst,) = ingest_csv(path)
-    assert inst.label == 1
-    np.testing.assert_array_equal(inst.features, [0.5, 0.5])
+    features, labels = ingest_csv(path)
+    assert labels.tolist() == [1]
+    np.testing.assert_array_equal(features, [[0.5, 0.5]])
 
 
 def test_ingest_csv_unlabeled_row(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("label,f0,f1\n,0.1,0.2\n")
-    (inst,) = ingest_csv(path)
-    assert inst.label is None
-    np.testing.assert_array_equal(inst.features, [0.1, 0.2])
+    features, labels = ingest_csv(path)
+    assert labels.tolist() == [UNLABELED]
+    np.testing.assert_array_equal(features, [[0.1, 0.2]])
 
 
 def test_csv_round_trip_is_identity(tmp_path):
     rng = stream(21, "csv")
-    instances = [
-        Instance(
-            id=i,
-            features=rng.random(7),
-            label=int(rng.integers(0, 4)) if i % 3 else None,
-        )
-        for i in range(50)
-    ]
+    features = rng.random((50, 7))
+    labels = np.where(np.arange(50) % 3 > 0, rng.integers(0, 4, size=50), UNLABELED)
     path = tmp_path / "rt.csv"
-    write_csv(instances, path)
-    loaded = ingest_csv(path)
-    assert len(loaded) == 50
-    for orig, back in zip(instances, loaded):
-        assert back.label == orig.label
-        np.testing.assert_array_equal(back.features, orig.features)
+    write_csv(features, labels, path)
+    back_features, back_labels = ingest_csv(path)
+    np.testing.assert_array_equal(back_labels, labels)
+    np.testing.assert_array_equal(back_features, features)
 
 
 def test_ingest_csv_non_numeric_cell_names_line(tmp_path):
@@ -159,6 +152,23 @@ def test_ingest_csv_ragged_row_names_line(tmp_path):
         ingest_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("1,nan,0.5", "non-finite"),
+        ("2,inf,0.7", "non-finite"),
+        ("1,0.5,7.0", r"outside \[0, 1\]"),
+        ("1,-0.1,0.5", r"outside \[0, 1\]"),
+        ("-2,0.5,0.5", "negative label"),
+    ],
+)
+def test_ingest_csv_rejects_bad_values_with_line(tmp_path, row, problem):
+    path = tmp_path / "d.csv"
+    path.write_text(f"label,f0,f1\n0,0.5,0.5\n{row}\n")
+    with pytest.raises(ValueError, match=rf"d\.csv: line 3: .*{problem}"):
+        ingest_csv(path)
+
+
 def test_ingest_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("f0,f1\n0.5,0.5\n")
@@ -171,55 +181,59 @@ def test_ingest_csv_rejects_bad_header(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def balanced_pool(n: int, n_classes: int, seed: int = 0) -> list:
+def balanced_pool(n: int, n_classes: int, seed: int = 0):
     return synthetic_blobs(n, n_classes, 8, stream(seed, "pool"))
+
+
+def pool_labels(n: int, n_classes: int, seed: int = 0) -> np.ndarray:
+    return balanced_pool(n, n_classes, seed)[1]
 
 
 def test_partition_iid_exact_per_class_counts():
     # 10 clients x 1200 instances over 10 classes: 120 of every class each.
-    pool = balanced_pool(13000, 10)
-    shards = partition(pool, n_clients=10, mode="iid", per_client=1200, rng_seed=5)
+    labels = pool_labels(13000, 10)
+    shards = partition(labels, n_clients=10, mode="iid", per_client=1200, rng_seed=5)
     assert len(shards) == 10
     for shard in shards:
         assert len(shard) == 1200
-        counts = np.bincount([inst.label for inst in shard], minlength=10)
+        counts = np.bincount(labels[shard], minlength=10)
         np.testing.assert_array_equal(counts, np.full(10, 120))
 
 
 def test_partition_single_client():
-    pool = balanced_pool(100, 5)
-    (shard,) = partition(pool, n_clients=1, mode="iid", per_client=50, rng_seed=1)
+    labels = pool_labels(100, 5)
+    (shard,) = partition(labels, n_clients=1, mode="iid", per_client=50, rng_seed=1)
     assert len(shard) == 50
 
 
 def test_partition_dirichlet_disjoint_and_exact_sizes():
-    pool = balanced_pool(900, 6, seed=3)
+    labels = pool_labels(900, 6, seed=3)
     for seed in (0, 1, 2, 3):
         shards = partition(
-            pool, n_clients=4, mode="dirichlet", per_client=200, rng_seed=seed
+            labels, n_clients=4, mode="dirichlet", per_client=200, rng_seed=seed
         )
-        ids = [inst.id for shard in shards for inst in shard]
+        ids = [int(row) for shard in shards for row in shard]
         assert len(ids) == len(set(ids)) == 4 * 200
         assert all(len(shard) == 200 for shard in shards)
 
 
 def test_partition_insufficient_pool():
-    pool = balanced_pool(100, 5)
+    labels = pool_labels(100, 5)
     with pytest.raises(ValueError, match="cannot supply"):
-        partition(pool, n_clients=3, mode="iid", per_client=50, rng_seed=0)
+        partition(labels, n_clients=3, mode="iid", per_client=50, rng_seed=0)
 
 
 def test_partition_iid_divisibility():
-    pool = balanced_pool(300, 4)
+    labels = pool_labels(300, 4)
     with pytest.raises(ValueError, match="divisible"):
-        partition(pool, n_clients=2, mode="iid", per_client=30, rng_seed=0)
+        partition(labels, n_clients=2, mode="iid", per_client=30, rng_seed=0)
 
 
 def test_partition_same_seed_bit_identical():
-    pool = balanced_pool(600, 5, seed=9)
-    a = partition(pool, 3, "dirichlet", 150, rng_seed=42)
-    b = partition(pool, 3, "dirichlet", 150, rng_seed=42)
-    assert [[i.id for i in s] for s in a] == [[i.id for i in s] for s in b]
+    labels = pool_labels(600, 5, seed=9)
+    a = partition(labels, 3, "dirichlet", 150, rng_seed=42)
+    b = partition(labels, 3, "dirichlet", 150, rng_seed=42)
+    assert [s.tolist() for s in a] == [s.tolist() for s in b]
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +334,27 @@ def test_build_split_disjoint_and_hidden():
     assert [len(s) for s in split.client_train] == [100] * 4
 
     all_ids = [
-        inst.id
+        int(i)
         for coll in (split.server_train, split.server_val, split.test, *split.client_train)
-        for inst in coll
+        for i in coll.ids
     ]
     assert len(all_ids) == len(set(all_ids))
 
-    counts = np.bincount([inst.label for inst in split.server_train], minlength=5)
+    counts = np.bincount(split.server_train.y, minlength=5)
     np.testing.assert_array_equal(counts, np.full(5, 10))
 
-    for shard in split.client_train:
-        for inst in shard:
-            assert inst.label is None
-            assert 0 <= split.hidden_label(inst.id) < 5
+    # Every carved row is a distinct pool row with its own label.
+    X, y = pool
+    rows_of = {x.tobytes(): i for i, x in enumerate(X)}
+    used = set()
+    for k, shard in enumerate(split.client_train):
+        assert shard.y is None
+        hidden = split.hidden_labels(k)
+        assert hidden.shape == (len(shard),)
+        for x, label in zip(shard.X, hidden):
+            row = rows_of[x.tobytes()]
+            assert y[row] == label and row not in used
+            used.add(row)
 
 
 def test_build_split_same_seed_identical():
@@ -344,9 +366,8 @@ def test_build_split_same_seed_identical():
     a = build_split(pool, **kwargs)
     b = build_split(pool, **kwargs)
     for shard_a, shard_b in zip(a.client_train, b.client_train):
-        assert [i.id for i in shard_a] == [i.id for i in shard_b]
-        for x, y in zip(shard_a, shard_b):
-            np.testing.assert_array_equal(x.features, y.features)
+        np.testing.assert_array_equal(shard_a.ids, shard_b.ids)
+        np.testing.assert_array_equal(shard_a.X, shard_b.X)
 
 
 def test_build_split_divisibility_error():
@@ -356,11 +377,24 @@ def test_build_split_divisibility_error():
 
 
 def test_synthetic_blobs_balanced_and_bounded():
-    blobs = synthetic_blobs(120, 6, 10, stream(17, "blobs"))
-    counts = np.bincount([inst.label for inst in blobs], minlength=6)
+    features, labels = synthetic_blobs(120, 6, 10, stream(17, "blobs"))
+    assert features.shape == (120, 10)
+    counts = np.bincount(labels, minlength=6)
     np.testing.assert_array_equal(counts, np.full(6, 20))
-    for inst in blobs:
-        assert inst.features.min() >= 0.0 and inst.features.max() <= 1.0
+    assert features.min() >= 0.0 and features.max() <= 1.0
+
+
+def test_synthetic_blobs_match_per_row_draws():
+    # Chunked generation must reproduce one draw per row, in row order.
+    rng = stream(18, "blobs")
+    features, labels = synthetic_blobs(600, 4, 5, rng, spread=0.3)
+    ref = stream(18, "blobs")
+    centers = ref.uniform(0.2, 0.8, size=(4, 5))
+    for i in range(600):
+        expected = np.clip(centers[i % 4] + ref.normal(0.0, 0.3, size=5), 0.0, 1.0)
+        np.testing.assert_array_equal(features[i], expected)
+        assert labels[i] == i % 4
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_load_split_synthetic_covers_iid_partition():
@@ -371,3 +405,5 @@ def test_load_split_synthetic_covers_iid_partition():
     split = load_split(cfg, n_clients=4, seed=2)
     assert split.n_classes == 5
     assert [len(s) for s in split.client_train] == [50] * 4
+    for shard in split.client_train:
+        assert not shard.X.flags.writeable

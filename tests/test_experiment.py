@@ -9,6 +9,7 @@ import pytest
 
 from fedseal import (
     ClientConfig,
+    Collection,
     DataConfig,
     EnsembleState,
     ExperimentConfig,
@@ -34,7 +35,7 @@ from fedseal.data import augment_strong, augment_weak
 from fedseal.experiment import ExperimentState, run_round
 from fedseal.nn import ModelParams, shapes_for
 
-from conftest import labeled_instances, make_params
+from conftest import labeled_rows, make_params
 
 
 def small_config(algorithm="fedseal", seed=3, rounds=3, **overrides) -> ExperimentConfig:
@@ -98,23 +99,15 @@ def test_evaluate_perfect_model():
     model = ModelParams(
         np.concatenate([(200.0 * np.eye(n)).ravel(), np.zeros(n)]), shapes_for((n, n))
     )
-    test_set = []
-    from fedseal import Instance
-
-    for i in range(12):
-        x = np.zeros(n)
-        x[i % n] = 1.0
-        test_set.append(Instance(id=i, features=x, label=i % n))
+    labels = np.arange(12) % n
+    test_set = Collection(np.arange(12), np.eye(n)[labels], labels)
     assert evaluate(model, test_set) == 1.0
 
 
 def test_evaluate_constant_model_on_balanced_binary_set():
-    from fedseal import Instance
-
     model = ModelParams(np.zeros(2 * 2 + 2), shapes_for((2, 2)))  # always class 0
-    test_set = [
-        Instance(id=i, features=np.array([0.1 * i, 0.2]), label=i % 2) for i in range(10)
-    ]
+    features = np.stack([np.array([0.1 * i, 0.2]) for i in range(10)])
+    test_set = Collection(np.arange(10), features, np.arange(10) % 2)
     assert evaluate(model, test_set) == 0.5
 
 
@@ -122,19 +115,17 @@ def test_evaluate_matches_per_instance_loop():
     from fedseal import predict
 
     model = make_params((5, 8, 3), seed=1)
-    test_set = labeled_instances(100, 5, 3, seed=1)
-    hits = sum(1 for inst in test_set if predict(model, inst.features) == inst.label)
+    test_set = labeled_rows(100, 5, 3, seed=1)
+    hits = sum(1 for x, y in zip(test_set.X, test_set.y) if predict(model, x) == y)
     assert evaluate(model, test_set) == hits / 100
 
 
 def test_evaluate_rejects_empty_or_unlabeled():
-    from fedseal import Instance
-
     model = make_params((2, 3, 2), seed=0)
     with pytest.raises(ValueError, match="empty"):
-        evaluate(model, [])
+        evaluate(model, labeled_rows(0, 2, 2, seed=0))
     with pytest.raises(ValueError, match="labeled"):
-        evaluate(model, [Instance(id=0, features=np.zeros(2))])
+        evaluate(model, Collection([0], np.zeros((1, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -143,24 +134,27 @@ def test_evaluate_rejects_empty_or_unlabeled():
 
 
 def test_rates_all_pseudo_labels_correct():
-    sets = FilteredSets([(0, 1), (1, 2)], [])
-    pos, neg = label_correct_rates(sets, {0: 1, 1: 2})
+    sets = FilteredSets(([0, 1], [1, 2]))
+    pos, neg = label_correct_rates([(sets, np.array([1, 2]))])
     assert pos == 1.0 and neg is None
 
 
 def test_rates_complementary_by_construction():
     # Complementary labels drawn from low-confidence classes while the true
     # class is confidently predicted: every one is correct.
-    sets = FilteredSets([], [(0, 2), (1, 0)])
-    pos, neg = label_correct_rates(sets, {0: 0, 1: 1})
+    sets = FilteredSets(negative=([0, 1], [2, 0]))
+    pos, neg = label_correct_rates([(sets, np.array([0, 1]))])
     assert pos is None and neg == 1.0
 
 
 def test_rates_hand_built_table():
-    hidden = {i: i % 3 for i in range(10)}
+    # Two clients; the rates pool their rows.
+    hidden = np.arange(10) % 3
     positive = [(i, i % 3 if i < 4 else (i + 1) % 3) for i in range(6)]
     negative = [(i, (i + 1) % 3 if i < 9 else i % 3) for i in range(6, 10)]
-    pos, neg = label_correct_rates(FilteredSets(positive, negative), hidden)
+    first = FilteredSets(tuple(zip(*positive[:3])), tuple(zip(*negative[:1])))
+    second = FilteredSets(tuple(zip(*positive[3:])), tuple(zip(*negative[1:])))
+    pos, neg = label_correct_rates([(first, hidden), (second, hidden)])
     pos_expected = sum(1 for i, y in positive if hidden[i] == y) / 6
     neg_expected = sum(1 for i, y in negative if hidden[i] != y) / 4
     assert pos == pos_expected
@@ -168,7 +162,8 @@ def test_rates_hand_built_table():
 
 
 def test_rates_empty_sets_are_absent_not_zero():
-    assert label_correct_rates(FilteredSets([], []), {}) == (None, None)
+    assert label_correct_rates([]) == (None, None)
+    assert label_correct_rates([(FilteredSets(), np.arange(3))]) == (None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +235,20 @@ def test_three_round_trace_matches_hand_stepped_transcript():
         taus = compute_thresholds(w_t, split.server_val)
         sampled = sample_clients(cfg.n_clients, cfg.clients_per_round, t, cfg.seed)
         for k in range(cfg.n_clients):
-            ensembles[k] = update_ensemble(ensembles[k], w_t, split.client_train[k])
+            ensembles[k] = update_ensemble(ensembles[k], w_t, split.client_train[k].X)
         uploads = []
         rec = records[t - 1]
         np.testing.assert_array_equal(np.array(rec.taus), taus)
         assert rec.test_accuracy == evaluate(w_t, split.test)
         for pos_in_rec, neg_in_rec, k in zip(rec.pos_sizes, rec.neg_sizes, sampled):
-            data_k = split.client_train[k]
-            pos = build_positive_set(ensembles[k], taus, data_k)
+            pos = build_positive_set(ensembles[k], taus)
             neg = build_negative_set(
-                ensembles[k], taus, cfg.client.theta, data_k,
-                stream(cfg.seed, "negative", k, t),
+                ensembles[k], taus, cfg.client.theta, stream(cfg.seed, "negative", k, t),
             )
-            assert (len(pos), len(neg)) == (pos_in_rec, neg_in_rec)
+            assert (len(pos[0]), len(neg[0])) == (pos_in_rec, neg_in_rec)
             uploads.append(
                 client_train(
-                    w_t, FilteredSets(pos, neg), data_k,
+                    w_t, FilteredSets(pos, neg), split.client_train[k].X,
                     replace(cfg.client, learning_rate=client_lr), t,
                     stream(cfg.seed, "client", k, t), strong,
                 )
@@ -270,6 +263,32 @@ def test_three_round_trace_matches_hand_stepped_transcript():
 # ---------------------------------------------------------------------------
 # run_experiment
 # ---------------------------------------------------------------------------
+
+
+def _lr_after(rounds: int, **server) -> float:
+    # server_sl with no server epochs: each round only decays the rates.
+    cfg = small_config(
+        algorithm="server_sl", rounds=rounds,
+        server=ServerConfig(epochs=0, bootstrap_epochs=0, **server),
+    )
+    _, state = run_experiment_detailed(cfg)
+    return state.server_lr
+
+
+def test_learning_rate_decay_paper_values():
+    assert _lr_after(1, learning_rate=0.001, lr_decay=0.995) == pytest.approx(
+        0.000995, abs=1e-12
+    )
+
+
+def test_learning_rate_decay_identity_when_decay_is_one():
+    assert _lr_after(3, learning_rate=0.3, lr_decay=1.0) == 0.3
+
+
+def test_learning_rate_decay_hundred_rounds_closed_form():
+    assert _lr_after(100, learning_rate=0.001, lr_decay=0.995) == pytest.approx(
+        0.001 * 0.995**100, abs=1e-12
+    )
 
 
 def test_single_round_yields_single_record():
@@ -327,10 +346,8 @@ def test_fedavg_sl_reduces_to_textbook_fedavg():
     w0 = bootstrap(split.server_train, cfg.server, stream(cfg.seed, "bootstrap"), dims, weak)
     locals_ = []
     for k in range(2):
-        labeled = [
-            replace(inst, label=split.hidden_label(inst.id))
-            for inst in split.client_train[k]
-        ]
+        shard = split.client_train[k]
+        labeled = Collection(shard.ids, shard.X, split.hidden_labels(k))
         sup_cfg = ServerConfig(
             epochs=cfg.client.epochs, batch_size=cfg.client.batch_size,
             learning_rate=cfg.client.learning_rate, lr_decay=cfg.client.lr_decay,

@@ -1,0 +1,39 @@
+"""Golden determinism: pinned artifacts for the bundled synthetic config.
+
+A change that keeps the random draw order must reproduce these digests
+exactly; a change that alters the draw order on purpose updates them and
+says so.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from fedseal import parse_config, run_experiment_detailed
+from fedseal.cli import emit_metrics
+from fedseal.config import with_overrides
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+BUNDLED_SYNTHETIC = REPO_ROOT / "configs" / "synthetic_small.ini"
+
+# algorithm -> (MD5 of rounds.csv, MD5 of the final global parameter bytes)
+GOLDEN = {
+    "fedseal": ("fc3eaabd46b84d004787017d513b171f", "806fd444c7754b4ccb92b36ac362a820"),
+    "server_sl": ("28092448b1e303f91543a25bd0b69810", "3c1ac8a87cdb474264f8c2e3e2d79840"),
+    "fedavg_sl": ("94bf7c73fc5a37c3a4083de349a3bf70", "cea16f58eac1210ddd0a10fe4f48faa7"),
+    "fedavg_fixmatch": (
+        "fe87e14253d4b5175a9273416412a9c4",
+        "275a93451a7099d536ebe9ecd5589b42",
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN))
+def test_bundled_synthetic_config_matches_golden_digests(algorithm, tmp_path):
+    cfg = with_overrides(parse_config(BUNDLED_SYNTHETIC), algorithm=algorithm)
+    records, state = run_experiment_detailed(cfg)
+    csv_path = emit_metrics(records, tmp_path)["rounds_csv"]
+    csv_md5 = hashlib.md5(csv_path.read_bytes()).hexdigest()
+    params_md5 = hashlib.md5(state.global_params.values.tobytes()).hexdigest()
+    assert (csv_md5, params_md5) == GOLDEN[algorithm]

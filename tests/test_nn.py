@@ -10,7 +10,6 @@ from fedseal import (
     OptimizerState,
     batch_loss,
     cross_entropy,
-    decay_lr,
     forward,
     forward_batch,
     gradient,
@@ -187,7 +186,7 @@ def test_negative_cross_entropy_out_of_range():
 def test_gradient_matches_finite_differences_mixed_batch():
     params = make_params((2, 4, 3), seed=5)
     batch = random_batch(params, 8, seed=5, mixed=True)
-    analytic = gradient(params, batch)
+    analytic = gradient(params, *batch)
     numeric = fd_batch_gradient(params, batch, h=1e-4)
     assert rel_error(analytic, numeric) < 1e-4
 
@@ -198,55 +197,64 @@ def test_gradient_finite_difference_property(seed):
     dims = (int(rng.integers(2, 5)), int(rng.integers(3, 6)), int(rng.integers(2, 5)))
     params = make_params(dims, seed=seed + 100)
     batch = random_batch(params, int(rng.integers(2, 9)), seed=seed + 200)
-    assert rel_error(gradient(params, batch), fd_batch_gradient(params, batch)) < 1e-4
+    assert rel_error(gradient(params, *batch), fd_batch_gradient(params, batch)) < 1e-4
 
 
 def test_gradient_zero_weights_is_zero():
     params = make_params((3, 5, 4), seed=6)
-    batch = [(np.array([0.1, 0.2, 0.3]), 1, "positive", 0.0),
-             (np.array([0.5, 0.1, 0.9]), 2, "negative", 0.0)]
-    np.testing.assert_array_equal(gradient(params, batch), np.zeros(params.values.size))
+    X = np.array([[0.1, 0.2, 0.3], [0.5, 0.1, 0.9]])
+    grad = gradient(params, X, [1, 2], [False, True], 0.0)
+    np.testing.assert_array_equal(grad, np.zeros(params.values.size))
 
 
 def test_gradient_duplicate_equals_double_weight():
     params = make_params((3, 4, 3), seed=7)
     a = np.array([0.2, 0.9, 0.4])
     b = np.array([0.6, 0.1, 0.8])
-    duplicated = [(a, 1, "positive", 1.0), (a, 1, "positive", 1.0), (b, 0, "negative", 1.0)]
-    weighted = [(a, 1, "positive", 2.0), (b, 0, "negative", 1.0)]
-    np.testing.assert_allclose(
-        gradient(params, duplicated), gradient(params, weighted), atol=1e-10
-    )
+    duplicated = gradient(params, np.stack([a, a, b]), [1, 1, 0], [False, False, True], 1.0)
+    weighted = gradient(params, np.stack([a, b]), [1, 0], [False, True], [2.0, 1.0])
+    np.testing.assert_allclose(duplicated, weighted, atol=1e-10)
 
 
 def test_gradient_empty_batch_is_an_error():
     with pytest.raises(ValueError, match="empty batch"):
-        gradient(make_params((2, 3, 2), seed=0), [])
+        gradient(make_params((2, 3, 2), seed=0), np.empty((0, 2)), [], False, 1.0)
+
+
+def test_gradient_rejects_bad_labels_and_width():
+    params = make_params((2, 3, 2), seed=0)
+    with pytest.raises(ValueError, match="out of range"):
+        gradient(params, np.zeros((2, 2)), [0, 2], True, 1.0)
+    with pytest.raises(ValueError, match="expects 2.*got 3"):
+        gradient(params, np.zeros((2, 3)), [0, 1], False, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# sgd_step / decay_lr
+# sgd_step
 # ---------------------------------------------------------------------------
 
 
-def _opt(params, lr=0.1, momentum=0.0, decay=1.0):
-    return OptimizerState(
-        learning_rate=lr, decay=decay, momentum=momentum,
-        velocity=np.zeros(params.values.size),
-    )
+def _opt(params, lr=0.1, momentum=0.0):
+    return OptimizerState(params, learning_rate=lr, momentum=momentum)
+
+
+def _step(params, grad, **kwargs):
+    opt = _opt(params, **kwargs)
+    sgd_step(opt, grad)
+    return opt.result()
 
 
 def test_sgd_step_zero_lr_keeps_params():
     params = make_params((2, 3, 2), seed=8)
     grad = stream(8, "g").random(params.values.size)
-    stepped, _ = sgd_step(params, grad, _opt(params, lr=0.0, momentum=0.9))
+    stepped = _step(params, grad, lr=0.0, momentum=0.9)
     np.testing.assert_array_equal(stepped.values, params.values)
 
 
 def test_sgd_step_plain_sgd_exact():
     params = make_params((2, 3, 2), seed=9)
     grad = stream(9, "g").random(params.values.size)
-    stepped, _ = sgd_step(params, grad, _opt(params, lr=0.05, momentum=0.0))
+    stepped = _step(params, grad, lr=0.05, momentum=0.0)
     np.testing.assert_array_equal(stepped.values, params.values - 0.05 * grad)
 
 
@@ -255,52 +263,56 @@ def test_sgd_step_momentum_two_steps_displacement():
     params = make_params((2, 3, 2), seed=10)
     grad = stream(10, "g").random(params.values.size)
     opt = _opt(params, lr=0.01, momentum=0.9)
-    p1, opt = sgd_step(params, grad, opt)
-    p2, _ = sgd_step(p1, grad, opt)
+    sgd_step(opt, grad)
+    np.testing.assert_allclose(params.values - opt.params.values, 0.01 * grad, rtol=1e-12)
+    sgd_step(opt, grad)
     np.testing.assert_allclose(
-        params.values - p2.values, 0.01 * grad * (1 + 1.9), rtol=1e-12
+        params.values - opt.result().values, 0.01 * grad * (1 + 1.9), rtol=1e-12
     )
 
 
 def test_sgd_step_does_not_mutate_inputs():
+    # The optimizer steps a private copy: the starting model, the gradient
+    # and a result already handed out never change, and the live view
+    # cannot be written through.
     params = make_params((2, 3, 2), seed=11)
     before = params.values.copy()
     grad = np.ones(params.values.size)
     opt = _opt(params, lr=0.1, momentum=0.5)
-    vel_before = opt.velocity.copy()
-    sgd_step(params, grad, opt)
+    sgd_step(opt, grad)
     np.testing.assert_array_equal(params.values, before)
-    np.testing.assert_array_equal(opt.velocity, vel_before)
+    np.testing.assert_array_equal(grad, np.ones(params.values.size))
+    with pytest.raises(ValueError, match="read-only"):
+        opt.params.values[0] = 1.0
+    first = opt.result()
+    frozen = first.values.copy()
+    with pytest.raises(RuntimeError, match="result"):
+        sgd_step(opt, grad)
+    np.testing.assert_array_equal(first.values, frozen)
+    with pytest.raises(ValueError, match="read-only"):
+        first.values[0] = 1.0
 
 
 def test_sgd_step_length_mismatch():
     params = make_params((2, 3, 2), seed=12)
     with pytest.raises(ValueError, match="does not match"):
-        sgd_step(params, np.zeros(3), _opt(params))
+        sgd_step(_opt(params), np.zeros(3))
 
 
 def test_sgd_step_rejects_non_finite_result():
     params = make_params((2, 3, 2), seed=13)
     grad = np.full(params.values.size, np.inf)
     with pytest.raises(FloatingPointError):
-        sgd_step(params, grad, _opt(params))
+        sgd_step(_opt(params), grad)
 
 
-def test_decay_lr_paper_values():
-    opt = OptimizerState(0.001, 0.995, 0.9, np.zeros(4))
-    assert decay_lr(opt).learning_rate == pytest.approx(0.000995, abs=1e-12)
-
-
-def test_decay_lr_identity_when_decay_is_one():
-    opt = OptimizerState(0.3, 1.0, 0.0, np.zeros(2))
-    assert decay_lr(opt).learning_rate == 0.3
-
-
-def test_decay_lr_hundred_calls_closed_form():
-    opt = OptimizerState(0.001, 0.995, 0.9, np.zeros(2))
-    for _ in range(100):
-        opt = decay_lr(opt)
-    assert opt.learning_rate == pytest.approx(0.001 * 0.995**100, abs=1e-12)
+def test_optimizer_states_share_no_buffers():
+    # Two optimizers started from one model step independently.
+    params = make_params((2, 3, 2), seed=15)
+    a, b = _opt(params, lr=0.1), _opt(params, lr=0.1)
+    sgd_step(a, np.ones(params.values.size))
+    np.testing.assert_array_equal(b.params.values, params.values)
+    np.testing.assert_array_equal(b.velocity, np.zeros(params.values.size))
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +337,13 @@ def test_batch_loss_matches_elementwise_losses():
     params = make_params((3, 5, 4), seed=14)
     batch = random_batch(params, 6, seed=14)
     total, wsum = 0.0, 0.0
-    for x, label, kind, weight in batch:
-        probs = forward(params, np.asarray(x))
+    for x, label, negative, weight in zip(*batch):
+        probs = forward(params, x)
         loss = (
-            cross_entropy(label, probs)
-            if kind == "positive"
-            else negative_cross_entropy(label, probs)
+            negative_cross_entropy(label, probs)
+            if negative
+            else cross_entropy(label, probs)
         )
         total += weight * loss
         wsum += weight
-    assert batch_loss(params, batch) == pytest.approx(total / wsum, rel=1e-12)
+    assert batch_loss(params, *batch) == pytest.approx(total / wsum, rel=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedseal import (
-    Instance,
+    Collection,
     ModelParams,
     OptimizerState,
     ServerConfig,
@@ -22,7 +22,12 @@ from fedseal import (
 )
 from fedseal.nn import cross_entropy, forward, shapes_for
 
-from conftest import labeled_instances, make_params
+from conftest import labeled_rows, make_params
+
+
+def blobs(*args, **kwargs) -> Collection:
+    X, y = synthetic_blobs(*args, **kwargs)
+    return Collection(np.arange(len(y)), X, y)
 
 
 def params_from(values) -> ModelParams:
@@ -100,7 +105,7 @@ def test_aggregate_size_weighted_mean():
 
 
 def test_server_train_zero_lr_keeps_model():
-    data = labeled_instances(20, 4, 3, seed=3)
+    data = labeled_rows(20, 4, 3, seed=3)
     model = make_params((4, 6, 3), seed=3)
     cfg = ServerConfig(epochs=3, batch_size=8, learning_rate=0.0, momentum=0.9)
     trained = server_train(model, data, cfg, stream(3, "srv"))
@@ -108,31 +113,27 @@ def test_server_train_zero_lr_keeps_model():
 
 
 def test_server_train_single_full_batch_equals_one_sgd_step():
-    data = labeled_instances(12, 3, 2, seed=4)
+    data = labeled_rows(12, 3, 2, seed=4)
     model = make_params((3, 5, 2), seed=4)
     cfg = ServerConfig(epochs=1, batch_size=12, learning_rate=0.1, momentum=0.0)
     trained = server_train(model, data, cfg, stream(4, "srv"))
 
-    full_batch = [(inst.features, inst.label, "positive", 1.0) for inst in data]
-    expected, _ = sgd_step(
-        model,
-        gradient(model, full_batch),
-        OptimizerState(0.1, 1.0, 0.0, np.zeros(model.values.size)),
-    )
-    np.testing.assert_allclose(trained.values, expected.values, rtol=1e-12, atol=1e-15)
+    opt = OptimizerState(model, 0.1, 0.0)
+    sgd_step(opt, gradient(model, data.X, data.y, False, 1.0))
+    np.testing.assert_allclose(trained.values, opt.result().values, rtol=1e-12, atol=1e-15)
 
 
 def test_server_train_drives_loss_down_on_separable_data():
-    data = synthetic_blobs(60, 3, 8, stream(5, "blobs"), spread=0.05)
+    data = blobs(60, 3, 8, stream(5, "blobs"), spread=0.05)
     model = init_params((8, 16, 3), stream(5, "init"))
     cfg = ServerConfig(epochs=50, batch_size=16, learning_rate=0.2, momentum=0.9)
     trained = server_train(model, data, cfg, stream(5, "srv"))
-    losses = [cross_entropy(inst.label, forward(trained, inst.features)) for inst in data]
+    losses = [cross_entropy(y, forward(trained, x)) for x, y in zip(data.X, data.y)]
     assert np.mean(losses) < 0.1
 
 
 def test_server_train_does_not_mutate_input_model():
-    data = labeled_instances(10, 3, 2, seed=6)
+    data = labeled_rows(10, 3, 2, seed=6)
     model = make_params((3, 4, 2), seed=6)
     before = model.values.copy()
     server_train(model, data, ServerConfig(epochs=2, batch_size=4, learning_rate=0.1),
@@ -142,7 +143,8 @@ def test_server_train_does_not_mutate_input_model():
 
 def test_server_train_empty_dataset_is_error():
     with pytest.raises(ValueError, match="empty"):
-        server_train(make_params((2, 3, 2), seed=0), [], ServerConfig(), stream(0, "x"))
+        server_train(make_params((2, 3, 2), seed=0), labeled_rows(0, 2, 2, seed=0),
+                     ServerConfig(), stream(0, "x"))
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +162,13 @@ def one_hot_classifier(n_classes: int) -> ModelParams:
     )
 
 
-def one_hot_instances(labels: list[int], n_classes: int) -> list[Instance]:
-    out = []
-    for i, label in enumerate(labels):
-        x = np.zeros(n_classes)
-        x[label] = 1.0
-        out.append(Instance(id=i, features=x, label=label))
-    return out
+def one_hot_rows(labels: list[int], n_classes: int) -> Collection:
+    return Collection(np.arange(len(labels)), np.eye(n_classes)[labels], labels)
 
 
 def test_thresholds_perfect_classifier_gives_ones():
     model = one_hot_classifier(4)
-    val = one_hot_instances([0, 1, 2, 3, 1, 2], 4)
+    val = one_hot_rows([0, 1, 2, 3, 1, 2], 4)
     taus = compute_thresholds(model, val)
     np.testing.assert_array_equal(taus, np.ones(4))
 
@@ -179,13 +176,13 @@ def test_thresholds_perfect_classifier_gives_ones():
 def test_thresholds_match_direct_formula():
     # Oracle: transcribe the sum directly from forward outputs.
     model = make_params((5, 7, 4), seed=7)
-    val = labeled_instances(6, 5, 4, seed=7)
+    val = labeled_rows(6, 5, 4, seed=7)
     taus = compute_thresholds(model, val)
 
-    probs = forward_batch(model, np.stack([inst.features for inst in val]))
+    probs = forward_batch(model, val.X)
     preds = probs.argmax(axis=1)
     for m in range(4):
-        den = sum(1 for inst in val if inst.label == m)
+        den = sum(1 for label in val.y if label == m)
         num = sum(probs[i, m] for i in range(6) if preds[i] == m)
         expected = min(num / den, 1.0) if den else 1.0
         assert taus[m] == pytest.approx(expected, rel=1e-12)
@@ -193,7 +190,9 @@ def test_thresholds_match_direct_formula():
 
 def test_thresholds_absent_class_falls_back_to_one():
     model = make_params((3, 5, 4), seed=8)
-    val = [inst for inst in labeled_instances(12, 3, 4, seed=8) if inst.label != 2]
+    rows = labeled_rows(12, 3, 4, seed=8)
+    keep = rows.y != 2
+    val = Collection(rows.ids[keep], rows.X[keep], rows.y[keep])
     assert len(val) > 0
     taus = compute_thresholds(model, val)
     assert taus[2] == 1.0
@@ -203,12 +202,10 @@ def test_thresholds_clamped_to_one():
     # A constant-class model pushes the class-0 numerator above its
     # denominator; the raw ratio exceeds 1 and must clamp.
     model = one_hot_classifier(3)
-    val = []
-    for i, label in enumerate([0, 1, 1, 2, 2, 2]):
-        x = np.zeros(3)
-        x[0] = 1.0  # every instance predicted as class 0
-        val.append(Instance(id=i, features=x, label=label))
-    probs = forward_batch(model, np.stack([inst.features for inst in val]))
+    features = np.zeros((6, 3))
+    features[:, 0] = 1.0  # every instance predicted as class 0
+    val = Collection(np.arange(6), features, [0, 1, 1, 2, 2, 2])
+    probs = forward_batch(model, val.X)
     assert probs[:, 0].sum() > 1.0  # raw numerator for class 0
     taus = compute_thresholds(model, val)
     assert taus[0] == 1.0
@@ -217,9 +214,9 @@ def test_thresholds_clamped_to_one():
 
 def test_thresholds_predicted_count_denominator():
     model = make_params((5, 7, 4), seed=9)
-    val = labeled_instances(10, 5, 4, seed=9)
+    val = labeled_rows(10, 5, 4, seed=9)
     taus = compute_thresholds(model, val, denominator="predicted_count")
-    probs = forward_batch(model, np.stack([inst.features for inst in val]))
+    probs = forward_batch(model, val.X)
     preds = probs.argmax(axis=1)
     for m in range(4):
         den = int((preds == m).sum())
@@ -232,7 +229,7 @@ def test_thresholds_predicted_count_denominator():
 
 def test_thresholds_empty_validation_is_error():
     with pytest.raises(ValueError, match="empty"):
-        compute_thresholds(make_params((2, 3, 2), seed=0), [])
+        compute_thresholds(make_params((2, 3, 2), seed=0), labeled_rows(0, 2, 2, seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +238,7 @@ def test_thresholds_empty_validation_is_error():
 
 
 def test_bootstrap_zero_epochs_returns_random_init():
-    data = labeled_instances(10, 4, 3, seed=10)
+    data = labeled_rows(10, 4, 3, seed=10)
     cfg = ServerConfig(bootstrap_epochs=0)
     model = bootstrap(data, cfg, stream(10, "boot"), dims=(4, 6, 3))
     reference = init_params((4, 6, 3), stream(10, "boot"))
@@ -249,7 +246,7 @@ def test_bootstrap_zero_epochs_returns_random_init():
 
 
 def test_bootstrap_fixed_seed_bit_identical():
-    data = synthetic_blobs(30, 3, 5, stream(11, "blobs"))
+    data = blobs(30, 3, 5, stream(11, "blobs"))
     cfg = ServerConfig(bootstrap_epochs=10, batch_size=8, learning_rate=0.05)
     a = bootstrap(data, cfg, stream(11, "boot"), dims=(5, 8, 3))
     b = bootstrap(data, cfg, stream(11, "boot"), dims=(5, 8, 3))
@@ -257,8 +254,9 @@ def test_bootstrap_fixed_seed_bit_identical():
 
 
 def test_bootstrap_learns_three_class_blobs():
-    pool = synthetic_blobs(210, 3, 8, stream(12, "blobs"), spread=0.08)
-    train, test = pool[:90], pool[90:]
+    X, y = synthetic_blobs(210, 3, 8, stream(12, "blobs"), spread=0.08)
+    train = Collection(np.arange(90), X[:90], y[:90])
+    test = Collection(np.arange(90, 210), X[90:], y[90:])
     cfg = ServerConfig(bootstrap_epochs=60, batch_size=16, learning_rate=0.2, momentum=0.9)
     model = bootstrap(train, cfg, stream(12, "boot"), dims=(8, 16, 3))
     assert evaluate(model, test) > 0.7
