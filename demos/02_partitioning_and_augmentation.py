@@ -34,10 +34,13 @@ image = np.zeros((8, 8))
 for i in range(8):
     image[i, max(0, i - 1) : min(8, i + 2)] = 0.9
 
+# Both augmenters take an (n, width) batch and draw per row.
 rng = stream(3, "demo-aug")
-weak = augment_weak(image.ravel(), rng, image_shape=(8, 8)).reshape(8, 8)
-strong = augment_strong(image.ravel(), rng, image_shape=(8, 8)).reshape(8, 8)
+weak = augment_weak(image.reshape(1, 64), rng, image_shape=(8, 8)).reshape(8, 8)
+strong = augment_strong(np.tile(image.reshape(1, 64), (3, 1)), rng, image_shape=(8, 8))
 
 print("\noriginal:", render(image), sep="\n")
 print("\nweak augmentation (flip + crop):", render(weak), sep="\n")
-print("\nstrong augmentation (two ops from the pool):", render(strong), sep="\n")
+print("\nstrong augmentation (two ops per row from the pool), a batch of three copies:")
+panels = [render(img).split("\n") for img in strong.reshape(3, 8, 8)]
+print("\n".join("   ".join(lines) for lines in zip(*panels)))

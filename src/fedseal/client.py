@@ -169,7 +169,8 @@ def client_train(
 ) -> nn.ModelParams:
     """Local SGD on lambda * positive loss + negative loss over a shard.
 
-    Positive rows train with strong augmentation against their
+    Positive rows train with strong augmentation, one
+    ``strong_augment_fn(batch, rng)`` call per batch, against their
     pseudo-labels; negative rows train un-augmented against the
     complementary loss.  An empty component drops out of the objective; if
     both sets are empty the global model is returned untouched.
@@ -194,10 +195,9 @@ def client_train(
             if use_pos and lo < n_pos:
                 picked = pos_order[lo:hi]
                 rows = pos_rows[picked]
-                if strong_augment_fn is None:
-                    x = features[rows]
-                else:
-                    x = np.stack([strong_augment_fn(features[r], rng) for r in rows])
+                x = features[rows]
+                if strong_augment_fn is not None:
+                    x = strong_augment_fn(x, rng)
                 grad = lam * nn.gradient(opt.params, x, pos_labels[picked], False, 1.0)
             if lo < n_neg:
                 picked = neg_order[lo:hi]

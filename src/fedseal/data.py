@@ -18,7 +18,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import special
 
 from .rng import stream
 
@@ -344,122 +345,155 @@ def partition(
 # ---------------------------------------------------------------------------
 
 
-def _flip(img: np.ndarray) -> np.ndarray:
-    return img[:, ::-1]
+def _stack(X, image_shape) -> np.ndarray:
+    """(n, h, w) float copy of an (n, width) batch; a vector row is 1 x width."""
+    X = np.array(X, dtype=np.float64)
+    h, w = (1, X.shape[-1]) if image_shape is None else image_shape
+    if X.ndim != 2 or X.shape[1] != h * w:
+        raise ValueError(f"augmentation expects an (n, {h * w}) batch, got shape {X.shape}")
+    return X.reshape(len(X), h, w)
 
 
-def _crop(img: np.ndarray, rng) -> np.ndarray:
-    h, w = img.shape
-    padded = np.zeros((h + 4, w + 4))
-    padded[2 : 2 + h, 2 : 2 + w] = img
-    dy, dx = rng.integers(0, 5, size=2)
-    return padded[dy : dy + h, dx : dx + w]
+def _shift(imgs: np.ndarray, dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """out[r, i, j] = imgs[r, i + dy[r], j + dx[r]], and 0 where that is outside."""
+    k, h, w = imgs.shape
+    p = int(max(np.abs(dy).max(initial=0), np.abs(dx).max(initial=0)))
+    padded = np.zeros((k, h + 2 * p, w + 2 * p))
+    padded[:, p : p + h, p : p + w] = imgs
+    windows = sliding_window_view(padded, (h, w), axis=(1, 2))
+    return windows[np.arange(k), p + dy, p + dx]
 
 
-def _rotate(img: np.ndarray, rng) -> np.ndarray:
-    angle = rng.uniform(-15.0, 15.0)
-    return ndimage.rotate(img, angle, reshape=False, order=1, mode="constant", cval=0.0)
+def _rotate(imgs: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Row r turned by angles[r] degrees about its centre, bilinear, 0 outside.
 
-
-def _translate(img: np.ndarray, rng) -> np.ndarray:
-    dy, dx = (int(v) for v in rng.integers(-3, 4, size=2))
-    out = np.zeros_like(img)
-    h, w = img.shape
-    ys = slice(max(dy, 0), min(h + dy, h))
-    xs = slice(max(dx, 0), min(w + dx, w))
-    out[ys, xs] = img[
-        slice(max(-dy, 0), min(h - dy, h)), slice(max(-dx, 0), min(w - dx, w))
-    ]
-    return out
-
-
-def _cutout(img: np.ndarray, rng) -> np.ndarray:
-    # Half the side in each dimension masks ~25% of the area.
-    h, w = img.shape
-    mh, mw = max(1, h // 2), max(1, w // 2)
-    top = int(rng.integers(0, h - mh + 1))
-    left = int(rng.integers(0, w - mw + 1))
-    out = img.copy()
-    out[top : top + mh, left : left + mw] = 0.5
-    return out
-
-
-def _contrast(x: np.ndarray, rng) -> np.ndarray:
-    c = 1.0 + rng.uniform(-0.4, 0.4)
-    return 0.5 + c * (x - 0.5)
-
-
-def _noise(x: np.ndarray, rng, sigma: float) -> np.ndarray:
-    return x + rng.normal(0.0, sigma, size=x.shape)
-
-
-def _vector_cutout(x: np.ndarray, rng) -> np.ndarray:
-    n = x.size
-    span = max(1, n // 4)
-    start = int(rng.integers(0, n - span + 1))
-    out = x.copy()
-    out[start : start + span] = 0.5
-    return out
-
-
-def augment_weak(
-    features: np.ndarray, rng, image_shape: tuple[int, int] | None = None
-) -> np.ndarray:
-    """Mild transform: flip + crop for images, light noise otherwise."""
-    x = np.asarray(features, dtype=np.float64)
-    if image_shape is None:
-        return np.clip(_noise(x, rng, 0.05), 0.0, 1.0)
-    img = x.reshape(image_shape)
-    if rng.random() < 0.5:
-        img = _flip(img)
-    img = _crop(img, rng)
-    return np.clip(img.ravel(), 0.0, 1.0)
+    As ``ndimage.rotate(reshape=False, order=1, mode="constant")`` computes it.
+    """
+    k, h, w = imgs.shape
+    c, s = special.cosdg(angles)[:, None, None], special.sindg(angles)[:, None, None]
+    cy, cx = (h - 1) / 2, (w - 1) / 2
+    i, j = np.arange(h)[:, None], np.arange(w)
+    y = (cy - (c * cy + s * cx)) + i * c + j * s
+    x = (cx - (c * cx - s * cy)) + i * -s + j * c
+    inside = (y >= 0) & (y <= h - 1) & (x >= 0) & (x <= w - 1)
+    # Each pixel's 2 x 2 cell, kept inside: on the far edge fy or fx is then 1.
+    y0, x0 = np.floor(y).clip(0, max(h - 2, 0)), np.floor(x).clip(0, max(w - 2, 0))
+    fy, fx = y - y0, x - x0
+    at = (y0 * w + x0).astype(np.intp) + (np.arange(k) * (h * w))[:, None, None]
+    flat, down, right = imgs.reshape(-1), (w if h > 1 else 0), (1 if w > 1 else 0)
+    top = (1 - fx) * flat.take(at) + fx * flat.take(at + right)
+    bottom = (1 - fx) * flat.take(at + down) + fx * flat.take(at + down + right)
+    return np.where(inside, (1 - fy) * top + fy * bottom, 0.0)
 
 
 _IMAGE_OPS = ("flip", "crop", "rotate", "translate", "cutout", "contrast", "noise")
 _VECTOR_OPS = ("noise", "cutout", "contrast")
 
 
-def augment_strong(
-    features: np.ndarray, rng, image_shape: tuple[int, int] | None = None
-) -> np.ndarray:
-    """Aggressive transform: two ops drawn uniformly from the pool.
+def _cutout_box(h: int, w: int, image: bool) -> tuple[int, int]:
+    # Half the side each way masks ~25% of an image; a vector loses a quarter.
+    return (max(1, h // 2), max(1, w // 2)) if image else (1, max(1, w // 4))
+
+
+def _draw_params(op: str, k: int, h: int, w: int, rng):
+    """Parameters of image op ``op`` for k rows of h x w, one draw for all."""
+    if op == "crop":  # a same-size crop of the image zero-padded by 2 px
+        return rng.integers(0, 5, size=(k, 2)) - 2
+    if op == "translate":
+        return -rng.integers(-3, 4, size=(k, 2))
+    if op == "rotate":
+        return rng.uniform(-15.0, 15.0, size=k)
+    if op == "cutout":
+        mh, mw = _cutout_box(h, w, True)
+        return rng.integers(0, [h - mh + 1, w - mw + 1], size=(k, 2))
+    if op == "contrast":
+        return 1.0 + rng.uniform(-0.4, 0.4, size=k)
+    return rng.normal(0.0, 0.1, size=(k, h, w)) if op == "noise" else None
+
+
+def _apply_op(op: str, imgs: np.ndarray, params, image: bool = True) -> np.ndarray:
+    """``op`` on a (k, h, w) stack with one parameter per row, as _draw_params gives them."""
+    _, h, w = imgs.shape
+    if op == "flip":
+        return imgs[:, :, ::-1]
+    if op in ("crop", "translate"):  # params: (dy, dx) shifts
+        return _shift(imgs, *params.T)
+    if op == "rotate":
+        return _rotate(imgs, params)
+    if op == "cutout":  # params: (top, left) corners
+        mh, mw = _cutout_box(h, w, image)
+        ys, xs = np.arange(h)[:, None] - params[:, :1, None], np.arange(w) - params[:, 1:, None]
+        return np.where((ys >= 0) & (ys < mh) & (xs >= 0) & (xs < mw), 0.5, imgs)
+    if op == "contrast":
+        return 0.5 + params[:, None, None] * (imgs - 0.5)
+    return imgs + params
+
+
+def _vector_draws(n: int, w: int, rng) -> tuple[np.ndarray, list]:
+    """(n, 2) vector op codes and, per row and slot, that op's parameter.
+
+    Drawn row by row, op pair then each op's parameter, as a call per row
+    draws them, so vector runs keep the results of per-row augmentation.
+    """
+    span = _cutout_box(1, w, False)[1]
+    ops, params = [], []
+    for _ in range(n):
+        # Two scalar draws take the bits of one rng.integers(0, 3, size=2), faster.
+        pair = rng.integers(0, 3), rng.integers(0, 3)
+        ops.append(pair)
+        for op in pair:
+            if _VECTOR_OPS[op] == "noise":
+                params.append(rng.normal(0.0, 0.1, size=(1, w)))
+            elif _VECTOR_OPS[op] == "cutout":
+                params.append((0, rng.integers(0, w - span + 1)))
+            else:
+                params.append(1.0 + rng.uniform(-0.4, 0.4))
+    return np.array(ops).reshape(n, 2), params
+
+
+def augment_weak(X: np.ndarray, rng, image_shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Mild transform of an (n, width) batch: flip + crop for images, light noise otherwise.
+
+    Images draw a flip mask, ``rng.random(n)``, then the crop offsets;
+    vectors draw one (n, width) block of N(0, 0.05) noise.
+    """
+    imgs = _stack(X, image_shape)
+    n, h, w = imgs.shape
+    if image_shape is None:
+        imgs = imgs + rng.normal(0.0, 0.05, size=imgs.shape)
+    else:
+        flip = rng.random(n) < 0.5
+        imgs[flip] = imgs[flip, :, ::-1]
+        imgs = _apply_op("crop", imgs, _draw_params("crop", n, h, w, rng))
+    return np.clip(imgs.reshape(n, -1), 0.0, 1.0)
+
+
+def augment_strong(X: np.ndarray, rng, image_shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Aggressive transform of an (n, width) batch: two ops per row from the pool.
 
     Image pool: flip, crop, rotate +-15 deg, translate +-3 px, cutout of 25%
     of the area to 0.5, contrast jitter +-0.4, Gaussian noise sigma 0.1.
     Without an image shape the geometric ops drop out and the pool is noise,
-    contiguous-segment cutout and contrast jitter.
+    contiguous-segment cutout and contrast jitter.  Pixels shifted in from
+    outside the image are 0.  An image batch draws its (n, 2) op codes, then
+    for each slot and each op in pool order the parameters of the rows that
+    picked it; a vector batch draws row by row (see :func:`_vector_draws`).
     """
-    x = np.asarray(features, dtype=np.float64)
-    if image_shape is None:
-        ops = [_VECTOR_OPS[i] for i in rng.integers(0, len(_VECTOR_OPS), size=2)]
-        for op in ops:
-            if op == "noise":
-                x = _noise(x, rng, 0.1)
-            elif op == "cutout":
-                x = _vector_cutout(x, rng)
-            else:
-                x = _contrast(x, rng)
-        return np.clip(x, 0.0, 1.0)
-
-    img = x.reshape(image_shape)
-    ops = [_IMAGE_OPS[i] for i in rng.integers(0, len(_IMAGE_OPS), size=2)]
-    for op in ops:
-        if op == "flip":
-            img = _flip(img)
-        elif op == "crop":
-            img = _crop(img, rng)
-        elif op == "rotate":
-            img = _rotate(img, rng)
-        elif op == "translate":
-            img = _translate(img, rng)
-        elif op == "cutout":
-            img = _cutout(img, rng)
-        elif op == "contrast":
-            img = _contrast(img, rng)
-        else:
-            img = _noise(img, rng, 0.1)
-    return np.clip(img.ravel(), 0.0, 1.0)
+    imgs = _stack(X, image_shape)
+    n, h, w = imgs.shape
+    image = image_shape is not None
+    if image:
+        pool, ops = _IMAGE_OPS, rng.integers(0, len(_IMAGE_OPS), size=(n, 2))
+    else:
+        pool, (ops, drawn) = _VECTOR_OPS, _vector_draws(n, w, rng)
+    for slot in range(2):
+        for code, op in enumerate(pool):
+            rows = np.flatnonzero(ops[:, slot] == code)
+            if rows.size:
+                params = (_draw_params(op, rows.size, h, w, rng) if image
+                          else np.array([drawn[2 * r + slot] for r in rows]))
+                imgs[rows] = _apply_op(op, imgs[rows], params, image)
+    return np.clip(imgs.reshape(n, -1), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +541,13 @@ class DataConfig:
             raise ValueError("idx data needs train_images and train_labels paths")
         if self.kind == "csv" and not self.train_csv:
             raise ValueError("csv data needs a train_csv path")
+        h, w = self.image_height, self.image_width
+        if (h, w) != (0, 0) and min(h, w) < 1:
+            bad = "image_height" if h < 1 else "image_width"
+            raise ValueError(f"{bad} must be >= 1 for images (both 0 for vectors), got {h} x {w}")
+        if self.kind == "synthetic" and h > 0 and self.n_features != h * w:
+            raise ValueError(f"n_features = {self.n_features} must equal image_height x "
+                             f"image_width = {h} x {w}")
 
     @property
     def image_shape(self) -> tuple[int, int] | None:
@@ -541,6 +582,9 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
             if (train[1] == UNLABELED).any():
                 raise ValueError("csv training pool must be fully labeled")
             test = ingest_csv(cfg.test_csv) if cfg.test_csv else None
+        if cfg.image_shape and train[0].shape[1] != np.prod(cfg.image_shape):
+            raise ValueError(f"image_height x image_width = {cfg.image_height} x "
+                             f"{cfg.image_width} does not fit {train[0].shape[1]} features")
         pool = _array_pool(*train)
         if test is not None:
             test_X, test_y = test

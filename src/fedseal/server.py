@@ -89,9 +89,9 @@ def server_train(
 ) -> nn.ModelParams:
     """Refine the model with shuffled mini-batch SGD on cross-entropy.
 
-    ``data`` is a labeled collection.  Inputs pass through ``augment_fn``
-    (weak augmentation), re-drawn for every batch of every epoch.  The input
-    model is not modified.
+    ``data`` is a labeled collection.  Each batch of every epoch passes
+    through ``augment_fn(batch, rng)`` (weak augmentation), one call per
+    batch.  The input model is not modified.
     """
     if not len(data):
         raise ValueError("server training set is empty")
@@ -101,10 +101,9 @@ def server_train(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
-            if augment_fn is None:
-                x = data.X[rows]
-            else:
-                x = np.stack([augment_fn(data.X[r], rng) for r in rows])
+            x = data.X[rows]
+            if augment_fn is not None:
+                x = augment_fn(x, rng)
             grad = nn.gradient(opt.params, x, data.y[rows], False, 1.0)
             nn.sgd_step(opt, grad)
     return opt.result()

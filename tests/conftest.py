@@ -4,6 +4,7 @@ reference oracles."""
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 
 from fedseal import Collection, ModelParams, batch_loss, init_params, stream
 
@@ -71,6 +72,118 @@ def reference_negative_set(conf: np.ndarray, taus, theta: float, rng) -> list[tu
             continue
         out.append((i, int(candidates[rng.integers(0, candidates.size)])))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-row augmentation references: each op on one image or vector row, with
+# its parameters given explicitly, and whole-batch oracles built from them.
+# ---------------------------------------------------------------------------
+
+
+def ref_flip(img: np.ndarray) -> np.ndarray:
+    return img[:, ::-1]
+
+
+def ref_crop(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    """Same-size window at offset (dy, dx) in [0, 4] of the image zero-padded by 2."""
+    h, w = img.shape
+    padded = np.zeros((h + 4, w + 4))
+    padded[2 : 2 + h, 2 : 2 + w] = img
+    return padded[dy : dy + h, dx : dx + w]
+
+
+def ref_rotate(img: np.ndarray, angle: float) -> np.ndarray:
+    return ndimage.rotate(img, angle, reshape=False, order=1, mode="constant", cval=0.0)
+
+
+def ref_translate(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    """out[i, j] = img[i - dy, j - dx] for dy, dx in [-3, 3], zero where undefined.
+
+    Padding by 3 keeps every slice in range, also on images smaller than the
+    shift.
+    """
+    h, w = img.shape
+    padded = np.zeros((h + 6, w + 6))
+    padded[3 : 3 + h, 3 : 3 + w] = img
+    return padded[3 - dy : 3 - dy + h, 3 - dx : 3 - dx + w]
+
+
+def ref_cutout(img: np.ndarray, top: int, left: int) -> np.ndarray:
+    h, w = img.shape
+    out = img.copy()
+    out[top : top + max(1, h // 2), left : left + max(1, w // 2)] = 0.5
+    return out
+
+
+def ref_vector_cutout(x: np.ndarray, start: int) -> np.ndarray:
+    out = x.copy()
+    out[start : start + max(1, x.size // 4)] = 0.5
+    return out
+
+
+def ref_contrast(x: np.ndarray, c: float) -> np.ndarray:
+    return 0.5 + c * (x - 0.5)
+
+
+def ref_noise(x: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    return x + noise
+
+
+def reference_weak_vector(x: np.ndarray, rng) -> np.ndarray:
+    """Per-row weak augmentation of one vector row."""
+    return np.clip(ref_noise(x, rng.normal(0.0, 0.05, size=x.shape)), 0.0, 1.0)
+
+
+def reference_strong_vector(x: np.ndarray, rng) -> np.ndarray:
+    """Per-row strong augmentation of one vector row: op pair, then each op's draws."""
+    for op in rng.integers(0, 3, size=2):
+        if op == 0:
+            x = ref_noise(x, rng.normal(0.0, 0.1, size=x.shape))
+        elif op == 1:
+            x = ref_vector_cutout(x, int(rng.integers(0, x.size - max(1, x.size // 4) + 1)))
+        else:
+            x = ref_contrast(x, 1.0 + rng.uniform(-0.4, 0.4))
+    return np.clip(x, 0.0, 1.0)
+
+
+def reference_weak_images(X: np.ndarray, rng, shape) -> np.ndarray:
+    """Weak image augmentation row by row, from the batch draws: flip mask, offsets."""
+    flips = rng.random(len(X)) < 0.5
+    offsets = rng.integers(0, 5, size=(len(X), 2))
+    out = []
+    for x, flip, (dy, dx) in zip(X, flips, offsets):
+        img = x.reshape(shape)
+        out.append(ref_crop(ref_flip(img) if flip else img, dy, dx).ravel())
+    return np.clip(np.array(out), 0.0, 1.0)
+
+
+def reference_strong_images(X: np.ndarray, rng, shape) -> np.ndarray:
+    """Strong image augmentation row by row, from the batch draws.
+
+    The (n, 2) op codes come first; then, for each slot and each op in pool
+    order, one draw holds the parameters of every row that picked that op.
+    """
+    h, w = shape
+    mh, mw = max(1, h // 2), max(1, w // 2)
+    imgs = [x.reshape(shape) for x in X]
+    ops = rng.integers(0, 7, size=(len(X), 2))
+    per_op = [
+        (lambda k: [None] * k, lambda img, p: ref_flip(img)),
+        (lambda k: rng.integers(0, 5, size=(k, 2)), lambda img, p: ref_crop(img, *p)),
+        (lambda k: rng.uniform(-15.0, 15.0, size=k), ref_rotate),
+        (lambda k: rng.integers(-3, 4, size=(k, 2)), lambda img, p: ref_translate(img, *p)),
+        (lambda k: rng.integers(0, [h - mh + 1, w - mw + 1], size=(k, 2)),
+         lambda img, p: ref_cutout(img, *p)),
+        (lambda k: 1.0 + rng.uniform(-0.4, 0.4, size=k), ref_contrast),
+        (lambda k: rng.normal(0.0, 0.1, size=(k, h, w)), ref_noise),
+    ]
+    for slot in range(2):
+        for code, (draw, op) in enumerate(per_op):
+            rows = np.flatnonzero(ops[:, slot] == code)
+            if rows.size:
+                for r, p in zip(rows, draw(rows.size)):
+                    imgs[r] = op(imgs[r], p)
+    return np.clip(np.array([img.ravel() for img in imgs]), 0.0, 1.0)
 
 
 class ForcedRng:

@@ -177,8 +177,8 @@ def test_criterion_2_gradient_correctness():
             ]
             return np.stack([x for x, _ in rows]), [y for _, y in rows], negative, 1.0
 
-        server_batch = draw(lambda x: augment_weak(x, rng), False)
-        positive_batch = draw(lambda x: augment_strong(x, rng), False)
+        server_batch = draw(lambda x: augment_weak(x[None], rng)[0], False)
+        positive_batch = draw(lambda x: augment_strong(x[None], rng)[0], False)
         negative_batch = draw(lambda x: x, True)
         lam = float(rng.uniform(0.05, 1.0))
 

@@ -118,6 +118,24 @@ def test_constraint_violation_blames_exact_key(server_lines, line_no):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize(
+    "data_lines, message",
+    [
+        # 16 features cannot be reshaped to 4 x 5 images.
+        ("n_features = 16\nimage_height = 4\nimage_width = 5\n",
+         r"line 5: n_features = 16 must equal image_height x image_width = 4 x 5"),
+        # Half an image shape used to fall back to vector augmentation.
+        ("n_features = 16\nimage_height = 4\nimage_width = 0\n",
+         r"line 7: image_width must be >= 1"),
+        ("image_height = -4\nimage_width = 4\n", r"line 5: image_height must be >= 1"),
+    ],
+)
+def test_bad_image_shape_is_config_error_at_its_line(data_lines, message):
+    text = "[experiment]\nalgorithm = fedseal\n[data]\nkind = synthetic\n" + data_lines
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(text)
+
+
 def test_missing_algorithm_is_error():
     with pytest.raises(ConfigError, match="algorithm"):
         parse_config_text("[experiment]\nrounds = 5\n")

@@ -277,12 +277,9 @@ def test_client_train_positive_only_matches_pseudo_label_oracle():
     for _ in range(2):
         order = rng.permutation(len(pseudo))
         for start in range(0, len(pseudo), 4):
-            xs, labels = [], []
-            for i in order[start : start + 4]:
-                row, label = pseudo[i]
-                xs.append(augment_strong(data[row], rng))
-                labels.append(label)
-            sgd_step(opt, gradient(opt.params, np.stack(xs), labels, False, 1.0))
+            picked = [pseudo[i] for i in order[start : start + 4]]
+            x = augment_strong(data[[row for row, _ in picked]], rng)
+            sgd_step(opt, gradient(opt.params, x, [label for _, label in picked], False, 1.0))
     np.testing.assert_array_equal(trained.values, opt.result().values)
 
 

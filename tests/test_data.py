@@ -20,7 +20,23 @@ from fedseal import (
     write_csv,
 )
 
-from conftest import ForcedRng
+from fedseal.data import _apply_op, _rotate
+
+from conftest import (
+    ForcedRng,
+    ref_contrast,
+    ref_crop,
+    ref_cutout,
+    ref_flip,
+    ref_noise,
+    ref_rotate,
+    ref_translate,
+    ref_vector_cutout,
+    reference_strong_images,
+    reference_strong_vector,
+    reference_weak_images,
+    reference_weak_vector,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +259,7 @@ def test_partition_same_seed_bit_identical():
 
 def test_augment_weak_identity_path():
     # No flip, center crop: the image comes back unchanged.
-    img = stream(7, "img").random(16)
+    img = stream(7, "img").random((1, 16))
     rng = ForcedRng(randoms=[0.9], integers=[(2, 2)])
     out = augment_weak(img, rng, image_shape=(4, 4))
     np.testing.assert_array_equal(out, img)
@@ -252,39 +268,37 @@ def test_augment_weak_identity_path():
 def test_augment_weak_flip():
     img = np.array([[0.1, 0.2], [0.3, 0.4]])
     rng = ForcedRng(randoms=[0.0], integers=[(2, 2)])  # flip, center crop
-    out = augment_weak(img.ravel(), rng, image_shape=(2, 2)).reshape(2, 2)
+    out = augment_weak(img.reshape(1, 4), rng, image_shape=(2, 2)).reshape(2, 2)
     np.testing.assert_array_equal(out, [[0.2, 0.1], [0.4, 0.3]])
 
 
 def test_augment_weak_bounds_and_length():
     rng = stream(8, "weak")
     img = rng.random(36)
-    for _ in range(1000):
-        out = augment_weak(img, rng, image_shape=(6, 6))
-        assert out.shape == (36,)
-        assert out.min() >= 0.0 and out.max() <= 1.0
+    out = augment_weak(np.tile(img, (1000, 1)), rng, image_shape=(6, 6))
+    assert out.shape == (1000, 36)
+    assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_augment_weak_vector_mode_bounds():
     rng = stream(9, "weakvec")
     x = rng.random(12)
-    for _ in range(1000):
-        out = augment_weak(x, rng, image_shape=None)
-        assert out.shape == (12,)
-        assert out.min() >= 0.0 and out.max() <= 1.0
+    out = augment_weak(np.tile(x, (1000, 1)), rng, image_shape=None)
+    assert out.shape == (1000, 12)
+    assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_augment_strong_double_flip_is_identity():
-    img = stream(10, "img").random(25)
+    img = stream(10, "img").random((1, 25))
     rng = ForcedRng(integers=[(0, 0)])  # ops = (flip, flip)
     out = augment_strong(img, rng, image_shape=(5, 5))
     np.testing.assert_array_equal(out, img)
 
 
 def test_augment_strong_cutout_masks_quarter_area():
-    img = np.linspace(0.0, 0.9, 16)
+    img = np.linspace(0.0, 0.9, 16).reshape(1, 16)
     # ops = (cutout, cutout) at the same position: idempotent.
-    rng = ForcedRng(integers=[(4, 4), 1, 1, 1, 1])
+    rng = ForcedRng(integers=[(4, 4), (1, 1), (1, 1)])
     out = augment_strong(img, rng, image_shape=(4, 4)).reshape(4, 4)
     grid = img.reshape(4, 4).copy()
     grid[1:3, 1:3] = 0.5
@@ -294,27 +308,129 @@ def test_augment_strong_cutout_masks_quarter_area():
 def test_augment_strong_bounds_image_mode():
     rng = stream(11, "strong")
     img = rng.random(49)
-    for _ in range(1000):
-        out = augment_strong(img, rng, image_shape=(7, 7))
-        assert out.shape == (49,)
-        assert out.min() >= 0.0 and out.max() <= 1.0
+    out = augment_strong(np.tile(img, (1000, 1)), rng, image_shape=(7, 7))
+    assert out.shape == (1000, 49)
+    assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_augment_strong_bounds_vector_mode():
     rng = stream(12, "strongvec")
     x = rng.random(20)
-    for _ in range(1000):
-        out = augment_strong(x, rng, image_shape=None)
-        assert out.shape == (20,)
-        assert out.min() >= 0.0 and out.max() <= 1.0
+    out = augment_strong(np.tile(x, (1000, 1)), rng, image_shape=None)
+    assert out.shape == (1000, 20)
+    assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_augmentation_streams_reproducible():
-    img = stream(13, "img").random(64)
-    a = [augment_strong(img, stream(13, "aug", i), image_shape=(8, 8)) for i in range(20)]
-    b = [augment_strong(img, stream(13, "aug", i), image_shape=(8, 8)) for i in range(20)]
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x, y)
+    imgs = stream(13, "img").random((20, 64))
+    a = augment_strong(imgs, stream(13, "aug"), image_shape=(8, 8))
+    b = augment_strong(imgs, stream(13, "aug"), image_shape=(8, 8))
+    np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("augment", [augment_weak, augment_strong])
+@pytest.mark.parametrize("shape", [None, (4, 4)])
+def test_augmenters_reject_a_row_that_is_not_a_batch(augment, shape):
+    with pytest.raises(ValueError, match="batch"):
+        augment(np.full(16, 0.5), stream(14, "aug"), image_shape=shape)
+    with pytest.raises(ValueError, match="batch"):
+        augment(np.full((3, 15), 0.5), stream(14, "aug"), image_shape=(4, 4))
+
+
+@pytest.mark.parametrize("shape", [(28, 28), (5, 7), (3, 3), (1, 5), (2, 2), (1, 1)])
+def test_batched_ops_match_per_row_references(shape):
+    # Every op except rotation, fed the same parameters as its per-row
+    # reference, gives the same bytes.
+    h, w = shape
+    k = 40
+    rng = stream(15, "ops", h, w)
+    imgs = rng.uniform(-0.3, 1.3, size=(k, h, w))
+    crop = rng.integers(0, 5, size=(k, 2))
+    shift = rng.integers(-3, 4, size=(k, 2))
+    corner = rng.integers(0, [h - max(1, h // 2) + 1, w - max(1, w // 2) + 1], size=(k, 2))
+    scale = 1.0 + rng.uniform(-0.4, 0.4, size=k)
+    noise = rng.normal(0.0, 0.1, size=(k, h, w))
+    cases = [
+        ("flip", None, [ref_flip(img) for img in imgs]),
+        ("crop", crop - 2, [ref_crop(img, *p) for img, p in zip(imgs, crop)]),
+        ("translate", -shift, [ref_translate(img, *p) for img, p in zip(imgs, shift)]),
+        ("cutout", corner, [ref_cutout(img, *p) for img, p in zip(imgs, corner)]),
+        ("contrast", scale, [ref_contrast(img, c) for img, c in zip(imgs, scale)]),
+        ("noise", noise, [ref_noise(img, e) for img, e in zip(imgs, noise)]),
+    ]
+    for op, params, per_row in cases:
+        batched = _apply_op(op, imgs, params)
+        assert batched.tobytes() == np.array(per_row).tobytes()
+
+
+def test_batched_vector_cutout_matches_per_row_reference():
+    rng = stream(16, "vcut")
+    for width in (1, 3, 4, 17, 32):
+        x = rng.random((30, 1, width))
+        start = rng.integers(0, width - max(1, width // 4) + 1, size=30)
+        corner = np.stack([np.zeros(30, dtype=np.int64), start], axis=1)
+        batched = _apply_op("cutout", x, corner, image=False)
+        per_row = [ref_vector_cutout(row[0], s) for row, s in zip(x, start)]
+        np.testing.assert_array_equal(batched[:, 0], per_row)
+
+
+@pytest.mark.parametrize("shape", [(28, 28), (5, 7), (3, 3)])
+def test_rotation_matches_ndimage_rotate(shape):
+    rng = stream(17, "rotate", *shape)
+    angles = np.concatenate([[0.0, 15.0, -15.0], rng.uniform(-15.0, 15.0, size=47)])
+    imgs = rng.uniform(-0.3, 1.3, size=(angles.size, *shape))
+    rotated = _rotate(imgs, angles)
+    for img, angle, out in zip(imgs, angles, rotated):
+        np.testing.assert_allclose(out, ref_rotate(img, angle), rtol=0, atol=1e-12)
+    # A zero angle moves nothing.
+    np.testing.assert_array_equal(rotated[0], imgs[0])
+
+
+@pytest.mark.parametrize(
+    "batched, per_row",
+    [(augment_weak, reference_weak_vector), (augment_strong, reference_strong_vector)],
+)
+def test_vector_augmentation_repeats_per_row_calls_byte_for_byte(batched, per_row):
+    # Vector batches draw in the per-row order, so a batch call returns the
+    # bytes, and leaves the generator state, of one call per row.
+    for width in (1, 3, 16, 32):
+        for seed in range(25):
+            X = stream(seed, "vec-rows", width).random((37, width))
+            rng_batch, rng_rows = stream(seed, "vec-aug"), stream(seed, "vec-aug")
+            out = batched(X, rng_batch)
+            expected = np.stack([per_row(x, rng_rows) for x in X])
+            assert out.tobytes() == expected.tobytes()
+            assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (5, 7), (2, 2)])
+def test_image_augmentation_follows_the_batch_draw_order(shape):
+    h, w = shape
+    for seed in range(10):
+        X = stream(seed, "img-rows", h, w).random((48, h * w))
+        rng_batch, rng_rows = stream(seed, "img-weak"), stream(seed, "img-weak")
+        out = augment_weak(X, rng_batch, image_shape=shape)
+        assert out.tobytes() == reference_weak_images(X, rng_rows, shape).tobytes()
+        assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
+
+        rng_batch, rng_rows = stream(seed, "img-strong"), stream(seed, "img-strong")
+        out = augment_strong(X, rng_batch, image_shape=shape)
+        # Rotation is the only op not bitwise equal to its reference.
+        np.testing.assert_allclose(
+            out, reference_strong_images(X, rng_rows, shape), rtol=0, atol=1e-12
+        )
+        assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (1, 5)])
+def test_strong_augmentation_of_images_smaller_than_a_shift(shape):
+    # Translating by up to 3 px used to raise "could not broadcast" on images
+    # smaller than the shift; the padded gather fills the rest with 0.
+    X = stream(18, "tiny", *shape).random((8, shape[0] * shape[1]))
+    for seed in range(300):
+        out = augment_strong(X, stream(seed, "tiny-aug"), image_shape=shape)
+        assert out.shape == X.shape
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +511,17 @@ def test_synthetic_blobs_match_per_row_draws():
         np.testing.assert_array_equal(features[i], expected)
         assert labels[i] == i % 4
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_load_split_rejects_image_shape_that_does_not_fit_the_file(tmp_path):
+    features, labels = synthetic_blobs(400, 4, 16, stream(19, "csv-img"))
+    write_csv(features, labels, tmp_path / "train.csv")
+    cfg = DataConfig(
+        kind="csv", train_csv=str(tmp_path / "train.csv"), image_height=4, image_width=5,
+        per_client=40, server_train_n=20, server_val_n=20, test_n=40,
+    )
+    with pytest.raises(ValueError, match="image_height x image_width = 4 x 5 .* 16 features"):
+        load_split(cfg, n_clients=2, seed=1)
 
 
 def test_load_split_synthetic_covers_iid_partition():

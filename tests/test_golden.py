@@ -6,6 +6,7 @@ says so.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,11 +30,25 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("algorithm", sorted(GOLDEN))
-def test_bundled_synthetic_config_matches_golden_digests(algorithm, tmp_path):
-    cfg = with_overrides(parse_config(BUNDLED_SYNTHETIC), algorithm=algorithm)
+# synthetic_small.ini as 8 x 8 images (fedseal), so that weak and strong
+# augmentation both take the image path.
+GOLDEN_IMAGES = ("4650b1c9354eb0cb4369acd927df8c7d", "66620f204f6b659a944a0fca51f16bce")
+
+
+def digests(cfg, tmp_path) -> tuple[str, str]:
     records, state = run_experiment_detailed(cfg)
     csv_path = emit_metrics(records, tmp_path)["rounds_csv"]
     csv_md5 = hashlib.md5(csv_path.read_bytes()).hexdigest()
-    params_md5 = hashlib.md5(state.global_params.values.tobytes()).hexdigest()
-    assert (csv_md5, params_md5) == GOLDEN[algorithm]
+    return csv_md5, hashlib.md5(state.global_params.values.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN))
+def test_bundled_synthetic_config_matches_golden_digests(algorithm, tmp_path):
+    cfg = with_overrides(parse_config(BUNDLED_SYNTHETIC), algorithm=algorithm)
+    assert digests(cfg, tmp_path) == GOLDEN[algorithm]
+
+
+def test_bundled_synthetic_config_as_images_matches_golden_digests(tmp_path):
+    cfg = parse_config(BUNDLED_SYNTHETIC)
+    cfg = replace(cfg, data=replace(cfg.data, n_features=64, image_height=8, image_width=8))
+    assert digests(cfg, tmp_path) == GOLDEN_IMAGES
