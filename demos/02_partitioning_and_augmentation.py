@@ -34,7 +34,8 @@ image = np.zeros((8, 8))
 for i in range(8):
     image[i, max(0, i - 1) : min(8, i + 2)] = 0.9
 
-# Both augmenters take an (n, width) batch and draw per row.
+# Both augmenters take an (n, width) batch; each row gets its own parameters,
+# drawn once for the whole batch.
 rng = stream(3, "demo-aug")
 weak = augment_weak(image.reshape(1, 64), rng, image_shape=(8, 8)).reshape(8, 8)
 strong = augment_strong(np.tile(image.reshape(1, 64), (3, 1)), rng, image_shape=(8, 8))

@@ -395,8 +395,12 @@ def _cutout_box(h: int, w: int, image: bool) -> tuple[int, int]:
     return (max(1, h // 2), max(1, w // 2)) if image else (1, max(1, w // 4))
 
 
-def _draw_params(op: str, k: int, h: int, w: int, rng):
-    """Parameters of image op ``op`` for k rows of h x w, one draw for all."""
+def _draw_params(op: str, k: int, h: int, w: int, rng, image: bool = True):
+    """Parameters of ``op`` for k rows of h x w, one draw for all k rows.
+
+    A vector row is 1 x width: its noise is (k, 1, w), its cutout corners
+    have row 0, and the cutout box is the one :func:`_cutout_box` gives it.
+    """
     if op == "crop":  # a same-size crop of the image zero-padded by 2 px
         return rng.integers(0, 5, size=(k, 2)) - 2
     if op == "translate":
@@ -404,7 +408,7 @@ def _draw_params(op: str, k: int, h: int, w: int, rng):
     if op == "rotate":
         return rng.uniform(-15.0, 15.0, size=k)
     if op == "cutout":
-        mh, mw = _cutout_box(h, w, True)
+        mh, mw = _cutout_box(h, w, image)
         return rng.integers(0, [h - mh + 1, w - mw + 1], size=(k, 2))
     if op == "contrast":
         return 1.0 + rng.uniform(-0.4, 0.4, size=k)
@@ -429,28 +433,6 @@ def _apply_op(op: str, imgs: np.ndarray, params, image: bool = True) -> np.ndarr
     return imgs + params
 
 
-def _vector_draws(n: int, w: int, rng) -> tuple[np.ndarray, list]:
-    """(n, 2) vector op codes and, per row and slot, that op's parameter.
-
-    Drawn row by row, op pair then each op's parameter, as a call per row
-    draws them, so vector runs keep the results of per-row augmentation.
-    """
-    span = _cutout_box(1, w, False)[1]
-    ops, params = [], []
-    for _ in range(n):
-        # Two scalar draws take the bits of one rng.integers(0, 3, size=2), faster.
-        pair = rng.integers(0, 3), rng.integers(0, 3)
-        ops.append(pair)
-        for op in pair:
-            if _VECTOR_OPS[op] == "noise":
-                params.append(rng.normal(0.0, 0.1, size=(1, w)))
-            elif _VECTOR_OPS[op] == "cutout":
-                params.append((0, rng.integers(0, w - span + 1)))
-            else:
-                params.append(1.0 + rng.uniform(-0.4, 0.4))
-    return np.array(ops).reshape(n, 2), params
-
-
 def augment_weak(X: np.ndarray, rng, image_shape: tuple[int, int] | None = None) -> np.ndarray:
     """Mild transform of an (n, width) batch: flip + crop for images, light noise otherwise.
 
@@ -465,7 +447,7 @@ def augment_weak(X: np.ndarray, rng, image_shape: tuple[int, int] | None = None)
         flip = rng.random(n) < 0.5
         imgs[flip] = imgs[flip, :, ::-1]
         imgs = _apply_op("crop", imgs, _draw_params("crop", n, h, w, rng))
-    return np.clip(imgs.reshape(n, -1), 0.0, 1.0)
+    return np.clip(imgs.reshape(n, h * w), 0.0, 1.0)
 
 
 def augment_strong(X: np.ndarray, rng, image_shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -475,25 +457,22 @@ def augment_strong(X: np.ndarray, rng, image_shape: tuple[int, int] | None = Non
     of the area to 0.5, contrast jitter +-0.4, Gaussian noise sigma 0.1.
     Without an image shape the geometric ops drop out and the pool is noise,
     contiguous-segment cutout and contrast jitter.  Pixels shifted in from
-    outside the image are 0.  An image batch draws its (n, 2) op codes, then
-    for each slot and each op in pool order the parameters of the rows that
-    picked it; a vector batch draws row by row (see :func:`_vector_draws`).
+    outside the image are 0.  Both pools draw the same way: the (n, 2) op
+    codes, then for each slot and each op in pool order one draw holding the
+    parameters of every row that picked it (see :func:`_draw_params`).
     """
     imgs = _stack(X, image_shape)
     n, h, w = imgs.shape
     image = image_shape is not None
-    if image:
-        pool, ops = _IMAGE_OPS, rng.integers(0, len(_IMAGE_OPS), size=(n, 2))
-    else:
-        pool, (ops, drawn) = _VECTOR_OPS, _vector_draws(n, w, rng)
+    pool = _IMAGE_OPS if image else _VECTOR_OPS
+    ops = rng.integers(0, len(pool), size=(n, 2))
     for slot in range(2):
         for code, op in enumerate(pool):
             rows = np.flatnonzero(ops[:, slot] == code)
             if rows.size:
-                params = (_draw_params(op, rows.size, h, w, rng) if image
-                          else np.array([drawn[2 * r + slot] for r in rows]))
+                params = _draw_params(op, rows.size, h, w, rng, image)
                 imgs[rows] = _apply_op(op, imgs[rows], params, image)
-    return np.clip(imgs.reshape(n, -1), 0.0, 1.0)
+    return np.clip(imgs.reshape(n, h * w), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

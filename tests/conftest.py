@@ -134,16 +134,29 @@ def reference_weak_vector(x: np.ndarray, rng) -> np.ndarray:
     return np.clip(ref_noise(x, rng.normal(0.0, 0.05, size=x.shape)), 0.0, 1.0)
 
 
-def reference_strong_vector(x: np.ndarray, rng) -> np.ndarray:
-    """Per-row strong augmentation of one vector row: op pair, then each op's draws."""
-    for op in rng.integers(0, 3, size=2):
-        if op == 0:
-            x = ref_noise(x, rng.normal(0.0, 0.1, size=x.shape))
-        elif op == 1:
-            x = ref_vector_cutout(x, int(rng.integers(0, x.size - max(1, x.size // 4) + 1)))
-        else:
-            x = ref_contrast(x, 1.0 + rng.uniform(-0.4, 0.4))
-    return np.clip(x, 0.0, 1.0)
+def reference_strong_vectors(X: np.ndarray, rng) -> np.ndarray:
+    """Strong vector augmentation row by row, from the batch draws.
+
+    As :func:`reference_strong_images`: the (n, 2) op codes, then per slot
+    and op in pool order (noise, cutout, contrast) one draw for its rows.
+    """
+    w = X.shape[1]
+    span = max(1, w // 4)
+    rows = [x.copy() for x in X]
+    ops = rng.integers(0, 3, size=(len(X), 2))
+    per_op = [
+        (lambda k: rng.normal(0.0, 0.1, size=(k, 1, w)), lambda x, p: ref_noise(x, p[0])),
+        (lambda k: rng.integers(0, [1, w - span + 1], size=(k, 2)),
+         lambda x, p: ref_vector_cutout(x, p[1])),
+        (lambda k: 1.0 + rng.uniform(-0.4, 0.4, size=k), ref_contrast),
+    ]
+    for slot in range(2):
+        for code, (draw, op) in enumerate(per_op):
+            picked = np.flatnonzero(ops[:, slot] == code)
+            if picked.size:
+                for r, p in zip(picked, draw(picked.size)):
+                    rows[r] = op(rows[r], p)
+    return np.clip(np.array(rows).reshape(X.shape), 0.0, 1.0)
 
 
 def reference_weak_images(X: np.ndarray, rng, shape) -> np.ndarray:

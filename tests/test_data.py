@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedseal import (
     UNLABELED,
@@ -33,7 +35,7 @@ from conftest import (
     ref_translate,
     ref_vector_cutout,
     reference_strong_images,
-    reference_strong_vector,
+    reference_strong_vectors,
     reference_weak_images,
     reference_weak_vector,
 )
@@ -337,6 +339,29 @@ def test_augmenters_reject_a_row_that_is_not_a_batch(augment, shape):
         augment(np.full((3, 15), 0.5), stream(14, "aug"), image_shape=(4, 4))
 
 
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    augment=st.sampled_from([augment_weak, augment_strong]),
+    n=st.integers(0, 70),
+    shape=st.none() | st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    vector_width=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(augment=augment_weak, n=0, shape=None, vector_width=7, seed=0)
+@example(augment=augment_strong, n=0, shape=None, vector_width=7, seed=0)
+@example(augment=augment_weak, n=0, shape=(3, 4), vector_width=1, seed=0)
+@example(augment=augment_strong, n=0, shape=(3, 4), vector_width=1, seed=0)
+def test_augmenters_keep_shape_range_and_input_of_any_batch(augment, n, shape, vector_width, seed):
+    width = vector_width if shape is None else shape[0] * shape[1]
+    X = stream(seed, "prop-rows").random((n, width))
+    before = X.copy()
+    out = augment(X, stream(seed, "prop-aug"), image_shape=shape)
+    assert out.shape == X.shape
+    assert ((out >= 0.0) & (out <= 1.0)).all()
+    assert X.tobytes() == before.tobytes()
+    assert augment(X, stream(seed, "prop-aug"), image_shape=shape).tobytes() == out.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(28, 28), (5, 7), (3, 3), (1, 5), (2, 2), (1, 1)])
 def test_batched_ops_match_per_row_references(shape):
     # Every op except rotation, fed the same parameters as its per-row
@@ -386,12 +411,9 @@ def test_rotation_matches_ndimage_rotate(shape):
     np.testing.assert_array_equal(rotated[0], imgs[0])
 
 
-@pytest.mark.parametrize(
-    "batched, per_row",
-    [(augment_weak, reference_weak_vector), (augment_strong, reference_strong_vector)],
-)
+@pytest.mark.parametrize("batched, per_row", [(augment_weak, reference_weak_vector)])
 def test_vector_augmentation_repeats_per_row_calls_byte_for_byte(batched, per_row):
-    # Vector batches draw in the per-row order, so a batch call returns the
+    # Weak vector noise is one (n, width) block, so a batch call returns the
     # bytes, and leaves the generator state, of one call per row.
     for width in (1, 3, 16, 32):
         for seed in range(25):
@@ -400,6 +422,16 @@ def test_vector_augmentation_repeats_per_row_calls_byte_for_byte(batched, per_ro
             out = batched(X, rng_batch)
             expected = np.stack([per_row(x, rng_rows) for x in X])
             assert out.tobytes() == expected.tobytes()
+            assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
+
+
+def test_vector_strong_augmentation_follows_the_batch_draw_order():
+    for width in (1, 3, 16, 32):
+        for seed in range(25):
+            X = stream(seed, "vec-rows", width).random((37, width))
+            rng_batch, rng_rows = stream(seed, "vec-strong"), stream(seed, "vec-strong")
+            out = augment_strong(X, rng_batch)
+            assert out.tobytes() == reference_strong_vectors(X, rng_rows).tobytes()
             assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
 
 

@@ -260,6 +260,59 @@ def test_three_round_trace_matches_hand_stepped_transcript():
     np.testing.assert_array_equal(state.global_params.values, w.values)
 
 
+def _same_sets(a: FilteredSets, b: FilteredSets) -> bool:
+    return all(
+        np.array_equal(x, y) for x, y in zip((*a.positive, *a.negative), (*b.positive, *b.negative))
+    )
+
+
+def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):
+    # With use_ensemble = False each sampled client filters on the confidence
+    # of the round's global model alone and no client keeps an ensemble; the
+    # switch must change the sets once an ensemble holds two models.
+    trained = []
+
+    def recording_client_train(w_t, sets, *rest):
+        trained.append(sets)
+        return client_train(w_t, sets, *rest)
+
+    monkeypatch.setattr("fedseal.experiment.client_train", recording_client_train)
+
+    def run(use_ensemble):
+        cfg = small_config(n_clients=4, clients_per_round=2, rounds=5)
+        cfg.client = replace(cfg.client, use_ensemble=use_ensemble)
+        state = _fresh_state(cfg)
+        rounds = []
+        for t in range(1, cfg.rounds + 1):
+            trained.clear()
+            state, _ = run_round(state, t)
+            sampled = sample_clients(cfg.n_clients, cfg.clients_per_round, t, cfg.seed)
+            assert len(trained) == len(sampled)
+            rounds.append((state.global_params, dict(zip(sampled, trained))))
+        return cfg, state, rounds
+
+    cfg, state, ablated = run(use_ensemble=False)
+    assert all(e.count == 0 and e.avg.size == 0 for e in state.ensembles.values())
+    for t, (w_t, sets_by_client) in enumerate(ablated, start=1):
+        taus = compute_thresholds(w_t, state.split.server_val, cfg.server.threshold_denominator)
+        for k, sets in sets_by_client.items():
+            conf = update_ensemble(EnsembleState.empty(), w_t, state.split.client_train[k].X)
+            expected = FilteredSets(
+                build_positive_set(conf, taus),
+                build_negative_set(conf, taus, cfg.client.theta, stream(cfg.seed, "negative", k, t)),
+            )
+            assert _same_sets(sets, expected), (t, k)
+    assert any(len(sets.positive[0]) for _, by_k in ablated for sets in by_k.values())
+
+    _, with_ensemble, full = run(use_ensemble=True)
+    assert any(e.count > 0 for e in with_ensemble.ensembles.values())
+    assert any(
+        not _same_sets(a, b)
+        for (_, by_k_a), (_, by_k_b) in zip(ablated[1:], full[1:])
+        for a, b in zip(by_k_a.values(), by_k_b.values())
+    )
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 # ---------------------------------------------------------------------------
@@ -432,18 +485,18 @@ def test_full_round_loop_on_idx_image_data(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def ordering_config(algorithm, seed, use_ensemble=True) -> ExperimentConfig:
+def ordering_config(algorithm, seed) -> ExperimentConfig:
     return ExperimentConfig(
-        algorithm=algorithm, n_clients=5, clients_per_round=5, rounds=20, seed=seed,
+        algorithm=algorithm, n_clients=5, clients_per_round=5, rounds=40, seed=seed,
         hidden_dims=(24, 12),
         server=ServerConfig(epochs=3, batch_size=20, learning_rate=0.15, bootstrap_epochs=30),
         client=ClientConfig(
             epochs=1, batch_size=32, learning_rate=0.15, theta=0.05,
-            lambda_ramp_rounds=10, use_ensemble=use_ensemble,
+            lambda_ramp_rounds=10,
         ),
         data=DataConfig(
             kind="synthetic", n_classes=5, n_features=16, spread=0.25,
-            per_client=100, server_train_n=40, server_val_n=30, test_n=250,
+            per_client=100, server_train_n=20, server_val_n=30, test_n=250,
         ),
     )
 
@@ -471,17 +524,3 @@ def test_ordering_and_rate_claims_on_synthetic_data():
         pos = [r.pos_correct_rate for r in early if r.pos_correct_rate is not None]
         neg = [r.neg_correct_rate for r in early if r.neg_correct_rate is not None]
         assert np.mean(neg) > np.mean(pos)
-
-
-def test_ensemble_ablation_does_not_beat_full_algorithm():
-    seeds = (1, 2, 3)
-    full = np.median(
-        [run_experiment(ordering_config("fedseal", s))[-1].test_accuracy for s in seeds]
-    )
-    ablated = np.median(
-        [
-            run_experiment(ordering_config("fedseal", s, use_ensemble=False))[-1].test_accuracy
-            for s in seeds
-        ]
-    )
-    assert ablated <= full

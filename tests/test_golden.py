@@ -20,12 +20,12 @@ BUNDLED_SYNTHETIC = REPO_ROOT / "configs" / "synthetic_small.ini"
 
 # algorithm -> (MD5 of rounds.csv, MD5 of the final global parameter bytes)
 GOLDEN = {
-    "fedseal": ("fc3eaabd46b84d004787017d513b171f", "806fd444c7754b4ccb92b36ac362a820"),
+    "fedseal": ("e3418cc46a7b314c7c5108c5b37f5fd1", "7305ed161f1a02ffd359a6efb3c551ff"),
     "server_sl": ("28092448b1e303f91543a25bd0b69810", "3c1ac8a87cdb474264f8c2e3e2d79840"),
     "fedavg_sl": ("94bf7c73fc5a37c3a4083de349a3bf70", "cea16f58eac1210ddd0a10fe4f48faa7"),
     "fedavg_fixmatch": (
-        "fe87e14253d4b5175a9273416412a9c4",
-        "275a93451a7099d536ebe9ecd5589b42",
+        "4187eef152d90a9fd0e11c8761846228",
+        "cdd7499884b46a300f200ab7ac118472",
     ),
 }
 
