@@ -42,9 +42,9 @@ from .experiment import (
     evaluate,
     label_correct_rates,
     run_experiment,
-    run_experiment_detailed,
     run_round,
     sample_clients,
+    start,
 )
 from .nn import (
     ModelParams,

@@ -11,11 +11,10 @@ experiment and writes three artifacts into the output directory:
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 
 rounds.csv columns: round, test_acc, lambda, tau_0..tau_{M-1},
-pos_size_mean, neg_size_mean, pos_correct_rate, neg_correct_rate, wall_ms.
+pos_size_mean, neg_size_mean, pos_correct_rate, neg_correct_rate.
 Cells for undefined values (e.g. correct rates with empty filter sets) are
-left empty rather than written as 0.  The wall_ms column is kept for schema
-stability but left empty so identical runs produce byte-identical files;
-per-round timings stay on the in-memory RoundRecord.
+left empty rather than written as 0.  The file holds no timings, so
+identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def emit_metrics(records: list[RoundRecord], out_dir) -> dict[str, Path]:
     header = (
         ["round", "test_acc", "lambda"]
         + [f"tau_{m}" for m in range(n_classes)]
-        + ["pos_size_mean", "neg_size_mean", "pos_correct_rate", "neg_correct_rate", "wall_ms"]
+        + ["pos_size_mean", "neg_size_mean", "pos_correct_rate", "neg_correct_rate"]
     )
     rows = []
     for rec in records:
@@ -74,7 +73,6 @@ def emit_metrics(records: list[RoundRecord], out_dir) -> dict[str, Path]:
                 _fmt(neg_mean),
                 _fmt(rec.pos_correct_rate),
                 _fmt(rec.neg_correct_rate),
-                "",  # wall_ms: kept out of the file for byte-reproducibility
             ]
         )
     csv_path = out_dir / "rounds.csv"

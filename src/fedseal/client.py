@@ -29,7 +29,6 @@ class ClientConfig:
     lambda_max: float = 1.0
     lambda_ramp_rounds: int = 30
     use_ensemble: bool = True
-    ensemble_every_round: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 0:

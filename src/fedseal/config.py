@@ -74,8 +74,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, type | object]]] = {
         "lr_decay": ("lr_decay", float),
         "momentum": ("momentum", float),
         "bootstrap_epochs": ("bootstrap_epochs", int),
-        "threshold_denominator": ("threshold_denominator", str),
-        "size_weighted_aggregation": ("size_weighted_aggregation", _bool),
     },
     "client": {
         "epochs": ("epochs", int),
@@ -87,7 +85,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, type | object]]] = {
         "lambda_max": ("lambda_max", float),
         "lambda_ramp_rounds": ("lambda_ramp_rounds", int),
         "use_ensemble": ("use_ensemble", _bool),
-        "ensemble_every_round": ("ensemble_every_round", _bool),
     },
 }
 

@@ -39,23 +39,21 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class Collection:
-    """Row-aligned ids, (n, width) features and labels of one collection.
+    """Row-aligned (n, width) features and labels of one collection.
 
-    ``y`` is None for client shards.  All three are read-only views.
+    ``y`` is None for client shards.  Both are read-only views.
     """
 
-    def __init__(self, ids, X, y=None):
-        self.ids = _frozen(np.asarray(ids, dtype=np.int64))
+    def __init__(self, X, y=None):
         self.X = _frozen(np.asarray(X, dtype=np.float64))
         self.y = None if y is None else _frozen(np.asarray(y, dtype=np.int64))
-        n = self.ids.size
-        if self.ids.ndim != 1 or self.X.ndim != 2 or self.X.shape[0] != n:
-            raise ValueError(f"features of shape {self.X.shape} for {n} ids")
-        if self.y is not None and self.y.shape != (n,):
-            raise ValueError(f"{self.y.size} labels for {n} ids")
+        if self.X.ndim != 2:
+            raise ValueError(f"features must be an (n, width) matrix, got shape {self.X.shape}")
+        if self.y is not None and self.y.shape != (len(self),):
+            raise ValueError(f"{self.y.size} labels for {len(self)} rows")
 
     def __len__(self) -> int:
-        return self.ids.size
+        return self.X.shape[0]
 
 
 class DatasetSplit:
@@ -80,10 +78,6 @@ class DatasetSplit:
         labeled = {"server_train": self.server_train, "server_val": self.server_val,
                    "test": self.test}
         collections = [*labeled.values(), *self.client_train]
-        ids = np.concatenate([coll.ids for coll in collections])
-        unique, counts = np.unique(ids, return_counts=True)
-        if (counts > 1).any():
-            raise ValueError(f"instance id {unique[counts > 1][0]} appears in two collections")
         widths = sorted({coll.X.shape[1] for coll in collections})
         if len(widths) > 1:
             raise ValueError(f"collections disagree on feature width: {widths}")
@@ -659,8 +653,7 @@ def build_split(
     evenly divisible); validation and test (when carved rather than supplied
     as ``test_pool``) are random draws from the remainder.  Client shards
     come from :func:`partition` over what is left; their labels move to the
-    hidden arrays.  Ids number the rows of the split consecutively: server
-    train, validation, test, then each shard.
+    hidden arrays.
     """
     return _carve(
         _array_pool(*pool), n_clients, per_client, server_train_n, server_val_n, seed,
@@ -716,16 +709,12 @@ def _carve(
     ]
 
     parts = _take_all([(pool, server_train), (pool, server_val), test, *shards])
-    offsets = np.cumsum([0] + [len(y) for _, y in parts])
-    collections = [
-        Collection(np.arange(lo, hi), X, y) for (X, y), lo, hi in zip(parts, offsets, offsets[1:])
-    ]
     return DatasetSplit(
-        collections[0],
-        collections[1],
-        [Collection(coll.ids, coll.X) for coll in collections[3:]],
-        collections[2],
-        [coll.y for coll in collections[3:]],
+        Collection(*parts[0]),
+        Collection(*parts[1]),
+        [Collection(X) for X, _ in parts[3:]],
+        Collection(*parts[2]),
+        [y for _, y in parts[3:]],
     )
 
 

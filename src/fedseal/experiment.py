@@ -14,7 +14,6 @@ client), so runs are reproducible regardless of client-level parallelism.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -93,7 +92,7 @@ class ExperimentConfig:
 
 @dataclass
 class RoundRecord:
-    """Per-round metrics; wall time is informational and excluded from equality."""
+    """Published metrics of one round."""
 
     round: int
     test_accuracy: float
@@ -103,7 +102,6 @@ class RoundRecord:
     pos_correct_rate: float | None
     neg_correct_rate: float | None
     lambda_weight: float
-    wall_ms: float = field(compare=False, default=0.0)
 
 
 class ExperimentState:
@@ -114,7 +112,6 @@ class ExperimentState:
         self.split = split
         self.global_params = global_params
         self.uploads: list = []
-        self.upload_sizes: list[int] = []
         self.ensembles = {k: EnsembleState.empty() for k in range(cfg.n_clients)}
         self.server_lr = cfg.server.learning_rate
         self.client_lr = cfg.client.learning_rate
@@ -170,7 +167,7 @@ def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus):
 
     if cfg.algorithm == FEDAVG_SL:
         # Label oracle: reveal the hidden labels and train supervised.
-        labeled = Collection(data_k.ids, data_k.X, state.split.hidden_labels(k))
+        labeled = Collection(data_k.X, state.split.hidden_labels(k))
         sup_cfg = ServerConfig(
             epochs=cfg.client.epochs,
             batch_size=cfg.client.batch_size,
@@ -209,14 +206,9 @@ def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus):
 def run_round(state: ExperimentState, round_index: int):
     """Execute one full round; returns (state, RoundRecord)."""
     cfg = state.cfg
-    started = time.perf_counter()
 
     # Step 1: aggregate previous uploads (if any), then server training.
-    if state.uploads:
-        weights = state.upload_sizes if cfg.server.size_weighted_aggregation else None
-        w_bar = aggregate(state.uploads, weights)
-    else:
-        w_bar = state.global_params
+    w_bar = aggregate(state.uploads) if state.uploads else state.global_params
     server_cfg = replace(cfg.server, learning_rate=state.server_lr)
     w_t = server_train(
         w_bar,
@@ -225,9 +217,7 @@ def run_round(state: ExperimentState, round_index: int):
         stream(cfg.seed, "server", round_index),
         state.weak_augment,
     )
-    taus = compute_thresholds(
-        w_t, state.split.server_val, cfg.server.threshold_denominator
-    )
+    taus = compute_thresholds(w_t, state.split.server_val)
 
     # Steps 2-4: broadcast, client training, upload.
     uploads: list = []
@@ -238,10 +228,7 @@ def run_round(state: ExperimentState, round_index: int):
             cfg.n_clients, cfg.clients_per_round, round_index, cfg.seed
         )
         if cfg.algorithm == FEDSEAL and cfg.client.use_ensemble:
-            targets = (
-                range(cfg.n_clients) if cfg.client.ensemble_every_round else sampled
-            )
-            for k in targets:
+            for k in range(cfg.n_clients):
                 state.ensembles[k] = update_ensemble(
                     state.ensembles[k], w_t, state.split.client_train[k].X
                 )
@@ -273,20 +260,18 @@ def run_round(state: ExperimentState, round_index: int):
         pos_correct_rate=pos_rate,
         neg_correct_rate=neg_rate,
         lambda_weight=lam,
-        wall_ms=(time.perf_counter() - started) * 1000.0,
     )
 
     # Advance state: new global, fresh uploads, decayed learning rates.
     state.global_params = w_t
     state.uploads = uploads
-    state.upload_sizes = [len(state.split.client_train[k]) for k in sampled]
     state.server_lr *= cfg.server.lr_decay
     state.client_lr *= cfg.client.lr_decay
     return state, record
 
 
-def run_experiment_detailed(cfg: ExperimentConfig):
-    """Bootstrap, run every round, return (records, final state)."""
+def start(cfg: ExperimentConfig) -> ExperimentState:
+    """Load the split and bootstrap the global model: the state before round 1."""
     split = load_split(cfg.data, cfg.n_clients, cfg.seed)
     cfg.client.check_theta(split.n_classes)
     dims = (split.feature_width, *cfg.hidden_dims, split.n_classes)
@@ -298,14 +283,14 @@ def run_experiment_detailed(cfg: ExperimentConfig):
         dims,
         state.weak_augment,
     )
-    records = []
-    for t in range(1, cfg.rounds + 1):
-        state, record = run_round(state, t)
-        records.append(record)
-    return records, state
+    return state
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RoundRecord]:
     """Full experiment per the configured algorithm; one record per round."""
-    records, _ = run_experiment_detailed(cfg)
+    state = start(cfg)
+    records = []
+    for t in range(1, cfg.rounds + 1):
+        state, record = run_round(state, t)
+        records.append(record)
     return records

@@ -15,9 +15,6 @@ import numpy as np
 from . import nn
 from .data import Collection
 
-TRUE_COUNT = "true_count"
-PREDICTED_COUNT = "predicted_count"
-
 
 @dataclass
 class ServerConfig:
@@ -29,8 +26,6 @@ class ServerConfig:
     lr_decay: float = 0.995
     momentum: float = 0.9
     bootstrap_epochs: int = 100
-    threshold_denominator: str = TRUE_COUNT
-    size_weighted_aggregation: bool = False
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -41,21 +36,14 @@ class ServerConfig:
             raise ValueError(
                 f"bootstrap_epochs must be >= 0, got {self.bootstrap_epochs}"
             )
-        if self.threshold_denominator not in (TRUE_COUNT, PREDICTED_COUNT):
-            raise ValueError(
-                f"unknown threshold_denominator {self.threshold_denominator!r}"
-            )
 
 
-def aggregate(
-    local_models: list[nn.ModelParams], weights: list[float] | None = None
-) -> nn.ModelParams:
-    """Coordinate-wise mean of the uploaded local models.
+def aggregate(local_models: list[nn.ModelParams]) -> nn.ModelParams:
+    """Coordinate-wise, unweighted mean of the uploaded local models.
 
-    Unweighted by default; pass client dataset sizes as ``weights`` for a
-    size-weighted mean.  Computed as first + mean(deltas), which is exactly
-    idempotent on identical inputs: averaging K copies of a model returns
-    that model bit for bit.
+    Computed as first + mean(deltas), which is exactly idempotent on
+    identical inputs: averaging K copies of a model returns that model bit
+    for bit.
     """
     if not local_models:
         raise ValueError("cannot aggregate an empty model list")
@@ -63,21 +51,10 @@ def aggregate(
     for model in local_models[1:]:
         if model.shapes != first.shapes or model.values.size != first.values.size:
             raise ValueError("local models disagree on parameter layout")
-    if weights is not None and len(weights) != len(local_models):
-        raise ValueError(
-            f"{len(weights)} weights for {len(local_models)} models"
-        )
     if len(local_models) == 1:
         return first
     deltas = np.stack([model.values - first.values for model in local_models])
-    if weights is None:
-        mean_delta = deltas.mean(axis=0)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.sum() <= 0:
-            raise ValueError("aggregation weights must sum to a positive value")
-        mean_delta = (w[:, None] * deltas).sum(axis=0) / w.sum()
-    return first.with_values(first.values + mean_delta)
+    return first.with_values(first.values + deltas.mean(axis=0))
 
 
 def server_train(
@@ -109,16 +86,13 @@ def server_train(
     return opt.result()
 
 
-def compute_thresholds(
-    model: nn.ModelParams, validation: Collection, denominator: str = TRUE_COUNT
-) -> np.ndarray:
+def compute_thresholds(model: nn.ModelParams, validation: Collection) -> np.ndarray:
     """Per-class confidence thresholds from the labeled validation collection.
 
     tau_m sums the confidence of validation rows *predicted* as class m
     and divides by the count of rows *truly* in class m, then clamps to
     [0, 1].  A class absent from the validation set gets tau_m = 1.0, so only
-    full-confidence rows can pass its filter.  ``denominator`` can be
-    switched to PREDICTED_COUNT to condition both sides on the prediction.
+    full-confidence rows can pass its filter.
     """
     if not len(validation):
         raise ValueError("validation set is empty")
@@ -129,14 +103,10 @@ def compute_thresholds(
     n_classes = model.n_classes
     taus = np.ones(n_classes)
     for m in range(n_classes):
-        predicted_m = preds == m
-        if denominator == TRUE_COUNT:
-            den = int((labels == m).sum())
-        else:
-            den = int(predicted_m.sum())
+        den = int((labels == m).sum())
         if den == 0:
             continue
-        num = float(probs[predicted_m, m].sum())
+        num = float(probs[preds == m, m].sum())
         taus[m] = min(num / den, 1.0)
     return np.clip(taus, 0.0, 1.0)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from fedseal import Collection, ModelParams, batch_loss, init_params, stream
+from fedseal import Collection, ModelParams, batch_loss, init_params, run_round, start, stream
 
 
 def fd_gradient(params: ModelParams, loss_fn, h: float = 1e-4) -> np.ndarray:
@@ -57,7 +57,17 @@ def labeled_rows(n: int, width: int, n_classes: int, seed: int) -> Collection:
     for i in range(n):
         X[i] = rng.random(width)
         y[i] = rng.integers(0, n_classes)
-    return Collection(np.arange(n), X, y)
+    return Collection(X, y)
+
+
+def run_all_rounds(cfg):
+    """``start(cfg)``, then every round: (records, final state)."""
+    state = start(cfg)
+    records = []
+    for t in range(1, cfg.rounds + 1):
+        state, record = run_round(state, t)
+        records.append(record)
+    return records, state
 
 
 def reference_negative_set(conf: np.ndarray, taus, theta: float, rng) -> list[tuple[int, int]]:

@@ -31,7 +31,6 @@ from fedseal import (
     forward_batch,
     gradient,
     run_experiment,
-    run_experiment_detailed,
     stream,
     update_ensemble,
 )
@@ -44,6 +43,7 @@ from conftest import (
     make_params,
     reference_negative_set,
     rel_error,
+    run_all_rounds,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -335,11 +335,11 @@ def _degeneracy_config(algorithm: str) -> ExperimentConfig:
 
 
 def test_criterion_6_fixmatch_threshold_one_degenerates_to_server_only():
-    fix_records, fix_state = run_experiment_detailed(_degeneracy_config("fedavg_fixmatch"))
+    fix_records, fix_state = run_all_rounds(_degeneracy_config("fedavg_fixmatch"))
     assert all(size == 0 for rec in fix_records for size in rec.pos_sizes)
     assert all(size == 0 for rec in fix_records for size in rec.neg_sizes)
 
-    sl_records, sl_state = run_experiment_detailed(_degeneracy_config("server_sl"))
+    sl_records, sl_state = run_all_rounds(_degeneracy_config("server_sl"))
     assert np.array_equal(fix_state.global_params.values, sl_state.global_params.values)
     assert [r.test_accuracy for r in fix_records] == [r.test_accuracy for r in sl_records]
     _report(6, "all positive sets empty and final models identical, 10 rounds")

@@ -85,9 +85,20 @@ def test_round_trip_serialize_then_parse(tmp_path):
     assert config_hash(parse_config(path)) == config_hash(cfg)
 
 
-def test_unknown_key_names_key_and_line():
-    text = "[experiment]\nalgorithm = fedseal\nwidgets = 3\n"
-    with pytest.raises(ConfigError, match=r"line 3.*widgets"):
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("experiment", "widgets"),
+        # Former knobs: a config that still sets one must fail, not run a
+        # different algorithm than it asks for.
+        ("server", "threshold_denominator"),
+        ("server", "size_weighted_aggregation"),
+        ("client", "ensemble_every_round"),
+    ],
+)
+def test_unknown_key_names_key_and_line(section, key):
+    text = f"[experiment]\nalgorithm = fedseal\n[{section}]\n{key} = 1\n"
+    with pytest.raises(ConfigError, match=rf"line 4: unknown key '{key}' in \[{section}\]"):
         parse_config_text(text)
 
 
@@ -182,7 +193,6 @@ def _record(round_index=1, pos_rate=0.75, neg_rate=None):
         pos_correct_rate=pos_rate,
         neg_correct_rate=neg_rate,
         lambda_weight=0.1,
-        wall_ms=12.5,
     )
 
 
@@ -200,9 +210,8 @@ def test_emit_header_schema_and_column_count(tmp_path):
     assert header == [
         "round", "test_acc", "lambda", "tau_0", "tau_1", "tau_2",
         "pos_size_mean", "neg_size_mean", "pos_correct_rate", "neg_correct_rate",
-        "wall_ms",
     ]
-    assert len(header) == 8 + n_classes
+    assert len(header) == 7 + n_classes
     for line in lines[1:]:
         assert len(line.split(",")) == len(header)
 
@@ -210,8 +219,8 @@ def test_emit_header_schema_and_column_count(tmp_path):
 def test_emit_absent_rate_is_empty_cell_not_zero(tmp_path):
     emit_metrics([_record(neg_rate=None)], tmp_path)
     row = (tmp_path / "rounds.csv").read_text().splitlines()[1].split(",")
-    assert row[-2] == ""  # neg_correct_rate
-    assert row[-3] != ""  # pos_correct_rate present
+    assert row[-1] == ""  # neg_correct_rate
+    assert row[-2] != ""  # pos_correct_rate present
 
 
 def test_emit_requires_records(tmp_path):

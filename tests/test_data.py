@@ -481,28 +481,27 @@ def test_build_split_disjoint_and_hidden():
     assert len(split.test) == 60
     assert [len(s) for s in split.client_train] == [100] * 4
 
-    all_ids = [
-        int(i)
-        for coll in (split.server_train, split.server_val, split.test, *split.client_train)
-        for i in coll.ids
-    ]
-    assert len(all_ids) == len(set(all_ids))
-
     counts = np.bincount(split.server_train.y, minlength=5)
     np.testing.assert_array_equal(counts, np.full(5, 10))
 
-    # Every carved row is a distinct pool row with its own label.
+    # Every carved row of all four collections is a distinct pool row with
+    # its own label.
     X, y = pool
+    assert len({x.tobytes() for x in X}) == len(X)
     rows_of = {x.tobytes(): i for i, x in enumerate(X)}
-    used = set()
+    carved = [(coll.X, coll.y) for coll in (split.server_train, split.server_val, split.test)]
     for k, shard in enumerate(split.client_train):
         assert shard.y is None
         hidden = split.hidden_labels(k)
         assert hidden.shape == (len(shard),)
-        for x, label in zip(shard.X, hidden):
+        carved.append((shard.X, hidden))
+    used = set()
+    for features, labels in carved:
+        for x, label in zip(features, labels):
             row = rows_of[x.tobytes()]
             assert y[row] == label and row not in used
             used.add(row)
+    assert len(used) == 50 + 40 + 60 + 4 * 100
 
 
 def test_build_split_same_seed_identical():
@@ -514,8 +513,9 @@ def test_build_split_same_seed_identical():
     a = build_split(pool, **kwargs)
     b = build_split(pool, **kwargs)
     for shard_a, shard_b in zip(a.client_train, b.client_train):
-        np.testing.assert_array_equal(shard_a.ids, shard_b.ids)
         np.testing.assert_array_equal(shard_a.X, shard_b.X)
+    for k in range(3):
+        np.testing.assert_array_equal(a.hidden_labels(k), b.hidden_labels(k))
 
 
 def test_build_split_divisibility_error():

@@ -1,8 +1,10 @@
 """Round loop, baselines, sampling, metrics, determinism, ordering."""
 
 import dataclasses
+import warnings
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,18 +26,21 @@ from fedseal import (
     evaluate,
     label_correct_rates,
     load_split,
+    parse_config,
     run_experiment,
-    run_experiment_detailed,
     sample_clients,
     server_train,
+    start,
     stream,
     update_ensemble,
 )
 from fedseal.data import augment_strong, augment_weak
-from fedseal.experiment import ExperimentState, run_round
+from fedseal.experiment import run_round
 from fedseal.nn import ModelParams, shapes_for
 
-from conftest import labeled_rows, make_params
+from conftest import labeled_rows, make_params, run_all_rounds
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_config(algorithm="fedseal", seed=3, rounds=3, **overrides) -> ExperimentConfig:
@@ -100,14 +105,14 @@ def test_evaluate_perfect_model():
         np.concatenate([(200.0 * np.eye(n)).ravel(), np.zeros(n)]), shapes_for((n, n))
     )
     labels = np.arange(12) % n
-    test_set = Collection(np.arange(12), np.eye(n)[labels], labels)
+    test_set = Collection(np.eye(n)[labels], labels)
     assert evaluate(model, test_set) == 1.0
 
 
 def test_evaluate_constant_model_on_balanced_binary_set():
     model = ModelParams(np.zeros(2 * 2 + 2), shapes_for((2, 2)))  # always class 0
     features = np.stack([np.array([0.1 * i, 0.2]) for i in range(10)])
-    test_set = Collection(np.arange(10), features, np.arange(10) % 2)
+    test_set = Collection(features, np.arange(10) % 2)
     assert evaluate(model, test_set) == 0.5
 
 
@@ -125,7 +130,7 @@ def test_evaluate_rejects_empty_or_unlabeled():
     with pytest.raises(ValueError, match="empty"):
         evaluate(model, labeled_rows(0, 2, 2, seed=0))
     with pytest.raises(ValueError, match="labeled"):
-        evaluate(model, Collection([0], np.zeros((1, 2))))
+        evaluate(model, Collection(np.zeros((1, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +172,52 @@ def test_rates_empty_sets_are_absent_not_zero():
 
 
 # ---------------------------------------------------------------------------
+# start
+# ---------------------------------------------------------------------------
+
+
+def test_start_matches_benchmark_set_up(monkeypatch):
+    # perfbench/bench.py keeps its own copy of the set-up; it must build the
+    # same state as start() or the benchmark measures a different run.
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import bench
+
+    cfg = parse_config(REPO_ROOT / "configs" / "synthetic_small.ini")
+    ours, theirs = start(cfg), bench.set_up(cfg)
+    assert ours.global_params.values.tobytes() == theirs.global_params.values.tobytes()
+    assert ours.global_params.shapes == theirs.global_params.shapes
+    for name in ("server_train", "server_val", "test"):
+        a, b = getattr(ours.split, name), getattr(theirs.split, name)
+        np.testing.assert_array_equal(a.X, b.X)
+        np.testing.assert_array_equal(a.y, b.y)
+    assert len(ours.split.client_train) == len(theirs.split.client_train) == cfg.n_clients
+    for k, (a, b) in enumerate(zip(ours.split.client_train, theirs.split.client_train)):
+        np.testing.assert_array_equal(a.X, b.X)
+        np.testing.assert_array_equal(ours.split.hidden_labels(k), theirs.split.hidden_labels(k))
+    assert (ours.server_lr, ours.client_lr) == (theirs.server_lr, theirs.client_lr)
+
+
+@pytest.mark.parametrize("theta, warns", [(0.05, False), (0.2499, False), (0.25, True)])
+def test_start_warns_when_theta_reaches_inverse_class_count(theta, warns):
+    # 1/M = 0.25 for 4 classes: from there on the predicted class itself can
+    # fall below the complementary threshold.
+    cfg = small_config(rounds=1)
+    cfg.client = replace(cfg.client, theta=theta)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start(cfg)
+    named = [w for w in caught if w.category is UserWarning and "theta" in str(w.message)]
+    assert bool(named) == warns
+
+
+# ---------------------------------------------------------------------------
 # run_round
 # ---------------------------------------------------------------------------
 
 
-def _fresh_state(cfg: ExperimentConfig) -> ExperimentState:
-    split = load_split(cfg.data, cfg.n_clients, cfg.seed)
-    dims = (split.feature_width, *cfg.hidden_dims, split.n_classes)
-    state = ExperimentState(cfg, split, None)
-    state.global_params = bootstrap(
-        split.server_train, cfg.server, stream(cfg.seed, "bootstrap"), dims,
-        state.weak_augment,
-    )
-    return state
-
-
 def test_run_round_zero_clients_is_pure_server_training():
     cfg = small_config(rounds=1)
-    state = _fresh_state(cfg)
+    state = start(cfg)
     cfg.clients_per_round = 0  # test override below the config validator
     w_prev = state.global_params
     state, record = run_round(state, 1)
@@ -203,10 +236,10 @@ def test_run_round_zero_clients_is_pure_server_training():
 
 def test_run_round_repeatable_record():
     cfg = small_config()
-    a, _ = run_round(_fresh_state(cfg), 1)
-    b, _ = run_round(_fresh_state(cfg), 1)
-    _, rec_a = run_round(_fresh_state(cfg), 1)
-    _, rec_b = run_round(_fresh_state(cfg), 1)
+    a, _ = run_round(start(cfg), 1)
+    b, _ = run_round(start(cfg), 1)
+    _, rec_a = run_round(start(cfg), 1)
+    _, rec_b = run_round(start(cfg), 1)
     assert rec_a == rec_b
     np.testing.assert_array_equal(a.global_params.values, b.global_params.values)
 
@@ -215,7 +248,7 @@ def test_three_round_trace_matches_hand_stepped_transcript():
     # Walk the four round steps by hand with the same streams and compare
     # every published quantity and the final model bit for bit.
     cfg = small_config(seed=8)
-    records, state = run_experiment_detailed(cfg)
+    records, state = run_all_rounds(cfg)
 
     split = load_split(cfg.data, cfg.n_clients, cfg.seed)
     dims = (split.feature_width, *cfg.hidden_dims, split.n_classes)
@@ -281,7 +314,7 @@ def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):
     def run(use_ensemble):
         cfg = small_config(n_clients=4, clients_per_round=2, rounds=5)
         cfg.client = replace(cfg.client, use_ensemble=use_ensemble)
-        state = _fresh_state(cfg)
+        state = start(cfg)
         rounds = []
         for t in range(1, cfg.rounds + 1):
             trained.clear()
@@ -294,7 +327,7 @@ def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):
     cfg, state, ablated = run(use_ensemble=False)
     assert all(e.count == 0 and e.avg.size == 0 for e in state.ensembles.values())
     for t, (w_t, sets_by_client) in enumerate(ablated, start=1):
-        taus = compute_thresholds(w_t, state.split.server_val, cfg.server.threshold_denominator)
+        taus = compute_thresholds(w_t, state.split.server_val)
         for k, sets in sets_by_client.items():
             conf = update_ensemble(EnsembleState.empty(), w_t, state.split.client_train[k].X)
             expected = FilteredSets(
@@ -305,7 +338,8 @@ def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):
     assert any(len(sets.positive[0]) for _, by_k in ablated for sets in by_k.values())
 
     _, with_ensemble, full = run(use_ensemble=True)
-    assert any(e.count > 0 for e in with_ensemble.ensembles.values())
+    # Sampled or not, every client folds in every round's global model.
+    assert all(e.count == cfg.rounds for e in with_ensemble.ensembles.values())
     assert any(
         not _same_sets(a, b)
         for (_, by_k_a), (_, by_k_b) in zip(ablated[1:], full[1:])
@@ -324,7 +358,7 @@ def _lr_after(rounds: int, **server) -> float:
         algorithm="server_sl", rounds=rounds,
         server=ServerConfig(epochs=0, bootstrap_epochs=0, **server),
     )
-    _, state = run_experiment_detailed(cfg)
+    _, state = run_all_rounds(cfg)
     return state.server_lr
 
 
@@ -371,10 +405,10 @@ def test_noop_clients_reduce_fedseal_to_server_sl_exactly():
     base = small_config(rounds=4)
     noop_client = replace(base.client, lambda_max=0.0, theta=1e-9)
     fed_cfg = dataclasses.replace(base, client=noop_client)
-    fed_records, fed_state = run_experiment_detailed(fed_cfg)
+    fed_records, fed_state = run_all_rounds(fed_cfg)
     assert all(size == 0 for rec in fed_records for size in rec.neg_sizes)
 
-    sl_records, sl_state = run_experiment_detailed(
+    sl_records, sl_state = run_all_rounds(
         dataclasses.replace(base, algorithm="server_sl", client=noop_client)
     )
     assert np.array_equal(fed_state.global_params.values, sl_state.global_params.values)
@@ -391,7 +425,7 @@ def test_fedavg_sl_reduces_to_textbook_fedavg():
         clients_per_round=2,
         server=ServerConfig(epochs=0, batch_size=16, learning_rate=0.08, bootstrap_epochs=0),
     )
-    _, state = run_experiment_detailed(cfg)
+    _, state = run_all_rounds(cfg)
 
     split = load_split(cfg.data, cfg.n_clients, cfg.seed)
     dims = (split.feature_width, *cfg.hidden_dims, split.n_classes)
@@ -400,7 +434,7 @@ def test_fedavg_sl_reduces_to_textbook_fedavg():
     locals_ = []
     for k in range(2):
         shard = split.client_train[k]
-        labeled = Collection(shard.ids, shard.X, split.hidden_labels(k))
+        labeled = Collection(shard.X, split.hidden_labels(k))
         sup_cfg = ServerConfig(
             epochs=cfg.client.epochs, batch_size=cfg.client.batch_size,
             learning_rate=cfg.client.learning_rate, lr_decay=cfg.client.lr_decay,

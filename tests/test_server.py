@@ -27,7 +27,7 @@ from conftest import labeled_rows, make_params
 
 def blobs(*args, **kwargs) -> Collection:
     X, y = synthetic_blobs(*args, **kwargs)
-    return Collection(np.arange(len(y)), X, y)
+    return Collection(X, y)
 
 
 def params_from(values) -> ModelParams:
@@ -82,20 +82,6 @@ def test_aggregate_permutation_invariant():
     reversed_order = aggregate(models[::-1])
     np.testing.assert_allclose(
         forward_order.values, reversed_order.values, rtol=1e-12, atol=1e-15
-    )
-
-
-def test_aggregate_size_weighted_mean():
-    models = [make_params((3, 4, 2), seed=s) for s in range(3)]
-    weights = [100.0, 50.0, 10.0]
-    averaged = aggregate(models, weights)
-    stacked = np.stack([m.values for m in models])
-    expected = (np.array(weights)[:, None] * stacked).sum(axis=0) / sum(weights)
-    np.testing.assert_allclose(averaged.values, expected, rtol=1e-12, atol=1e-15)
-    # Equal weights reduce to the unweighted mean.
-    np.testing.assert_allclose(
-        aggregate(models, [5.0, 5.0, 5.0]).values, aggregate(models).values,
-        rtol=1e-12, atol=1e-15,
     )
 
 
@@ -163,7 +149,7 @@ def one_hot_classifier(n_classes: int) -> ModelParams:
 
 
 def one_hot_rows(labels: list[int], n_classes: int) -> Collection:
-    return Collection(np.arange(len(labels)), np.eye(n_classes)[labels], labels)
+    return Collection(np.eye(n_classes)[labels], labels)
 
 
 def test_thresholds_perfect_classifier_gives_ones():
@@ -192,7 +178,7 @@ def test_thresholds_absent_class_falls_back_to_one():
     model = make_params((3, 5, 4), seed=8)
     rows = labeled_rows(12, 3, 4, seed=8)
     keep = rows.y != 2
-    val = Collection(rows.ids[keep], rows.X[keep], rows.y[keep])
+    val = Collection(rows.X[keep], rows.y[keep])
     assert len(val) > 0
     taus = compute_thresholds(model, val)
     assert taus[2] == 1.0
@@ -204,27 +190,12 @@ def test_thresholds_clamped_to_one():
     model = one_hot_classifier(3)
     features = np.zeros((6, 3))
     features[:, 0] = 1.0  # every instance predicted as class 0
-    val = Collection(np.arange(6), features, [0, 1, 1, 2, 2, 2])
+    val = Collection(features, [0, 1, 1, 2, 2, 2])
     probs = forward_batch(model, val.X)
     assert probs[:, 0].sum() > 1.0  # raw numerator for class 0
     taus = compute_thresholds(model, val)
     assert taus[0] == 1.0
     assert np.all((taus >= 0.0) & (taus <= 1.0))
-
-
-def test_thresholds_predicted_count_denominator():
-    model = make_params((5, 7, 4), seed=9)
-    val = labeled_rows(10, 5, 4, seed=9)
-    taus = compute_thresholds(model, val, denominator="predicted_count")
-    probs = forward_batch(model, val.X)
-    preds = probs.argmax(axis=1)
-    for m in range(4):
-        den = int((preds == m).sum())
-        if den == 0:
-            assert taus[m] == 1.0
-        else:
-            expected = min(probs[preds == m, m].sum() / den, 1.0)
-            assert taus[m] == pytest.approx(expected, rel=1e-12)
 
 
 def test_thresholds_empty_validation_is_error():
@@ -255,8 +226,8 @@ def test_bootstrap_fixed_seed_bit_identical():
 
 def test_bootstrap_learns_three_class_blobs():
     X, y = synthetic_blobs(210, 3, 8, stream(12, "blobs"), spread=0.08)
-    train = Collection(np.arange(90), X[:90], y[:90])
-    test = Collection(np.arange(90, 210), X[90:], y[90:])
+    train = Collection(X[:90], y[:90])
+    test = Collection(X[90:], y[90:])
     cfg = ServerConfig(bootstrap_epochs=60, batch_size=16, learning_rate=0.2, momentum=0.9)
     model = bootstrap(train, cfg, stream(12, "boot"), dims=(8, 16, 3))
     assert evaluate(model, test) > 0.7
