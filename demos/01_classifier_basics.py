@@ -2,7 +2,8 @@
 
 Builds a small tanh MLP, inspects its probability outputs, and checks the
 analytic gradient of a mixed positive/negative batch against central finite
-differences.
+differences.  Every call takes an (n, width) batch; one sample is a batch of
+one row.
 """
 
 import numpy as np
@@ -10,12 +11,10 @@ import numpy as np
 from fedseal import (
     ModelParams,
     batch_loss,
-    cross_entropy,
-    forward,
+    forward_batch,
     gradient,
     init_params,
-    negative_cross_entropy,
-    predict,
+    predict_batch,
     stream,
 )
 
@@ -23,13 +22,15 @@ rng = stream(0, "demo-classifier")
 params = init_params((8, 16, 8, 4), rng)
 print(f"network 8 -> 16 -> 8 -> 4, {params.values.size} parameters")
 
-x = rng.random(8)
-probs = forward(params, x)
+x = rng.random((1, 8))
+probs = forward_batch(params, x)[0]
 print("sample input probabilities:", np.round(probs, 4), "sum =", probs.sum())
-print("predicted class:", predict(params, x))
+print("predicted class:", predict_batch(params, x)[0])
 
-print("\ncross-entropy if the true class were 2:   ", round(cross_entropy(2, probs), 4))
-print("complementary loss for 'is NOT class 2':", round(negative_cross_entropy(2, probs), 4))
+positive = batch_loss(params, x, [2], False, 1.0)
+negative = batch_loss(params, x, [2], True, 1.0)
+print("\ncross-entropy if the true class were 2:   ", round(positive, 4))
+print("complementary loss for 'is NOT class 2':", round(negative, 4))
 
 # Four rows: the first two take cross-entropy on their label, the last two
 # the complementary loss; every row weighs 1.

@@ -16,7 +16,6 @@ from .client import (
     build_positive_set,
     client_train,
     lambda_at,
-    pseudo_label,
     update_ensemble,
 )
 from .config import ConfigError, config_hash, parse_config, parse_config_text, serialize_config
@@ -50,13 +49,9 @@ from .nn import (
     ModelParams,
     OptimizerState,
     batch_loss,
-    cross_entropy,
-    forward,
     forward_batch,
     gradient,
     init_params,
-    negative_cross_entropy,
-    predict,
     predict_batch,
     sgd_step,
 )

@@ -37,7 +37,8 @@ class ClientConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
-        if self.lambda_max < 0:
+        nn.check_sgd(self.learning_rate, self.momentum, self.lr_decay)
+        if not self.lambda_max >= 0:
             raise ValueError(f"lambda_max must be >= 0, got {self.lambda_max}")
         if self.lambda_ramp_rounds < 1:
             raise ValueError(
@@ -101,13 +102,6 @@ def update_ensemble(
     t = state.count + 1
     avg = ((t - 1) / t) * state.avg + (1.0 / t) * probs
     return EnsembleState(avg, t)
-
-
-def pseudo_label(state: EnsembleState, row: int) -> tuple[int, float]:
-    """Most likely class of a shard row under the ensemble, with its confidence."""
-    conf = state.avg[row]
-    label = int(np.argmax(conf))  # first maximum = lowest index on ties
-    return label, float(conf[label])
 
 
 def _filter(state: EnsembleState, taus: np.ndarray):

@@ -2,7 +2,9 @@
 
 The format is deliberately line-oriented (one ``[section]`` per module, one
 ``key = value`` per line, ``#`` comments) so every parse error can name the
-exact key and line.  Unknown sections or keys are errors, not warnings.
+exact key and line.  The keys of a section are the fields of its config
+dataclass, cast by their annotations; a float must be finite.  Unknown
+sections or keys are errors, not warnings.
 ``serialize_config`` writes the canonical form; parse(serialize(cfg))
 reproduces cfg exactly, and the run manifest hashes that canonical text.
 """
@@ -10,13 +12,12 @@ reproduces cfg exactly, and the run manifest hashes that canonical text.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
+from typing import get_type_hints
 
-from .client import ClientConfig
-from .data import DataConfig
 from .experiment import ExperimentConfig
-from .server import ServerConfig
 
 
 class ConfigError(ValueError):
@@ -35,58 +36,40 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in text.split(","))
 
 
-# (section, key) -> (dataclass field name, caster)
-_SCHEMA: dict[str, dict[str, tuple[str, type | object]]] = {
-    "experiment": {
-        "algorithm": ("algorithm", str),
-        "n_clients": ("n_clients", int),
-        "clients_per_round": ("clients_per_round", int),
-        "rounds": ("rounds", int),
-        "seed": ("seed", int),
-        "fixmatch_threshold": ("fixmatch_threshold", float),
-        "parallel_clients": ("parallel_clients", int),
-        "hidden_dims": ("hidden_dims", _int_tuple),
-    },
-    "data": {
-        "kind": ("kind", str),
-        "partition": ("partition_mode", str),
-        "dirichlet_alpha": ("dirichlet_alpha", float),
-        "per_client": ("per_client", int),
-        "server_train_n": ("server_train_n", int),
-        "server_val_n": ("server_val_n", int),
-        "test_n": ("test_n", int),
-        "n_classes": ("n_classes", int),
-        "n_features": ("n_features", int),
-        "spread": ("spread", float),
-        "train_images": ("train_images", str),
-        "train_labels": ("train_labels", str),
-        "test_images": ("test_images", str),
-        "test_labels": ("test_labels", str),
-        "image_height": ("image_height", int),
-        "image_width": ("image_width", int),
-        "train_csv": ("train_csv", str),
-        "test_csv": ("test_csv", str),
-    },
-    "server": {
-        "epochs": ("epochs", int),
-        "batch_size": ("batch_size", int),
-        "learning_rate": ("learning_rate", float),
-        "lr_decay": ("lr_decay", float),
-        "momentum": ("momentum", float),
-        "bootstrap_epochs": ("bootstrap_epochs", int),
-    },
-    "client": {
-        "epochs": ("epochs", int),
-        "batch_size": ("batch_size", int),
-        "learning_rate": ("learning_rate", float),
-        "lr_decay": ("lr_decay", float),
-        "momentum": ("momentum", float),
-        "theta": ("theta", float),
-        "lambda_max": ("lambda_max", float),
-        "lambda_ramp_rounds": ("lambda_ramp_rounds", int),
-        "use_ensemble": ("use_ensemble", _bool),
-    },
-}
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+# One caster per annotation; a field with any other type fails at import.
+_CASTERS = {int: int, float: _finite_float, str: str, bool: _bool, tuple[int, ...]: _int_tuple}
+
+
+def _derive_schema(root: type) -> dict[str, tuple[type, dict[str, object]]]:
+    """section -> (dataclass, key -> caster); the keys are the dataclass fields.
+
+    ``[experiment]`` holds ``root``'s own fields, and each field whose type is
+    a dataclass is a section of that name, in field order.
+    """
+    schema = {}
+    sections = [("experiment", root)]
+    for section, cls in sections:
+        casters, hints = {}, get_type_hints(cls)
+        for f in fields(cls):
+            hint = hints[f.name]
+            if is_dataclass(hint):
+                sections.append((f.name, hint))
+            elif hint in _CASTERS:
+                casters[f.name] = _CASTERS[hint]
+            else:
+                raise TypeError(f"{cls.__name__}.{f.name}: no config caster for {hint}")
+        schema[section] = (cls, casters)
+    return schema
+
+
+_SCHEMA = _derive_schema(ExperimentConfig)
 
 
 def parse_config_text(text: str, source: str = "config") -> ExperimentConfig:
@@ -113,7 +96,8 @@ def parse_config_text(text: str, source: str = "config") -> ExperimentConfig:
                 f"{source}: line {line_no}: key outside of any [section]"
             )
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _SCHEMA[section]:
+        casters = _SCHEMA[section][1]
+        if key not in casters:
             raise ConfigError(
                 f"{source}: line {line_no}: unknown key {key!r} in [{section}]"
             )
@@ -121,9 +105,8 @@ def parse_config_text(text: str, source: str = "config") -> ExperimentConfig:
             raise ConfigError(
                 f"{source}: line {line_no}: duplicate key {key!r} in [{section}]"
             )
-        field_name, caster = _SCHEMA[section][key]
         try:
-            values[section][field_name] = caster(value)
+            values[section][key] = casters[key](value)
         except ValueError as exc:
             raise ConfigError(
                 f"{source}: line {line_no}: key {key!r}: {exc}"
@@ -136,35 +119,23 @@ def parse_config_text(text: str, source: str = "config") -> ExperimentConfig:
         )
 
     def _blame_line(section_name: str, message: str) -> str:
-        # Validators name the offending field as a word of their message;
-        # the first word that is exactly a key or field set in this section
-        # picks the line.
+        # Validators name the offending key as a word of their message; the
+        # first word that is a key set in this section picks the line.
         lines = key_lines[section_name]
-        by_field = {_SCHEMA[section_name][key][0]: line_no for key, line_no in lines.items()}
         for word in re.findall(r"[A-Za-z_]\w*", message):
-            line_no = lines.get(word, by_field.get(word))
-            if line_no is not None:
-                return f"{source}: line {line_no}: {message}"
+            if word in lines:
+                return f"{source}: line {lines[word]}: {message}"
         return f"{source}: [{section_name}]: {message}"
 
-    try:
-        server = ServerConfig(**values["server"])
-    except ValueError as exc:
-        raise ConfigError(_blame_line("server", str(exc))) from None
-    try:
-        client = ClientConfig(**values["client"])
-    except ValueError as exc:
-        raise ConfigError(_blame_line("client", str(exc))) from None
-    try:
-        data = DataConfig(**values["data"])
-    except ValueError as exc:
-        raise ConfigError(_blame_line("data", str(exc))) from None
-    try:
-        return ExperimentConfig(
-            server=server, client=client, data=data, **values["experiment"]
-        )
-    except ValueError as exc:
-        raise ConfigError(_blame_line("experiment", str(exc))) from None
+    # Sections nest in [experiment], so it is built last, from the others.
+    built: dict[str, object] = {}
+    for section_name, (cls, _) in reversed(_SCHEMA.items()):
+        nested = built if section_name == "experiment" else {}
+        try:
+            built[section_name] = cls(**values[section_name], **nested)
+        except ValueError as exc:
+            raise ConfigError(_blame_line(section_name, str(exc))) from None
+    return built["experiment"]
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -189,16 +160,11 @@ def _format_value(value) -> str:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parsing it reproduces cfg exactly."""
-    parts = {"experiment": cfg, "data": cfg.data, "server": cfg.server, "client": cfg.client}
     lines = []
-    for section, obj in parts.items():
+    for section, (_, casters) in _SCHEMA.items():
+        obj = cfg if section == "experiment" else getattr(cfg, section)
         lines.append(f"[{section}]")
-        field_to_key = {spec[0]: key for key, spec in _SCHEMA[section].items()}
-        for f in fields(obj):
-            if f.name in field_to_key:
-                lines.append(
-                    f"{field_to_key[f.name]} = {_format_value(getattr(obj, f.name))}"
-                )
+        lines.extend(f"{key} = {_format_value(getattr(obj, key))}" for key in casters)
         lines.append("")
     return "\n".join(lines)
 

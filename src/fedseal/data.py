@@ -284,6 +284,8 @@ def partition(
     labels = np.asarray(labels, dtype=np.int64)
     if n_clients < 1:
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha}")
     if len(labels) < n_clients * per_client:
         raise ValueError(
             f"pool of {len(labels)} instances cannot supply "
@@ -479,7 +481,7 @@ class DataConfig:
     """Where a run's data comes from and how it is carved up."""
 
     kind: str = "synthetic"  # synthetic | idx | csv
-    partition_mode: str = IID
+    partition: str = IID
     dirichlet_alpha: float = 0.5
     per_client: int = 1200
     server_train_n: int = 500
@@ -503,13 +505,20 @@ class DataConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("synthetic", "idx", "csv"):
             raise ValueError(f"unknown data kind {self.kind!r}")
-        if self.partition_mode not in (IID, DIRICHLET):
-            raise ValueError(f"unknown partition mode {self.partition_mode!r}")
-        for name in ("per_client", "server_train_n", "server_val_n"):
+        if self.partition not in (IID, DIRICHLET):
+            raise ValueError(f"unknown partition mode {self.partition!r}")
+        synthetic = ("n_classes", "n_features") if self.kind == "synthetic" else ()
+        for name in ("per_client", "server_train_n", "server_val_n", *synthetic):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.test_n < 0:
-            raise ValueError("test_n must be >= 0")
+        least = 0 if {"idx": self.test_images, "csv": self.test_csv}.get(self.kind) else 1
+        if self.test_n < least:
+            raise ValueError(f"test_n must be >= {least} (0 takes a whole test file), "
+                             f"got {self.test_n}")
+        if not self.dirichlet_alpha > 0:
+            raise ValueError(f"dirichlet_alpha must be > 0, got {self.dirichlet_alpha}")
+        if not self.spread >= 0:
+            raise ValueError(f"spread must be >= 0, got {self.spread}")
         if self.kind == "idx" and not (self.train_images and self.train_labels):
             raise ValueError("idx data needs train_images and train_labels paths")
         if self.kind == "csv" and not self.train_csv:
@@ -573,7 +582,7 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
         server_train_n=cfg.server_train_n,
         server_val_n=cfg.server_val_n,
         seed=seed,
-        partition_mode=cfg.partition_mode,
+        partition_mode=cfg.partition,
         alpha=cfg.dirichlet_alpha,
         test_n=cfg.test_n,
         test_pool=test_pool,

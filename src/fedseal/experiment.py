@@ -59,9 +59,10 @@ class ExperimentConfig:
     fixmatch_threshold: float = 0.9
     parallel_clients: int = 1
     hidden_dims: tuple[int, ...] = (128, 64)
+    # Config sections, serialized in this order.
+    data: DataConfig = field(default_factory=DataConfig)
     server: ServerConfig = field(default_factory=ServerConfig)
     client: ClientConfig = field(default_factory=ClientConfig)
-    data: DataConfig = field(default_factory=DataConfig)
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:

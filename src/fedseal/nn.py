@@ -8,8 +8,8 @@ private copy inside an :class:`OptimizerState`, which :func:`sgd_step`
 updates in place and which becomes a new ``ModelParams`` when the loop ends.
 
 Alternate backbones only need to reproduce the call signatures of
-``init_params`` / ``forward`` / ``predict`` / ``gradient``; the rest of the
-package is indifferent to what is inside.
+``init_params`` / ``forward_batch`` / ``gradient``; the rest of the package
+is indifferent to what is inside.
 """
 
 from __future__ import annotations
@@ -75,10 +75,7 @@ class OptimizerState:
     """
 
     def __init__(self, params: ModelParams, learning_rate: float, momentum: float):
-        if learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
-        if not 0 <= momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        check_sgd(learning_rate, momentum)
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
         self._values = params.values.copy()
@@ -91,6 +88,15 @@ class OptimizerState:
     def result(self) -> ModelParams:
         self._values.flags.writeable = False
         return _wrap(self._values, self.params.shapes)
+
+
+def check_sgd(learning_rate: float, momentum: float, lr_decay: float = 1.0) -> None:
+    """Reject a negative or NaN learning rate or decay, and momentum outside [0, 1)."""
+    for name, value in (("learning_rate", learning_rate), ("lr_decay", lr_decay)):
+        if not value >= 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if not 0 <= momentum < 1:
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
 
 
 def shapes_for(dims: tuple[int, ...] | list[int]) -> tuple[tuple[int, int], ...]:
@@ -113,11 +119,6 @@ def init_params(dims, rng: np.random.Generator) -> ModelParams:
         chunks.append(rng.uniform(-limit, limit, size=fan_in * fan_out))
         chunks.append(np.zeros(fan_out))
     return ModelParams(values=np.concatenate(chunks), shapes=shapes)
-
-
-def zero_params(dims) -> ModelParams:
-    shapes = shapes_for(dims)
-    return ModelParams(values=np.zeros(param_count(shapes)), shapes=shapes)
 
 
 def unflatten(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -152,28 +153,21 @@ def _forward_cached(params: ModelParams, x: np.ndarray):
     return probs, inputs, layers
 
 
-def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Class-probability rows for a (n, width) feature matrix."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.n_inputs:
-        got = features.shape[1] if features.ndim == 2 else features.shape
+def _features(params: ModelParams, X) -> np.ndarray:
+    """``X`` as a float (n, width) matrix of the network's input width."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != params.n_inputs:
+        got = X.shape[1] if X.ndim == 2 else X.shape
         raise ValueError(
             f"feature width mismatch: network expects {params.n_inputs}, got {got}"
         )
-    probs, _, _ = _forward_cached(params, features)
+    return X
+
+
+def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Class-probability rows for a (n, width) feature matrix."""
+    probs, _, _ = _forward_cached(params, _features(params, features))
     return probs
-
-
-def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Predicted class-probability distribution for one feature vector."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 1:
-        raise ValueError(f"expected a 1-d feature vector, got shape {features.shape}")
-    if features.size != params.n_inputs:
-        raise ValueError(
-            f"feature width mismatch: network expects {params.n_inputs}, got {features.size}"
-        )
-    return forward_batch(params, features[None, :])[0]
 
 
 def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -181,39 +175,8 @@ def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return np.argmax(forward_batch(params, features), axis=1)
 
 
-def predict(params: ModelParams, features: np.ndarray) -> int:
-    """Argmax class of ``forward``; ties break to the lowest class index."""
-    return int(np.argmax(forward(params, features)))
-
-
-def _check_label(label: int, n_classes: int, what: str) -> int:
-    label = int(label)
-    if not 0 <= label < n_classes:
-        raise ValueError(f"{what} {label} out of range [0, {n_classes})")
-    return label
-
-
-def cross_entropy(label: int, confidence: np.ndarray) -> float:
-    """-log p[label], with the probability floored at PROB_FLOOR."""
-    confidence = np.asarray(confidence, dtype=np.float64)
-    label = _check_label(label, confidence.size, "label")
-    return float(-np.log(np.clip(confidence[label], PROB_FLOOR, 1.0)))
-
-
-def negative_cross_entropy(comp_label: int, confidence: np.ndarray) -> float:
-    """-log(1 - p[comp_label]): loss for 'this is NOT class comp_label'."""
-    confidence = np.asarray(confidence, dtype=np.float64)
-    comp_label = _check_label(comp_label, confidence.size, "complementary label")
-    return float(-np.log(np.clip(1.0 - confidence[comp_label], PROB_FLOOR, 1.0)))
-
-
 def _batch_arrays(params: ModelParams, X, labels, negative, weights):
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.n_inputs:
-        got = X.shape[1] if X.ndim == 2 else X.shape
-        raise ValueError(
-            f"feature width mismatch: network expects {params.n_inputs}, got {got}"
-        )
+    X = _features(params, X)
     n = X.shape[0]
     if n == 0:
         raise ValueError("empty batch; callers must skip empty loss components")

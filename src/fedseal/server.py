@@ -36,6 +36,7 @@ class ServerConfig:
             raise ValueError(
                 f"bootstrap_epochs must be >= 0, got {self.bootstrap_epochs}"
             )
+        nn.check_sgd(self.learning_rate, self.momentum, self.lr_decay)
 
 
 def aggregate(local_models: list[nn.ModelParams]) -> nn.ModelParams:

@@ -50,6 +50,12 @@ def random_batch(params: ModelParams, n: int, seed: int, mixed: bool = True):
     return X, labels, negative, weights
 
 
+def reference_loss(label: int, confidence: np.ndarray, negative: bool) -> float:
+    """Per-row oracle for batch_loss: -log(1 - p[label]) if negative, else -log p[label]."""
+    p = 1.0 - confidence[label] if negative else confidence[label]
+    return float(-np.log(np.clip(p, 1e-12, 1.0)))
+
+
 def labeled_rows(n: int, width: int, n_classes: int, seed: int) -> Collection:
     rng = stream(seed, "test-instances")
     X = np.empty((n, width))

@@ -244,7 +244,7 @@ def fmnist_config(algorithm: str, seed: int, use_ensemble: bool = True) -> Exper
             test_labels=paths["t10k-labels-idx1-ubyte"],
             image_height=28,
             image_width=28,
-            partition_mode="iid",
+            partition="iid",
             per_client=1200,
             server_train_n=500,
             server_val_n=200,

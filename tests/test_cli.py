@@ -1,5 +1,6 @@
 """Config parsing/serialization and the experiment runner CLI."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from fedseal import (
     serialize_config,
 )
 from fedseal.cli import emit_metrics, run
+from fedseal.config import _derive_schema
 from fedseal.experiment import RoundRecord
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -85,6 +87,92 @@ def test_round_trip_serialize_then_parse(tmp_path):
     assert config_hash(parse_config(path)) == config_hash(cfg)
 
 
+# A valid, non-default value for every config key; kind = idx lets every
+# path key hold a name without reading a file.
+EVERY_KEY = """\
+[experiment]
+algorithm = fedavg_fixmatch
+n_clients = 7
+clients_per_round = 3
+rounds = 9
+seed = 11
+fixmatch_threshold = 0.75
+parallel_clients = 2
+hidden_dims = 12,8,4
+
+[data]
+kind = idx
+partition = dirichlet
+dirichlet_alpha = 0.25
+per_client = 40
+server_train_n = 30
+server_val_n = 20
+test_n = 60
+n_classes = 6
+n_features = 20
+spread = 0.3
+train_images = train-images.gz
+train_labels = train-labels.gz
+test_images = test-images.gz
+test_labels = test-labels.gz
+image_height = 4
+image_width = 5
+train_csv = train.csv
+test_csv = test.csv
+
+[server]
+epochs = 2
+batch_size = 16
+learning_rate = 0.05
+lr_decay = 0.9
+momentum = 0.5
+bootstrap_epochs = 7
+
+[client]
+epochs = 3
+batch_size = 8
+learning_rate = 0.02
+lr_decay = 0.99
+momentum = 0.0
+theta = 0.1
+lambda_max = 2.5
+lambda_ramp_rounds = 4
+use_ensemble = false
+"""
+
+
+def test_round_trip_every_key_set_to_a_non_default_value():
+    cfg = parse_config_text(EVERY_KEY)
+    text = serialize_config(cfg)
+    assert text == EVERY_KEY
+    assert parse_config_text(text) == cfg
+    key_lines = [line for line in text.splitlines() if " = " in line]
+    assert len(key_lines) == 41
+    default_lines = serialize_config(parse_config_text("[experiment]\nalgorithm = fedseal\n"))
+    assert not set(key_lines) & set(default_lines.splitlines())
+
+
+@pytest.mark.parametrize(
+    "path, digest",
+    [
+        ("configs/fashion_mnist_iid.ini",
+         "0393f7dcdcfb31d83848df4b7a55dd09d6e30f1530450eb9d781e918d1300e28"),
+        ("configs/fashion_mnist_noniid.ini",
+         "76585ae45e31cd539daf08a09edd330a60a87d9720e70c1ab82dbaa77c554fef"),
+        ("configs/synthetic_small.ini",
+         "1a8f5b70dd9b3a9a6bd1936192154b21bd7578a414440b2dd232fdae497436fd"),
+        ("perfbench/workloads/narrow_tabular.ini",
+         "8e90682a9ffd88bca78c3444ff54801920f8e4d2d5221e94fc358a91a3db427e"),
+        ("perfbench/workloads/paper_iid.ini",
+         "e1ccbe6efcdbdfc1b084f522c8a5c46b71cefc6a37dbfdb4f7582546b02f90ba"),
+    ],
+)
+def test_bundled_config_hash_is_pinned(path, digest):
+    # The run manifest's config_hash names a run; the canonical text behind
+    # it must not drift when the parser changes.
+    assert config_hash(parse_config(REPO_ROOT / path)) == digest
+
+
 @pytest.mark.parametrize(
     "section, key",
     [
@@ -100,6 +188,53 @@ def test_unknown_key_names_key_and_line(section, key):
     text = f"[experiment]\nalgorithm = fedseal\n[{section}]\n{key} = 1\n"
     with pytest.raises(ConfigError, match=rf"line 4: unknown key '{key}' in \[{section}\]"):
         parse_config_text(text)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        # A NaN alpha hung partitioning; 0 and -1 failed late or not at all.
+        ("data", "dirichlet_alpha", "nan"),
+        ("data", "dirichlet_alpha", "inf"),
+        ("data", "dirichlet_alpha", "0"),
+        ("data", "dirichlet_alpha", "-1"),
+        # A NaN lambda_max silently dropped the positive set.
+        ("client", "lambda_max", "nan"),
+        ("data", "spread", "-0.1"),
+        ("data", "spread", "nan"),
+        ("server", "learning_rate", "nan"),
+        ("server", "learning_rate", "1e999"),
+        ("server", "learning_rate", "-1"),
+        ("client", "learning_rate", "-1"),
+        ("server", "momentum", "1"),
+        ("client", "momentum", "-0.5"),
+        ("server", "lr_decay", "-1"),
+        ("client", "lr_decay", "-1"),
+        ("data", "n_classes", "0"),
+        ("data", "n_features", "0"),
+        ("data", "test_n", "0"),
+    ],
+)
+def test_bad_value_names_key_and_line(section, key, value):
+    text = f"[experiment]\nalgorithm = fedseal\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"line 4: (key '{key}'|{key} must)"):
+        parse_config_text(text)
+
+
+def test_test_n_zero_takes_a_whole_test_file():
+    text = "[experiment]\nalgorithm = fedseal\n[data]\nkind = csv\ntrain_csv = a.csv\n"
+    with pytest.raises(ConfigError, match="line 6: test_n must be >= 1"):
+        parse_config_text(text + "test_n = 0\n")
+    assert parse_config_text(text + "test_csv = b.csv\ntest_n = 0\n").data.test_n == 0
+
+
+def test_a_field_without_a_caster_fails_schema_derivation():
+    @dataclasses.dataclass
+    class Odd:
+        weights: list = dataclasses.field(default_factory=list)
+
+    with pytest.raises(TypeError, match="Odd.weights"):
+        _derive_schema(Odd)
 
 
 def test_type_mismatch_names_key_and_line():

@@ -14,7 +14,6 @@ from fedseal import (
     forward_batch,
     gradient,
     lambda_at,
-    pseudo_label,
     sgd_step,
     stream,
     update_ensemble,
@@ -90,36 +89,35 @@ def test_update_rejects_changed_instance_set():
 
 
 # ---------------------------------------------------------------------------
-# pseudo_label
+# pseudo-labels: build_positive_set with zero thresholds keeps every row
 # ---------------------------------------------------------------------------
 
 
 def test_pseudo_label_argmax_and_confidence():
     state = state_from_rows([[0.1, 0.8, 0.1]])
-    assert pseudo_label(state, 0) == (1, 0.8)
+    rows, labels = build_positive_set(state, np.zeros(3))
+    assert rows.tolist() == [0] and labels.tolist() == [1]
+    # The row clears its class threshold exactly up to its confidence, 0.8.
+    assert build_positive_set(state, np.array([0.0, 0.8, 0.0]))[0].tolist() == [0]
+    assert build_positive_set(state, np.array([0.0, np.nextafter(0.8, 1), 0.0]))[0].size == 0
 
 
 def test_pseudo_label_uniform_breaks_tie_low():
     state = state_from_rows([[0.25, 0.25, 0.25, 0.25]])
-    assert pseudo_label(state, 0) == (0, 0.25)
+    assert build_positive_set(state, np.zeros(4))[1].tolist() == [0]
 
 
 def test_pseudo_label_matches_exhaustive_scan():
     rng = stream(6, "scan")
     rows = rng.dirichlet(np.ones(7), size=500)
-    state = state_from_rows(rows)
+    kept, labels = build_positive_set(state_from_rows(rows), np.zeros(7))
+    assert kept.tolist() == list(range(500))
     for i in range(500):
         best, best_p = 0, rows[i][0]
         for m in range(1, 7):
             if rows[i][m] > best_p:
                 best, best_p = m, rows[i][m]
-        assert pseudo_label(state, i) == (best, best_p)
-
-
-def test_pseudo_label_unknown_id():
-    state = state_from_rows([[0.5, 0.5]])
-    with pytest.raises(IndexError, match="999"):
-        pseudo_label(state, 999)
+        assert labels[i] == best
 
 
 # ---------------------------------------------------------------------------

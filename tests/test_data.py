@@ -247,6 +247,14 @@ def test_partition_iid_divisibility():
         partition(labels, n_clients=2, mode="iid", per_client=30, rng_seed=0)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -1.0])
+def test_partition_rejects_a_bad_alpha_before_drawing(alpha):
+    # NaN proportions once cast to huge negative counts, and the top-up loop
+    # then never ended.
+    with pytest.raises(ValueError, match="alpha must be a finite number > 0"):
+        partition(pool_labels(100, 5), 5, "dirichlet", 10, rng_seed=1, alpha=alpha)
+
+
 def test_partition_same_seed_bit_identical():
     labels = pool_labels(600, 5, seed=9)
     a = partition(labels, 3, "dirichlet", 150, rng_seed=42)
@@ -554,6 +562,30 @@ def test_load_split_rejects_image_shape_that_does_not_fit_the_file(tmp_path):
     )
     with pytest.raises(ValueError, match="image_height x image_width = 4 x 5 .* 16 features"):
         load_split(cfg, n_clients=2, seed=1)
+
+
+def test_load_split_csv_subsamples_the_test_file(tmp_path):
+    features, labels = synthetic_blobs(400, 4, 6, stream(20, "csv-train"))
+    write_csv(features, labels, tmp_path / "train.csv")
+    test_X, test_y = synthetic_blobs(90, 4, 6, stream(20, "csv-test"))
+    write_csv(test_X, test_y, tmp_path / "test.csv")
+    cfg = DataConfig(
+        kind="csv", train_csv=str(tmp_path / "train.csv"), test_csv=str(tmp_path / "test.csv"),
+        per_client=40, server_train_n=20, server_val_n=20, test_n=25,
+    )
+    split = load_split(cfg, n_clients=2, seed=3)
+    rows_of = {x.tobytes(): i for i, x in enumerate(test_X)}
+    rows = [rows_of[x.tobytes()] for x in split.test.X]
+    assert len(set(rows)) == 25
+    np.testing.assert_array_equal(split.test.y, test_y[rows])
+    again = load_split(cfg, n_clients=2, seed=3)
+    np.testing.assert_array_equal(again.test.X, split.test.X)
+
+    labels = labels.copy()
+    labels[7] = UNLABELED
+    write_csv(features, labels, tmp_path / "train.csv")
+    with pytest.raises(ValueError, match="csv training pool must be fully labeled"):
+        load_split(cfg, n_clients=2, seed=3)
 
 
 def test_load_split_synthetic_covers_iid_partition():

@@ -1,4 +1,4 @@
-"""Model core: forward/predict, losses, analytic gradients, SGD."""
+"""Model core: batch forward/predict, losses, analytic gradients, SGD."""
 
 import math
 
@@ -9,35 +9,33 @@ from fedseal import (
     ModelParams,
     OptimizerState,
     batch_loss,
-    cross_entropy,
-    forward,
     forward_batch,
     gradient,
     init_params,
-    negative_cross_entropy,
-    predict,
+    predict_batch,
     sgd_step,
     stream,
 )
 from fedseal.nn import param_count, shapes_for, unflatten
 
-from conftest import fd_batch_gradient, make_params, random_batch, rel_error
+from conftest import fd_batch_gradient, make_params, random_batch, reference_loss, rel_error
 
 
 # ---------------------------------------------------------------------------
-# forward
+# forward_batch
 # ---------------------------------------------------------------------------
 
 
-def test_forward_zero_params_is_uniform():
+def test_forward_with_all_zero_parameters_is_uniform():
     params = ModelParams(np.zeros(param_count(shapes_for((4, 5, 3)))), shapes_for((4, 5, 3)))
-    probs = forward(params, np.array([0.3, -1.0, 2.0, 0.7]))
-    np.testing.assert_allclose(probs, np.full(3, 1 / 3), atol=1e-15)
+    probs = forward_batch(params, np.array([[0.3, -1.0, 2.0, 0.7], [0.0, 0.0, 0.0, 0.0]]))
+    np.testing.assert_allclose(probs, np.full((2, 3), 1 / 3), atol=1e-15)
 
 
 def test_forward_matches_hand_computed_pass():
     # 2-4-3 network with hand-set weights; the expected value is recomputed
-    # below with explicit matrix algebra, independent of the implementation.
+    # below with explicit matrix algebra, row by row, independent of the
+    # implementation.
     shapes = shapes_for((2, 4, 3))
     w1 = np.array([[0.1, -0.2, 0.3, 0.5], [0.4, 0.2, -0.6, 0.1]])
     b1 = np.array([0.05, -0.1, 0.2, 0.0])
@@ -48,14 +46,16 @@ def test_forward_matches_hand_computed_pass():
     params = ModelParams(
         np.concatenate([w1.ravel(), b1, w2.ravel(), b2]), shapes
     )
-    x = np.array([0.8, -0.3])
+    X = np.array([[0.8, -0.3], [-0.5, 0.9]])
 
-    hidden = np.tanh(x @ w1 + b1)
-    logits = hidden @ w2 + b2
-    exps = np.exp(logits - logits.max())
-    expected = exps / exps.sum()
+    expected = []
+    for x in X:
+        hidden = np.tanh(x @ w1 + b1)
+        logits = hidden @ w2 + b2
+        exps = np.exp(logits - logits.max())
+        expected.append(exps / exps.sum())
 
-    np.testing.assert_allclose(forward(params, x), expected, rtol=1e-12)
+    np.testing.assert_allclose(forward_batch(params, X), expected, rtol=1e-12)
 
 
 def test_forward_outputs_sum_to_one_over_random_inputs():
@@ -70,17 +70,20 @@ def test_forward_outputs_sum_to_one_over_random_inputs():
 def test_forward_rejects_wrong_width():
     params = make_params((4, 6, 3), seed=0)
     with pytest.raises(ValueError, match="expects 4.*got 3"):
-        forward(params, np.zeros(3))
+        forward_batch(params, np.zeros((2, 3)))
+    # A lone row is not a batch.
+    with pytest.raises(ValueError, match=r"expects 4.*got \(4,\)"):
+        forward_batch(params, np.zeros(4))
 
 
 def test_forward_deterministic():
     params = make_params((5, 7, 3), seed=1)
-    x = stream(1, "x").random(5)
-    np.testing.assert_array_equal(forward(params, x), forward(params, x))
+    X = stream(1, "x").random((3, 5))
+    np.testing.assert_array_equal(forward_batch(params, X), forward_batch(params, X))
 
 
 # ---------------------------------------------------------------------------
-# predict
+# predict_batch
 # ---------------------------------------------------------------------------
 
 
@@ -94,25 +97,25 @@ def _identity_logit_params(n: int, scale: float = 4.0) -> ModelParams:
 
 def test_predict_takes_argmax():
     params = _identity_logit_params(3)
-    assert predict(params, np.array([0.1, 0.8, 0.1])) == 1
+    X = np.array([[0.1, 0.8, 0.1], [0.2, 0.1, 0.9], [0.7, 0.2, 0.1]])
+    np.testing.assert_array_equal(predict_batch(params, X), [1, 2, 0])
 
 
 def test_predict_breaks_ties_to_lowest_index():
     params = _identity_logit_params(2)
-    assert predict(params, np.array([0.5, 0.5])) == 0
+    np.testing.assert_array_equal(predict_batch(params, np.array([[0.5, 0.5]])), [0])
 
 
 def test_predict_agrees_with_max_scan_over_random_inputs():
     params = make_params((5, 9, 6), seed=4)
-    rng = stream(4, "scan")
-    for _ in range(1000):
-        x = rng.random(5)
-        probs = forward(params, x)
+    X = stream(4, "scan").random((1000, 5))
+    preds = predict_batch(params, X)
+    for probs, pred in zip(forward_batch(params, X), preds):
         best, best_p = 0, probs[0]
         for m in range(1, 6):
             if probs[m] > best_p:
                 best, best_p = m, probs[m]
-        assert predict(params, x) == best
+        assert pred == best
 
 
 def test_predict_invariant_under_shared_logit_shift():
@@ -122,29 +125,38 @@ def test_predict_invariant_under_shared_logit_shift():
     shifted_values = params.values.copy()
     shifted_values[-5:] += 3.7
     shifted = ModelParams(shifted_values, params.shapes)
-    rng = stream(9, "shift")
-    for _ in range(50):
-        x = rng.random(4)
-        assert predict(params, x) == predict(shifted, x)
+    X = stream(9, "shift").random((50, 4))
+    np.testing.assert_array_equal(predict_batch(params, X), predict_batch(shifted, X))
 
 
 # ---------------------------------------------------------------------------
-# losses
+# batch_loss on given confidences
 # ---------------------------------------------------------------------------
+
+
+def _emitting(confidence) -> ModelParams:
+    """A one-input linear model whose output is ``confidence`` for any input."""
+    confidence = np.asarray(confidence, dtype=np.float64)
+    n = confidence.size
+    logits = np.log(np.maximum(confidence, 1e-300))
+    return ModelParams(np.concatenate([np.zeros(n), logits]), shapes_for((1, n)))
+
+
+def _loss(label: int, confidence, negative: bool = False) -> float:
+    """batch_loss of one row whose predicted distribution is ``confidence``."""
+    return batch_loss(_emitting(confidence), np.zeros((1, 1)), [label], negative, 1.0)
 
 
 def test_cross_entropy_one_hot_is_zero():
-    assert cross_entropy(0, np.array([1.0, 0.0, 0.0])) == 0.0
+    assert _loss(0, [1.0, 0.0, 0.0]) == 0.0
 
 
 def test_cross_entropy_uniform_ten_classes():
-    assert cross_entropy(3, np.full(10, 0.1)) == pytest.approx(math.log(10), abs=1e-9)
+    assert _loss(3, np.full(10, 0.1)) == pytest.approx(math.log(10), abs=1e-9)
 
 
 def test_cross_entropy_analytic_value():
-    assert cross_entropy(1, np.array([0.7, 0.2, 0.1])) == pytest.approx(
-        1.609438, abs=1e-6
-    )
+    assert _loss(1, [0.7, 0.2, 0.1]) == pytest.approx(1.609438, abs=1e-6)
 
 
 def test_cross_entropy_nonnegative_and_zero_on_own_one_hot():
@@ -152,30 +164,26 @@ def test_cross_entropy_nonnegative_and_zero_on_own_one_hot():
     for _ in range(100):
         probs = rng.dirichlet(np.ones(6))
         label = int(rng.integers(0, 6))
-        assert cross_entropy(label, probs) >= 0.0
+        assert _loss(label, probs) >= 0.0
         one_hot = np.zeros(6)
         one_hot[label] = 1.0
-        assert cross_entropy(label, one_hot) == 0.0
+        assert _loss(label, one_hot) == 0.0
 
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        cross_entropy(3, np.array([0.5, 0.5]))
+        _loss(3, [0.5, 0.5])
 
 
 def test_negative_cross_entropy_values():
-    assert negative_cross_entropy(0, np.array([0.0, 1.0])) == 0.0
-    assert negative_cross_entropy(1, np.array([0.5, 0.5])) == pytest.approx(
-        math.log(2), abs=1e-9
-    )
-    assert negative_cross_entropy(0, np.array([0.9, 0.1])) == pytest.approx(
-        2.302585, abs=1e-6
-    )
+    assert _loss(0, [0.0, 1.0], negative=True) == 0.0
+    assert _loss(1, [0.5, 0.5], negative=True) == pytest.approx(math.log(2), abs=1e-9)
+    assert _loss(0, [0.9, 0.1], negative=True) == pytest.approx(2.302585, abs=1e-6)
 
 
 def test_negative_cross_entropy_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        negative_cross_entropy(-1, np.array([0.5, 0.5]))
+        _loss(-1, [0.5, 0.5], negative=True)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +344,9 @@ def test_init_params_glorot_bounds_and_zero_bias():
 def test_batch_loss_matches_elementwise_losses():
     params = make_params((3, 5, 4), seed=14)
     batch = random_batch(params, 6, seed=14)
+    X, labels, negatives, weights = batch
     total, wsum = 0.0, 0.0
-    for x, label, negative, weight in zip(*batch):
-        probs = forward(params, x)
-        loss = (
-            negative_cross_entropy(label, probs)
-            if negative
-            else cross_entropy(label, probs)
-        )
-        total += weight * loss
+    for probs, label, negative, weight in zip(forward_batch(params, X), labels, negatives, weights):
+        total += weight * reference_loss(label, probs, negative)
         wsum += weight
     assert batch_loss(params, *batch) == pytest.approx(total / wsum, rel=1e-12)
