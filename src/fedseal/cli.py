@@ -22,21 +22,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, config_hash, parse_config, serialize_config, with_overrides
 from .experiment import ExperimentConfig, RoundRecord, run_experiment
-
-
-@dataclass
-class RunManifest:
-    config_text: str
-    artifacts: dict[str, str]
-    started_at: str
-    version: str
 
 
 def _fmt(value) -> str:
@@ -83,7 +74,14 @@ def emit_metrics(records: list[RoundRecord], out_dir) -> dict[str, Path]:
     return {"rounds_csv": csv_path}
 
 
-def _write_summary(records: list[RoundRecord], cfg: ExperimentConfig, out_dir: Path) -> Path:
+def _write_json(data: dict, path: Path) -> str:
+    """Write ``data`` as indented, key-sorted JSON; returns the text written."""
+    text = json.dumps(data, indent=2, sort_keys=True)
+    path.write_text(text + "\n", encoding="utf-8")
+    return text
+
+
+def _write_summary(records: list[RoundRecord], cfg: ExperimentConfig, out_dir: Path) -> str:
     best = max(records, key=lambda rec: (rec.test_accuracy, -rec.round))
     summary = {
         "final_accuracy": records[-1].test_accuracy,
@@ -92,11 +90,7 @@ def _write_summary(records: list[RoundRecord], cfg: ExperimentConfig, out_dir: P
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
     }
-    path = out_dir / "summary.json"
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
+    return _write_json(summary, out_dir / "summary.json")
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -134,28 +128,25 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest(
-            config_text=serialize_config(cfg),
-            artifacts={
+        manifest = {
+            "config_text": serialize_config(cfg),
+            "artifacts": {
                 "rounds_csv": str(out_dir / "rounds.csv"),
                 "summary_json": str(out_dir / "summary.json"),
             },
-            started_at=datetime.now(timezone.utc).isoformat(),
-            version=__version__,
-        )
-        with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
-            json.dump(manifest.__dict__, f, indent=2, sort_keys=True)
-            f.write("\n")
+            "started_at": datetime.now(timezone.utc).isoformat(),
+            "version": __version__,
+        }
+        _write_json(manifest, out_dir / "manifest.json")
 
         records = run_experiment(cfg)
         emit_metrics(records, out_dir)
-        summary_path = _write_summary(records, cfg, out_dir)
+        summary_text = _write_summary(records, cfg, out_dir)
     except Exception as exc:  # process boundary: report and signal failure
         print(f"fedseal: runtime error: {exc}", file=sys.stderr)
         return 2
 
-    with open(summary_path, "r", encoding="utf-8") as f:
-        print(f.read().rstrip())
+    print(summary_text)
     return 0
 
 

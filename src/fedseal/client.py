@@ -19,25 +19,18 @@ from . import nn
 
 
 @dataclass
-class ClientConfig:
-    epochs: int = 1
-    batch_size: int = 32
-    learning_rate: float = 0.001
-    lr_decay: float = 0.995
-    momentum: float = 0.9
+class ClientConfig(nn.SGDConfig):
+    """Local training schedule, plus the filtering and loss-weight settings."""
+
     theta: float = 0.05
     lambda_max: float = 1.0
     lambda_ramp_rounds: int = 30
     use_ensemble: bool = True
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        super().__post_init__()
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
-        nn.check_sgd(self.learning_rate, self.momentum, self.lr_decay)
         if not self.lambda_max >= 0:
             raise ValueError(f"lambda_max must be >= 0, got {self.lambda_max}")
         if self.lambda_ramp_rounds < 1:
@@ -191,11 +184,11 @@ def client_train(
                 x = features[rows]
                 if strong_augment_fn is not None:
                     x = strong_augment_fn(x, rng)
-                grad = lam * nn.gradient(opt.params, x, pos_labels[picked], False, 1.0)
+                grad = lam * nn.gradient(opt.params, x, pos_labels[picked])
             if lo < n_neg:
                 picked = neg_order[lo:hi]
                 neg_grad = nn.gradient(
-                    opt.params, features[neg_rows[picked]], neg_labels[picked], True, 1.0
+                    opt.params, features[neg_rows[picked]], neg_labels[picked], negative=True
                 )
                 grad = neg_grad if grad is None else grad + neg_grad
             nn.sgd_step(opt, grad)

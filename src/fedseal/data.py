@@ -521,6 +521,17 @@ class DataConfig:
             raise ValueError(f"spread must be >= 0, got {self.spread}")
         if self.kind == "idx" and not (self.train_images and self.train_labels):
             raise ValueError("idx data needs train_images and train_labels paths")
+        if bool(self.test_images) != bool(self.test_labels):
+            given, missing = (("test_images", "test_labels") if self.test_images
+                              else ("test_labels", "test_images"))
+            raise ValueError(f"{given} must come with {missing}: set both or neither")
+        if self.kind == "synthetic":
+            # idx and csv data learn their class count on load, and check there.
+            iid = ("per_client",) if self.partition == IID else ()
+            for name in ("server_train_n", *iid):
+                if getattr(self, name) % self.n_classes:
+                    raise ValueError(f"{name} must be divisible by n_classes = "
+                                     f"{self.n_classes}, got {getattr(self, name)}")
         if self.kind == "csv" and not self.train_csv:
             raise ValueError("csv data needs a train_csv path")
         h, w = self.image_height, self.image_width

@@ -160,8 +160,8 @@ def label_correct_rates(per_client) -> tuple[float | None, float | None]:
     return (pos_hits / pos_n if pos_n else None, neg_hits / neg_n if neg_n else None)
 
 
-def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus):
-    """Local work for one sampled client; pure given its rng streams."""
+def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus, ccfg):
+    """Local work for one sampled client, on the round's client config ``ccfg``."""
     cfg = state.cfg
     data_k = state.split.client_train[k]
     client_rng = stream(cfg.seed, "client", k, round_index)
@@ -169,21 +169,12 @@ def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus):
     if cfg.algorithm == FEDAVG_SL:
         # Label oracle: reveal the hidden labels and train supervised.
         labeled = Collection(data_k.X, state.split.hidden_labels(k))
-        sup_cfg = ServerConfig(
-            epochs=cfg.client.epochs,
-            batch_size=cfg.client.batch_size,
-            learning_rate=state.client_lr,
-            lr_decay=cfg.client.lr_decay,
-            momentum=cfg.client.momentum,
-        )
-        local = server_train(w_t, labeled, sup_cfg, client_rng, state.weak_augment)
+        local = server_train(w_t, labeled, ccfg, client_rng, state.weak_augment)
         return k, local, FilteredSets()
 
-    ccfg = replace(cfg.client, learning_rate=state.client_lr)
     if cfg.algorithm == FEDAVG_FIXMATCH:
         conf = update_ensemble(EnsembleState.empty(), w_t, data_k.X)
         taus = np.full(w_t.n_classes, cfg.fixmatch_threshold)
-        ccfg = replace(ccfg, lambda_max=1.0, lambda_ramp_rounds=1)
     elif cfg.client.use_ensemble:
         conf = state.ensembles[k]
     else:
@@ -219,12 +210,16 @@ def run_round(state: ExperimentState, round_index: int):
         state.weak_augment,
     )
     taus = compute_thresholds(w_t, state.split.server_val)
+    ccfg = replace(cfg.client, learning_rate=state.client_lr)
+    if cfg.algorithm == FEDAVG_FIXMATCH:
+        # FixMatch weighs its pseudo-labeled loss fully from round 1.
+        ccfg = replace(ccfg, lambda_max=1.0, lambda_ramp_rounds=1)
 
     # Steps 2-4: broadcast, client training, upload.
     uploads: list = []
     sets_by_client: dict[int, FilteredSets] = {}
     sampled: list[int] = []
-    if cfg.algorithm != SERVER_SL and cfg.clients_per_round > 0:
+    if cfg.algorithm != SERVER_SL:
         sampled = sample_clients(
             cfg.n_clients, cfg.clients_per_round, round_index, cfg.seed
         )
@@ -233,7 +228,9 @@ def run_round(state: ExperimentState, round_index: int):
                 state.ensembles[k] = update_ensemble(
                     state.ensembles[k], w_t, state.split.client_train[k].X
                 )
-        task = partial(_train_client, state, round_index=round_index, w_t=w_t, taus=taus)
+        task = partial(
+            _train_client, state, round_index=round_index, w_t=w_t, taus=taus, ccfg=ccfg
+        )
         if cfg.parallel_clients > 1 and len(sampled) > 1:
             workers = min(cfg.parallel_clients, len(sampled))
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -248,10 +245,6 @@ def run_round(state: ExperimentState, round_index: int):
     pos_rate, neg_rate = label_correct_rates(
         (sets_by_client[k], state.split.hidden_labels(k)) for k in sampled
     )
-    if cfg.algorithm == FEDAVG_FIXMATCH:
-        lam = 1.0
-    else:
-        lam = lambda_at(round_index, cfg.client)
     record = RoundRecord(
         round=round_index,
         test_accuracy=evaluate(w_t, state.split.test),
@@ -260,7 +253,7 @@ def run_round(state: ExperimentState, round_index: int):
         neg_sizes=tuple(len(sets_by_client[k].negative[0]) for k in sampled),
         pos_correct_rate=pos_rate,
         neg_correct_rate=neg_rate,
-        lambda_weight=lam,
+        lambda_weight=lambda_at(round_index, ccfg),
     )
 
     # Advance state: new global, fresh uploads, decayed learning rates.

@@ -99,6 +99,24 @@ def check_sgd(learning_rate: float, momentum: float, lr_decay: float = 1.0) -> N
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
 
 
+@dataclass
+class SGDConfig:
+    """Mini-batch momentum-SGD schedule; ``learning_rate`` is the current round's."""
+
+    epochs: int = 1
+    batch_size: int = 32
+    learning_rate: float = 0.001
+    lr_decay: float = 0.995  # applied once per round
+    momentum: float = 0.9
+
+    def __post_init__(self) -> None:
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_sgd(self.learning_rate, self.momentum, self.lr_decay)
+
+
 def shapes_for(dims: tuple[int, ...] | list[int]) -> tuple[tuple[int, int], ...]:
     """Layer shapes for a dims chain like (784, 128, 64, 10)."""
     if len(dims) < 2:
@@ -175,7 +193,7 @@ def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return np.argmax(forward_batch(params, features), axis=1)
 
 
-def _batch_arrays(params: ModelParams, X, labels, negative, weights):
+def _batch_arrays(params: ModelParams, X, labels):
     X = _features(params, X)
     n = X.shape[0]
     if n == 0:
@@ -186,61 +204,42 @@ def _batch_arrays(params: ModelParams, X, labels, negative, weights):
     if labels.min() < 0 or labels.max() >= params.n_classes:
         bad = labels[(labels < 0) | (labels >= params.n_classes)][0]
         raise ValueError(f"label {bad} out of range [0, {params.n_classes})")
-    negative = np.broadcast_to(np.asarray(negative, dtype=bool), (n,))
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n,))
-    return X, labels, negative, weights
+    return X, labels
 
 
-def batch_loss(params: ModelParams, X, labels, negative, weights) -> float:
-    """Weighted mean loss over a mixed positive/negative batch.
+def batch_loss(params: ModelParams, X, labels, negative=False) -> float:
+    """Mean loss of one kind over a batch.
 
     ``X`` is an (n, width) feature matrix and ``labels`` the n class labels.
-    Rows where ``negative`` is true take the complementary loss on their
-    label, the rest cross-entropy; ``negative`` and ``weights`` are per-row
-    arrays or one value for every row.  The mean is weight-normalized (sum
-    of w_i * loss_i over sum of w_i), so a duplicated row is interchangeable
-    with doubling its weight.  A batch with all-zero weights has loss 0 by
-    convention.
+    Every row takes cross-entropy on its label, -log p, or with ``negative``
+    the complementary loss, -log(1 - p) (NLNL, arXiv 1908.07387).
     """
-    X, labels, negative, weights = _batch_arrays(params, X, labels, negative, weights)
-    total = weights.sum()
-    if total == 0.0:
-        return 0.0
-    probs = forward_batch(params, X)
-    p = probs[np.arange(len(labels)), labels]
-    losses = np.where(
-        negative,
-        -np.log(np.clip(1.0 - p, PROB_FLOOR, 1.0)),
-        -np.log(np.clip(p, PROB_FLOOR, 1.0)),
-    )
-    return float((weights * losses).sum() / total)
+    X, labels = _batch_arrays(params, X, labels)
+    p = forward_batch(params, X)[np.arange(len(labels)), labels]
+    return float(-np.log(np.clip(1.0 - p if negative else p, PROB_FLOOR, 1.0)).mean())
 
 
-def gradient(params: ModelParams, X, labels, negative, weights) -> np.ndarray:
+def gradient(params: ModelParams, X, labels, negative=False) -> np.ndarray:
     """Analytic gradient of ``batch_loss`` with respect to the flat vector."""
-    X, labels, negative, weights = _batch_arrays(params, X, labels, negative, weights)
-    total = weights.sum()
-    if total == 0.0:
-        return np.zeros(params.values.size)
-
+    X, labels = _batch_arrays(params, X, labels)
     probs, inputs, layers = _forward_cached(params, X)
     rows = np.arange(len(labels))
     p = probs[rows, labels]
 
-    # d(loss)/d(logits) per row, before weighting.  Positive rows: p - onehot.
-    grad_z = probs.copy()
-    grad_z[rows, labels] -= 1.0
-    # Clamped rows have a locally constant loss, hence zero gradient.
-    grad_z[~negative & (p < PROB_FLOOR)] = 0.0
-    if negative.any():
-        pc = p[negative]
-        q = 1.0 - pc
-        scale = np.where(q < PROB_FLOOR, 0.0, pc / np.maximum(q, PROB_FLOOR))
-        g = -scale[:, None] * probs[negative]
-        g[np.arange(scale.size), labels[negative]] += scale
-        grad_z[negative] = g
-
-    grad_z *= (weights / total)[:, None]
+    # d(loss)/d(logits) per row; clamped rows have a locally constant loss,
+    # hence zero gradient.
+    if negative:
+        q = 1.0 - p
+        scale = np.where(q < PROB_FLOOR, 0.0, p / np.maximum(q, PROB_FLOOR))
+        grad_z = -scale[:, None] * probs
+        grad_z[rows, labels] += scale
+    else:
+        # p - onehot.
+        grad_z = probs.copy()
+        grad_z[rows, labels] -= 1.0
+        grad_z[p < PROB_FLOOR] = 0.0
+    # Scale by 1/n rather than divide by n: runs are pinned to these bytes.
+    grad_z *= 1.0 / len(labels)
 
     grads = []
     delta = grad_z

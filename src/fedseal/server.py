@@ -17,26 +17,18 @@ from .data import Collection
 
 
 @dataclass
-class ServerConfig:
-    """Server training schedule; ``learning_rate`` is the current round's."""
+class ServerConfig(nn.SGDConfig):
+    """Server training schedule, plus the epochs that bootstrap the first model."""
 
     epochs: int = 5
-    batch_size: int = 32
-    learning_rate: float = 0.001
-    lr_decay: float = 0.995
-    momentum: float = 0.9
     bootstrap_epochs: int = 100
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        super().__post_init__()
         if self.bootstrap_epochs < 0:
             raise ValueError(
                 f"bootstrap_epochs must be >= 0, got {self.bootstrap_epochs}"
             )
-        nn.check_sgd(self.learning_rate, self.momentum, self.lr_decay)
 
 
 def aggregate(local_models: list[nn.ModelParams]) -> nn.ModelParams:
@@ -61,7 +53,7 @@ def aggregate(local_models: list[nn.ModelParams]) -> nn.ModelParams:
 def server_train(
     global_model: nn.ModelParams,
     data: Collection,
-    cfg: ServerConfig,
+    cfg: nn.SGDConfig,
     rng: np.random.Generator,
     augment_fn=None,
 ) -> nn.ModelParams:
@@ -82,7 +74,7 @@ def server_train(
             x = data.X[rows]
             if augment_fn is not None:
                 x = augment_fn(x, rng)
-            grad = nn.gradient(opt.params, x, data.y[rows], False, 1.0)
+            grad = nn.gradient(opt.params, x, data.y[rows])
             nn.sgd_step(opt, grad)
     return opt.result()
 
@@ -123,8 +115,6 @@ def bootstrap(
     if not len(data):
         raise ValueError("bootstrap training set is empty")
     params = nn.init_params(dims, rng)
-    if cfg.bootstrap_epochs == 0:
-        return params
     return server_train(
         params, data, replace(cfg, epochs=cfg.bootstrap_epochs), rng, augment_fn
     )

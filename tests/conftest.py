@@ -36,18 +36,15 @@ def make_params(dims, seed: int = 0) -> ModelParams:
     return init_params(dims, stream(seed, "test-params"))
 
 
-def random_batch(params: ModelParams, n: int, seed: int, mixed: bool = True):
-    """Random (X, labels, negative, weights) batch; odd rows negative if mixed."""
+def random_batch(params: ModelParams, n: int, seed: int, negative: bool = False):
+    """Random (X, labels, negative) batch of one loss kind."""
     rng = stream(seed, "test-batch")
     X = np.empty((n, params.n_inputs))
     labels = np.empty(n, dtype=np.int64)
-    weights = np.empty(n)
     for i in range(n):
         X[i] = rng.random(params.n_inputs)
         labels[i] = rng.integers(0, params.n_classes)
-        weights[i] = rng.uniform(0.2, 2.0)
-    negative = (np.arange(n) % 2 == 1) & mixed
-    return X, labels, negative, weights
+    return X, labels, negative
 
 
 def reference_loss(label: int, confidence: np.ndarray, negative: bool) -> float:

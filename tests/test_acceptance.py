@@ -175,7 +175,7 @@ def test_criterion_2_gradient_correctness():
                 (augment(rng.random(width)), int(rng.integers(0, n_classes)))
                 for _ in range(n)
             ]
-            return np.stack([x for x, _ in rows]), [y for _, y in rows], negative, 1.0
+            return np.stack([x for x, _ in rows]), [y for _, y in rows], negative
 
         server_batch = draw(lambda x: augment_weak(x[None], rng)[0], False)
         positive_batch = draw(lambda x: augment_strong(x[None], rng)[0], False)

@@ -8,6 +8,7 @@ import pytest
 
 from fedseal import (
     ConfigError,
+    ExperimentConfig,
     config_hash,
     parse_config,
     parse_config_text,
@@ -69,6 +70,15 @@ def test_minimal_config_fills_documented_defaults():
     assert cfg.fixmatch_threshold == 0.9
     assert cfg.n_clients == 10
     assert cfg.hidden_dims == (128, 64)
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config_text(block)
+    assert cfg == ExperimentConfig()
+    # [server] and [client] share the SGD schedule keys, not the epochs default.
+    assert (cfg.server.epochs, cfg.client.epochs) == (5, 1)
 
 
 def test_clients_per_round_above_population_is_config_error():
@@ -213,6 +223,13 @@ def test_unknown_key_names_key_and_line(section, key):
         ("data", "n_classes", "0"),
         ("data", "n_features", "0"),
         ("data", "test_n", "0"),
+        # Half a test-file pair: a lone test_images failed opening '' at run
+        # time, and a lone test_labels was silently ignored.
+        ("data", "test_images", "t10k-images-idx3-ubyte"),
+        ("data", "test_labels", "t10k-labels-idx1-ubyte"),
+        # Synthetic split sizes the 10 classes cannot divide failed at run time.
+        ("data", "per_client", "101"),
+        ("data", "server_train_n", "41"),
     ],
 )
 def test_bad_value_names_key_and_line(section, key, value):
@@ -226,6 +243,16 @@ def test_test_n_zero_takes_a_whole_test_file():
     with pytest.raises(ConfigError, match="line 6: test_n must be >= 1"):
         parse_config_text(text + "test_n = 0\n")
     assert parse_config_text(text + "test_csv = b.csv\ntest_n = 0\n").data.test_n == 0
+
+
+def test_split_sizes_must_divide_only_where_the_class_count_is_known():
+    text = "[experiment]\nalgorithm = fedseal\n[data]\n"
+    # A Dirichlet partition deals per_client unevenly anyway.
+    assert parse_config_text(text + "partition = dirichlet\nper_client = 101\n")
+    # csv data learns its class count on load, where the split checks it.
+    assert parse_config_text(text + "kind = csv\ntrain_csv = a.csv\nserver_train_n = 41\n")
+    with pytest.raises(ConfigError, match="line 5: per_client must be divisible by n_classes = 4"):
+        parse_config_text(text + "n_classes = 4\nper_client = 102\n")
 
 
 def test_a_field_without_a_caster_fails_schema_derivation():
@@ -368,7 +395,7 @@ def test_emit_requires_records(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_run_single_round_on_bundled_synthetic_config(tmp_path):
+def test_run_single_round_on_bundled_synthetic_config(tmp_path, capsys):
     out = tmp_path / "out"
     code = run(["--config", str(BUNDLED_SYNTHETIC), "--rounds", "1",
                 "--output-dir", str(out)])
@@ -379,6 +406,7 @@ def test_run_single_round_on_bundled_synthetic_config(tmp_path):
     assert set(summary) == {
         "final_accuracy", "best_accuracy", "best_round", "config_hash", "seed"
     }
+    assert json.loads(capsys.readouterr().out) == summary
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["version"]
     assert set(manifest) == {"config_text", "artifacts", "started_at", "version"}

@@ -277,7 +277,7 @@ def test_client_train_positive_only_matches_pseudo_label_oracle():
         for start in range(0, len(pseudo), 4):
             picked = [pseudo[i] for i in order[start : start + 4]]
             x = augment_strong(data[[row for row, _ in picked]], rng)
-            sgd_step(opt, gradient(opt.params, x, [label for _, label in picked], False, 1.0))
+            sgd_step(opt, gradient(opt.params, x, [label for _, label in picked]))
     np.testing.assert_array_equal(trained.values, opt.result().values)
 
 
@@ -288,8 +288,8 @@ def test_client_combined_loss_gradient_matches_finite_differences():
     neg = [(rng.random(3), int(rng.integers(0, 4))) for _ in range(3)]
     lam = 0.37
 
-    pos_batch = (np.stack([x for x, _ in pos]), [y for _, y in pos], False, 1.0)
-    neg_batch = (np.stack([x for x, _ in neg]), [y for _, y in neg], True, 1.0)
+    pos_batch = (np.stack([x for x, _ in pos]), [y for _, y in pos], False)
+    neg_batch = (np.stack([x for x, _ in neg]), [y for _, y in neg], True)
     analytic = lam * gradient(model, *pos_batch) + gradient(model, *neg_batch)
 
     from fedseal import batch_loss
@@ -329,7 +329,7 @@ def test_client_train_negative_only_component():
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.1, momentum=0.0)
     out = client_train(model, sets, data, cfg, 1, stream(16, "t"))
     # One full batch, momentum 0: exactly one plain SGD step on the
-    # complementary loss (row order does not change the weighted mean).
+    # complementary loss (row order does not change the mean).
     opt = OptimizerState(model, 0.1, 0.0)
-    sgd_step(opt, gradient(model, data, np.ones(8), True, 1.0))
+    sgd_step(opt, gradient(model, data, np.ones(8), negative=True))
     np.testing.assert_allclose(out.values, opt.result().values, rtol=1e-12, atol=1e-15)

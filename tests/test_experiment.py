@@ -436,13 +436,8 @@ def test_fedavg_sl_reduces_to_textbook_fedavg():
     for k in range(2):
         shard = split.client_train[k]
         labeled = Collection(shard.X, split.hidden_labels(k))
-        sup_cfg = ServerConfig(
-            epochs=cfg.client.epochs, batch_size=cfg.client.batch_size,
-            learning_rate=cfg.client.learning_rate, lr_decay=cfg.client.lr_decay,
-            momentum=cfg.client.momentum,
-        )
         locals_.append(
-            server_train(w0, labeled, sup_cfg, stream(cfg.seed, "client", k, 1), weak)
+            server_train(w0, labeled, cfg.client, stream(cfg.seed, "client", k, 1), weak)
         )
     coordinate_mean = (locals_[0].values + locals_[1].values) / 2
     np.testing.assert_allclose(

@@ -144,7 +144,7 @@ def _emitting(confidence) -> ModelParams:
 
 def _loss(label: int, confidence, negative: bool = False) -> float:
     """batch_loss of one row whose predicted distribution is ``confidence``."""
-    return batch_loss(_emitting(confidence), np.zeros((1, 1)), [label], negative, 1.0)
+    return batch_loss(_emitting(confidence), np.zeros((1, 1)), [label], negative)
 
 
 def test_cross_entropy_one_hot_is_zero():
@@ -191,12 +191,13 @@ def test_negative_cross_entropy_out_of_range():
 # ---------------------------------------------------------------------------
 
 
-def test_gradient_matches_finite_differences_mixed_batch():
+def test_gradient_matches_finite_differences_for_each_loss_kind():
     params = make_params((2, 4, 3), seed=5)
-    batch = random_batch(params, 8, seed=5, mixed=True)
-    analytic = gradient(params, *batch)
-    numeric = fd_batch_gradient(params, batch, h=1e-4)
-    assert rel_error(analytic, numeric) < 1e-4
+    for negative in (False, True):
+        batch = random_batch(params, 8, seed=5, negative=negative)
+        analytic = gradient(params, *batch)
+        numeric = fd_batch_gradient(params, batch, h=1e-4)
+        assert rel_error(analytic, numeric) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -204,37 +205,23 @@ def test_gradient_finite_difference_property(seed):
     rng = stream(seed, "dims")
     dims = (int(rng.integers(2, 5)), int(rng.integers(3, 6)), int(rng.integers(2, 5)))
     params = make_params(dims, seed=seed + 100)
-    batch = random_batch(params, int(rng.integers(2, 9)), seed=seed + 200)
-    assert rel_error(gradient(params, *batch), fd_batch_gradient(params, batch)) < 1e-4
-
-
-def test_gradient_zero_weights_is_zero():
-    params = make_params((3, 5, 4), seed=6)
-    X = np.array([[0.1, 0.2, 0.3], [0.5, 0.1, 0.9]])
-    grad = gradient(params, X, [1, 2], [False, True], 0.0)
-    np.testing.assert_array_equal(grad, np.zeros(params.values.size))
-
-
-def test_gradient_duplicate_equals_double_weight():
-    params = make_params((3, 4, 3), seed=7)
-    a = np.array([0.2, 0.9, 0.4])
-    b = np.array([0.6, 0.1, 0.8])
-    duplicated = gradient(params, np.stack([a, a, b]), [1, 1, 0], [False, False, True], 1.0)
-    weighted = gradient(params, np.stack([a, b]), [1, 0], [False, True], [2.0, 1.0])
-    np.testing.assert_allclose(duplicated, weighted, atol=1e-10)
+    n = int(rng.integers(2, 9))
+    for negative in (False, True):
+        batch = random_batch(params, n, seed=seed + 200, negative=negative)
+        assert rel_error(gradient(params, *batch), fd_batch_gradient(params, batch)) < 1e-4
 
 
 def test_gradient_empty_batch_is_an_error():
     with pytest.raises(ValueError, match="empty batch"):
-        gradient(make_params((2, 3, 2), seed=0), np.empty((0, 2)), [], False, 1.0)
+        gradient(make_params((2, 3, 2), seed=0), np.empty((0, 2)), [])
 
 
 def test_gradient_rejects_bad_labels_and_width():
     params = make_params((2, 3, 2), seed=0)
     with pytest.raises(ValueError, match="out of range"):
-        gradient(params, np.zeros((2, 2)), [0, 2], True, 1.0)
+        gradient(params, np.zeros((2, 2)), [0, 2], negative=True)
     with pytest.raises(ValueError, match="expects 2.*got 3"):
-        gradient(params, np.zeros((2, 3)), [0, 1], False, 1.0)
+        gradient(params, np.zeros((2, 3)), [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +330,8 @@ def test_init_params_glorot_bounds_and_zero_bias():
 
 def test_batch_loss_matches_elementwise_losses():
     params = make_params((3, 5, 4), seed=14)
-    batch = random_batch(params, 6, seed=14)
-    X, labels, negatives, weights = batch
-    total, wsum = 0.0, 0.0
-    for probs, label, negative, weight in zip(forward_batch(params, X), labels, negatives, weights):
-        total += weight * reference_loss(label, probs, negative)
-        wsum += weight
-    assert batch_loss(params, *batch) == pytest.approx(total / wsum, rel=1e-12)
+    for negative in (False, True):
+        X, labels, _ = batch = random_batch(params, 6, seed=14, negative=negative)
+        probs = forward_batch(params, X)
+        losses = [reference_loss(y, row, negative) for row, y in zip(probs, labels)]
+        assert batch_loss(params, *batch) == pytest.approx(np.mean(losses), rel=1e-12)

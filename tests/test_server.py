@@ -106,7 +106,7 @@ def test_server_train_single_full_batch_equals_one_sgd_step():
     trained = server_train(model, data, cfg, stream(4, "srv"))
 
     opt = OptimizerState(model, 0.1, 0.0)
-    sgd_step(opt, gradient(model, data.X, data.y, False, 1.0))
+    sgd_step(opt, gradient(model, data.X, data.y))
     np.testing.assert_allclose(trained.values, opt.result().values, rtol=1e-12, atol=1e-15)
 
 
@@ -115,7 +115,7 @@ def test_server_train_drives_loss_down_on_separable_data():
     model = init_params((8, 16, 3), stream(5, "init"))
     cfg = ServerConfig(epochs=50, batch_size=16, learning_rate=0.2, momentum=0.9)
     trained = server_train(model, data, cfg, stream(5, "srv"))
-    assert batch_loss(trained, data.X, data.y, False, 1.0) < 0.1
+    assert batch_loss(trained, data.X, data.y) < 0.1
 
 
 def test_server_train_does_not_mutate_input_model():
