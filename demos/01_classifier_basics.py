@@ -57,3 +57,4 @@ for i in range(params.values.size):
 rel = np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric))
 print(f"\ngradient check on lambda * positive + negative: "
       f"relative error vs finite differences = {rel:.2e}")
+assert rel < 1e-6, f"analytic gradient disagrees with finite differences: {rel:.2e}"

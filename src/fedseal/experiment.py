@@ -201,6 +201,7 @@ def run_round(state: ExperimentState, round_index: int):
 
     # Step 1: aggregate previous uploads (if any), then server training.
     w_bar = aggregate(state.uploads) if state.uploads else state.global_params
+    state.uploads = []  # averaged: free them before this round's clients train
     server_cfg = replace(cfg.server, learning_rate=state.server_lr)
     w_t = server_train(
         w_bar,

@@ -36,7 +36,9 @@ def aggregate(local_models: list[nn.ModelParams]) -> nn.ModelParams:
 
     Computed as first + mean(deltas), which is exactly idempotent on
     identical inputs: averaging K copies of a model returns that model bit
-    for bit.
+    for bit.  The deltas are summed in place into one array, in upload
+    order, then divided by K: the same bytes as a stacked ``mean(axis=0)``
+    without holding K deltas at once.
     """
     if not local_models:
         raise ValueError("cannot aggregate an empty model list")
@@ -46,8 +48,12 @@ def aggregate(local_models: list[nn.ModelParams]) -> nn.ModelParams:
             raise ValueError("local models disagree on parameter layout")
     if len(local_models) == 1:
         return first
-    deltas = np.stack([model.values - first.values for model in local_models])
-    return first.with_values(first.values + deltas.mean(axis=0))
+    total = np.zeros_like(first.values)
+    for model in local_models:
+        total += model.values - first.values
+    total /= len(local_models)
+    total += first.values
+    return first.with_values(total)
 
 
 def server_train(

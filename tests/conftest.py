@@ -63,6 +63,12 @@ def labeled_rows(n: int, width: int, n_classes: int, seed: int) -> Collection:
     return Collection(X, y)
 
 
+def reference_aggregate(models: list[ModelParams]) -> np.ndarray:
+    """Oracle for aggregate: first + the stacked mean of the deltas from it."""
+    first = models[0].values
+    return first + np.stack([m.values - first for m in models]).mean(axis=0)
+
+
 def run_all_rounds(cfg):
     """``start(cfg)``, then every round: (records, final state)."""
     state = start(cfg)

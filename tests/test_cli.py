@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -471,3 +474,45 @@ def test_manifest_config_snapshot_reproduces_the_run(tmp_path):
     out_b = tmp_path / "b"
     assert run(["--config", str(replay_cfg), "--output-dir", str(out_b)]) == 0
     assert (out_a / "rounds.csv").read_bytes() == (out_b / "rounds.csv").read_bytes()
+
+
+# Imports the package and its CLI, then runs two rounds of the bundled config
+# as 8 x 8 images, so the image augmentation path, rotation included, runs
+# (round 1's clients admit too few rows to draw a rotation).
+FOOTPRINT_SCRIPT = """\
+import sys
+from dataclasses import replace
+
+import fedseal
+import fedseal.cli
+from fedseal import data
+from fedseal.config import with_overrides
+
+rotated = []
+rotate = data._rotate
+
+
+def counting_rotate(imgs, angles):
+    rotated.append(len(angles))
+    return rotate(imgs, angles)
+
+
+data._rotate = counting_rotate
+cfg = with_overrides(fedseal.parse_config(sys.argv[1]), rounds=2)
+cfg = replace(cfg, data=replace(cfg.data, n_features=64, image_height=8, image_width=8))
+fedseal.run_experiment(cfg)
+assert sum(rotated) > 0, "no image was rotated"
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_a_run_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test reference only.
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, str(BUNDLED_SYNTHETIC)],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedseal import (
     ClientConfig,
     EnsembleState,
     FilteredSets,
+    ModelParams,
     OptimizerState,
     build_negative_set,
     build_positive_set,
     client_train,
     forward_batch,
     gradient,
+    init_params,
     lambda_at,
     sgd_step,
     stream,
@@ -190,6 +194,58 @@ def test_negative_set_disjoint_from_positive_over_random_configs():
         assert len(pos_rows | neg_rows) <= n
         for i, comp in neg:
             assert rows[i][comp] <= theta
+
+
+def random_models(t: int, dims, seed: int) -> list[ModelParams]:
+    """t random models; scaling the weights spreads their confidence from flat to sharp."""
+    rng = stream(seed, "prop-models")
+    models = []
+    for i in range(t):
+        model = init_params(dims, stream(seed, "prop-model", i))
+        models.append(model.with_values(model.values * rng.uniform(0.5, 20.0)))
+    return models
+
+
+def ensemble_of(models: list[ModelParams], X: np.ndarray) -> EnsembleState:
+    state = EnsembleState.empty()
+    for model in models:
+        state = update_ensemble(state, model, X)
+    return state
+
+
+shards = dict(
+    n=st.integers(1, 30),
+    width=st.integers(1, 8),
+    n_classes=st.integers(2, 6),
+    t=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(theta=st.floats(0.0, 1.0), **shards)
+def test_filtered_sets_are_disjoint_and_complementary_labels_are_below_theta(
+    n, width, n_classes, t, seed, theta
+):
+    X = stream(seed, "prop-shard").random((n, width))
+    state = ensemble_of(random_models(t, (width, 6, n_classes), seed), X)
+    rng = stream(seed, "prop-filter")
+    taus = rng.uniform(0.0, 1.0, n_classes)
+    pos_rows, _ = build_positive_set(state, taus)
+    neg_rows, comp = build_negative_set(state, taus, theta, rng)
+    assert (state.avg[neg_rows, comp] <= theta).all()
+    assert np.intersect1d(pos_rows, neg_rows).size == 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**shards)
+def test_ensemble_is_the_mean_of_its_models_outputs(n, width, n_classes, t, seed):
+    X = stream(seed, "prop-shard").random((n, width))
+    models = random_models(t, (width, 6, n_classes), seed)
+    state = ensemble_of(models, X)
+    assert state.count == t
+    expected = np.mean([forward_batch(model, X) for model in models], axis=0)
+    np.testing.assert_allclose(state.avg, expected, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(50))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+import weakref
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -298,6 +299,31 @@ def _same_sets(a: FilteredSets, b: FilteredSets) -> bool:
     return all(
         np.array_equal(x, y) for x, y in zip((*a.positive, *a.negative), (*b.positive, *b.negative))
     )
+
+
+def test_uploads_are_freed_once_aggregated(monkeypatch):
+    # Round t's uploads are dead once round t + 1 has averaged them: none is
+    # alive when round t + 1's first client trains.
+    round_now = [0]
+    uploads = {}  # round -> weakrefs to its uploads
+    alive = {}  # round -> liveness of the previous round's uploads at its first training
+
+    def recording_client_train(*args):
+        t = round_now[0]
+        if t - 1 in uploads and t not in alive:
+            alive[t] = [ref() is not None for ref in uploads[t - 1]]
+        local = client_train(*args)
+        uploads.setdefault(t, []).append(weakref.ref(local))
+        return local
+
+    monkeypatch.setattr("fedseal.experiment.client_train", recording_client_train)
+    cfg = small_config(rounds=3)
+    state = start(cfg)
+    for t in range(1, cfg.rounds + 1):
+        round_now[0] = t
+        state, _ = run_round(state, t)
+    assert [len(uploads[t]) for t in (1, 2, 3)] == [cfg.clients_per_round] * 3
+    assert alive == {2: [False] * cfg.clients_per_round, 3: [False] * cfg.clients_per_round}
 
 
 def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):

@@ -23,7 +23,7 @@ from fedseal import (
 )
 from fedseal.nn import shapes_for
 
-from conftest import labeled_rows, make_params
+from conftest import labeled_rows, make_params, reference_aggregate
 
 
 def blobs(*args, **kwargs) -> Collection:
@@ -75,6 +75,16 @@ def test_aggregate_idempotent_on_identical_inputs_exactly():
     for copies in (2, 3, 7, 10):
         out = aggregate([model] * copies)
         assert np.array_equal(out.values, model.values)
+
+
+@pytest.mark.parametrize("dims", [(784, 128, 64, 10), (32, 128, 64, 10)])
+def test_aggregate_matches_stacked_mean_oracle_bit_for_bit(dims):
+    # Both benchmark workloads' model shapes, and every upload count up to
+    # their ten clients.
+    models = [make_params(dims, seed=s) for s in range(10)]
+    for k in range(1, 11):
+        out = aggregate(models[:k])
+        assert out.values.tobytes() == reference_aggregate(models[:k]).tobytes(), k
 
 
 def test_aggregate_permutation_invariant():
