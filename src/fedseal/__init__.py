@@ -26,7 +26,6 @@ from .data import (
     DatasetSplit,
     augment_strong,
     augment_weak,
-    build_split,
     ingest_csv,
     ingest_idx,
     load_split,

@@ -1,12 +1,12 @@
 """Datasets: ingestion, client partitioning, augmentation.
 
 A dataset is a pair of arrays: an (n, width) feature matrix with values in
-[0, 1] and n integer class labels, ``UNLABELED`` where a row has none.  A
-:class:`DatasetSplit` carves one labeled pool into the four collections a
-run needs (server train, server validation, per-client unlabeled shards,
-test), each a row-aligned :class:`Collection` built once.  Client shards
-expose no labels to algorithm code; their true labels are kept in arrays
-aligned with the shards, reachable only through
+[0, 1] and n integer class labels, ``UNLABELED`` where a row has none.
+:func:`load_split` carves one labeled pool into the four collections a run
+needs (server train, server validation, per-client unlabeled shards, test),
+held by a :class:`DatasetSplit`, each a row-aligned :class:`Collection`
+gathered once.  Client shards expose no labels to algorithm code; their true
+labels are kept in arrays aligned with the shards, reachable only through
 :meth:`DatasetSplit.hidden_labels`, which exists for correctness metrics and
 the label-oracle baseline.
 """
@@ -591,96 +591,141 @@ class DataConfig:
 
 
 def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
-    """Materialize the configured dataset and carve the run split."""
-    test_pool = None
-    client_pool = None
+    """Materialize the configured dataset and carve the run split.
+
+    The split is carved from labels alone (see :func:`_carve`); then the
+    feature rows of each collection are gathered once.
+    """
+    test_file = None
     if cfg.kind == "synthetic":
-        # Server/val/test rows draw from streams that do not involve
-        # n_clients, so those collections are identical whatever the client
-        # count; only the client pool scales.  All parts share one set of
-        # class centers.
+        # Row i of a blob pool has label i % n_classes.  Server/val/test rows
+        # come from a core pool whose streams do not involve n_clients, so
+        # those collections are identical whatever the client count; only the
+        # client pool scales.  Both pools share one set of class centers.
         centers = stream(seed, "data-centers").uniform(
             0.2, 0.8, size=(cfg.n_classes, cfg.n_features)
         )
-        core_n = cfg.server_train_n + cfg.server_val_n + cfg.test_n
-        pool = _blob_pool(centers, core_n, stream(seed, "data-core"), cfg.spread)
-        client_pool = _blob_pool(
-            centers, n_clients * cfg.per_client, stream(seed, "data-clients"), cfg.spread
-        )
+        y = np.arange(cfg.server_train_n + cfg.server_val_n + cfg.test_n) % cfg.n_classes
+        shard_y = np.arange(n_clients * cfg.per_client) % cfg.n_classes
+        server, val, test, shards = _carve(y, cfg, n_clients, seed, cfg.test_n, shard_y)
+        parts = [
+            *_blob_rows(centers, y, stream(seed, "data-core"), cfg.spread, [server, val, test]),
+            *_blob_rows(centers, shard_y, stream(seed, "data-clients"), cfg.spread, shards),
+        ]
     else:
         if cfg.kind == "idx":
-            train = ingest_idx(cfg.train_images, cfg.train_labels)
-            test = ingest_idx(cfg.test_images, cfg.test_labels) if cfg.test_images else None
+            X, y = ingest_idx(cfg.train_images, cfg.train_labels)
+            if cfg.test_images:
+                test_file = ingest_idx(cfg.test_images, cfg.test_labels)
         else:
-            train = ingest_csv(cfg.train_csv)
-            if (train[1] == UNLABELED).any():
-                raise ValueError("csv training pool must be fully labeled")
-            test = ingest_csv(cfg.test_csv) if cfg.test_csv else None
-        if cfg.image_shape and train[0].shape[1] != np.prod(cfg.image_shape):
+            X, y = _ingest_labeled_csv(cfg.train_csv, "training pool")
+            if cfg.test_csv:
+                test_file = _ingest_labeled_csv(cfg.test_csv, "test file")
+        if cfg.image_shape and X.shape[1] != np.prod(cfg.image_shape):
             raise ValueError(f"image_height x image_width = {cfg.image_height} x "
-                             f"{cfg.image_width} does not fit {train[0].shape[1]} features")
-        pool = _array_pool(*train)
-        if test is not None:
-            test_X, test_y = test
-            if 0 < cfg.test_n < len(test_y):
-                keep = stream(seed, "test").permutation(len(test_y))[: cfg.test_n]
-                test_X, test_y = test_X[keep], test_y[keep]
-            test_pool = _array_pool(test_X, test_y)
+                             f"{cfg.image_width} does not fit {X.shape[1]} features")
+        test_n = cfg.test_n if test_file is None else 0
+        server, val, test, shards = _carve(y, cfg, n_clients, seed, test_n)
+        shard_y = y
+        parts = [X[rows] for rows in (server, val, test, *shards)]
 
-    return _carve(
-        pool,
-        n_clients=n_clients,
-        per_client=cfg.per_client,
-        server_train_n=cfg.server_train_n,
-        server_val_n=cfg.server_val_n,
-        seed=seed,
-        partition_mode=cfg.partition,
-        alpha=cfg.dirichlet_alpha,
-        test_n=cfg.test_n,
-        test_pool=test_pool,
-        client_pool=client_pool,
+    server_X, val_X, test_X, *shard_X = parts
+    test_y = y[test]
+    if test_file is not None:
+        test_X, test_y = test_file
+        if 0 < cfg.test_n < len(test_y):
+            keep = stream(seed, "test").permutation(len(test_y))[: cfg.test_n]
+            test_X, test_y = test_X[keep], test_y[keep]
+    return DatasetSplit(
+        Collection(server_X, y[server]),
+        Collection(val_X, y[val]),
+        [Collection(features) for features in shard_X],
+        Collection(test_X, test_y),
+        [shard_y[rows] for rows in shards],
     )
 
 
+def _ingest_labeled_csv(path, role: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ingest_csv`, failing at the first row with an empty label."""
+    X, y = ingest_csv(path)
+    unlabeled = np.flatnonzero(y == UNLABELED)
+    if unlabeled.size:
+        raise ValueError(f"{path}: line {unlabeled[0] + 2}: empty label, but a csv "
+                         f"{role} must be fully labeled")
+    return X, y
+
+
+def _carve(labels, cfg: DataConfig, n_clients: int, seed: int, test_n: int,
+           shard_labels=None):
+    """Row positions of a run split: server train, validation, test, shards.
+
+    The server training set is class-balanced (equal count per class, as
+    evenly divisible); validation and ``test_n`` test rows are random draws
+    from the remainder.  Client shards come from :func:`partition` over what
+    is left, or over all of ``shard_labels``, a separate client pool, when
+    given; shard positions are then rows of that pool.
+    """
+    rng = stream(seed, "split")
+    pools = _class_pools(labels, rng)
+    n_classes = len(pools)
+    per_class, rest = divmod(cfg.server_train_n, n_classes)
+    if rest:
+        raise ValueError(
+            f"server_train_n {cfg.server_train_n} not divisible by {n_classes} classes"
+        )
+    for m, class_pool in enumerate(pools):
+        if len(class_pool) < per_class:
+            raise ValueError(f"class {m} has too few instances for the server split")
+    server = np.concatenate([class_pool[:per_class] for class_pool in pools])
+    remainder = np.concatenate([class_pool[per_class:] for class_pool in pools])
+    remainder = remainder[rng.permutation(len(remainder))]
+
+    if cfg.server_val_n > len(remainder):
+        raise ValueError("not enough instances left for the validation split")
+    val, remainder = remainder[: cfg.server_val_n], remainder[cfg.server_val_n :]
+    if test_n > len(remainder):
+        raise ValueError("not enough instances left for the test split")
+    test, remainder = remainder[:test_n], remainder[test_n:]
+
+    if shard_labels is None:
+        shard_labels, candidates = labels, remainder
+    else:
+        candidates = np.arange(len(shard_labels))
+    shards = partition(shard_labels[candidates], n_clients, cfg.partition, cfg.per_client,
+                       seed, cfg.dirichlet_alpha)
+    return server, val, test, [candidates[rows] for rows in shards]
+
+
 # ---------------------------------------------------------------------------
-# Synthetic data and split assembly
+# Synthetic data
 # ---------------------------------------------------------------------------
 
-# A pool is (labels, take): take(positions) returns the feature rows at those
-# positions, and is called once per pool.
 _BLOB_CHUNK = 256
 
 
-def _array_pool(features, labels):
-    features = np.asarray(features, dtype=np.float64)
-    return np.asarray(labels, dtype=np.int64), lambda positions: features[positions]
+def _blob_rows(centers: np.ndarray, labels: np.ndarray, rng: np.random.Generator,
+               spread: float, parts: list[np.ndarray]) -> list[np.ndarray]:
+    """The feature rows at each of ``parts``' positions in a Gaussian-blob pool.
 
-
-def _blob_pool(centers: np.ndarray, n: int, rng: np.random.Generator, spread: float):
-    """An n-row Gaussian-blob pool whose features are generated on ``take``.
-
-    Row i has label i % n_classes and features clip(center + N(0, spread)),
-    drawn from ``rng`` in row order.  ``take`` generates the rows chunk by
-    chunk and keeps only the requested ones, so the whole pool is never held
-    in memory beside the collections cut from it.
+    Row i of the pool has features clip(centers[labels[i]] + N(0, spread)),
+    drawn from ``rng`` in row order.  The pool is generated chunk by chunk and
+    only the requested rows are kept, scattered into one array that is
+    returned as one view per part, so the whole pool is never held in memory
+    beside them.
     """
-    n_classes, width = centers.shape
-    labels = np.arange(n) % n_classes
-
-    def take(positions: np.ndarray) -> np.ndarray:
-        out = np.empty((len(positions), width))
-        dest = np.full(n, -1)
-        dest[positions] = np.arange(len(positions))
-        for lo in range(0, n, _BLOB_CHUNK):
-            hi = min(lo + _BLOB_CHUNK, n)
-            block = rng.normal(0.0, spread, size=(hi - lo, width))
-            block += centers[labels[lo:hi]]
-            np.clip(block, 0.0, 1.0, out=block)
-            kept = dest[lo:hi] >= 0
-            out[dest[lo:hi][kept]] = block[kept]
-        return out
-
-    return labels, take
+    n, width = len(labels), centers.shape[1]
+    sizes = [len(positions) for positions in parts]
+    out = np.empty((sum(sizes), width))
+    dest = np.full(n, -1)
+    dest[np.concatenate(parts)] = np.arange(len(out))
+    for lo in range(0, n, _BLOB_CHUNK):
+        hi = min(lo + _BLOB_CHUNK, n)
+        block = rng.normal(0.0, spread, size=(hi - lo, width))
+        block += centers[labels[lo:hi]]
+        np.clip(block, 0.0, 1.0, out=block)
+        kept = dest[lo:hi] >= 0
+        out[dest[lo:hi][kept]] = block[kept]
+    return np.split(out, np.cumsum(sizes)[:-1])
 
 
 def synthetic_blobs(
@@ -692,102 +737,5 @@ def synthetic_blobs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Balanced Gaussian class blobs as (features, labels), features in [0, 1]."""
     centers = rng.uniform(0.2, 0.8, size=(n_classes, n_features))
-    labels, take = _blob_pool(centers, n_instances, rng, spread)
-    return take(np.arange(n_instances)), labels
-
-
-def build_split(
-    pool: tuple[np.ndarray, np.ndarray],
-    n_clients: int,
-    per_client: int,
-    server_train_n: int,
-    server_val_n: int,
-    seed: int,
-    partition_mode: str = IID,
-    alpha: float = 0.5,
-    test_n: int = 0,
-    test_pool: tuple[np.ndarray, np.ndarray] | None = None,
-) -> DatasetSplit:
-    """Carve one labeled (features, labels) pool into a full run split.
-
-    The server training set is class-balanced (equal count per class, as
-    evenly divisible); validation and test (when carved rather than supplied
-    as ``test_pool``) are random draws from the remainder.  Client shards
-    come from :func:`partition` over what is left; their labels move to the
-    hidden arrays.
-    """
-    return _carve(
-        _array_pool(*pool), n_clients, per_client, server_train_n, server_val_n, seed,
-        partition_mode, alpha, test_n,
-        None if test_pool is None else _array_pool(*test_pool), None,
-    )
-
-
-def _carve(
-    pool, n_clients, per_client, server_train_n, server_val_n, seed,
-    partition_mode, alpha, test_n, test_pool, client_pool,
-) -> DatasetSplit:
-    """:func:`build_split` over pools; shards come from ``client_pool`` if given."""
-    labels, _ = pool
-    rng = stream(seed, "split")
-    if (labels < 0).any():
-        raise ValueError("split pool must be fully labeled")
-    n_classes = int(labels.max()) + 1
-    if server_train_n % n_classes != 0:
-        raise ValueError(
-            f"server_train_n {server_train_n} not divisible by {n_classes} classes"
-        )
-
-    pools = _class_pools(labels, rng)
-    per_class = server_train_n // n_classes
-    for m, class_pool in enumerate(pools):
-        if len(class_pool) < per_class:
-            raise ValueError(f"class {m} has too few instances for the server split")
-    server_train = np.concatenate([class_pool[:per_class] for class_pool in pools])
-    remainder = np.concatenate([class_pool[per_class:] for class_pool in pools])
-    remainder = remainder[rng.permutation(len(remainder))]
-
-    if server_val_n > len(remainder):
-        raise ValueError("not enough instances left for the validation split")
-    server_val, remainder = remainder[:server_val_n], remainder[server_val_n:]
-
-    if test_pool is None:
-        if test_n > len(remainder):
-            raise ValueError("not enough instances left for the test split")
-        test, remainder = (pool, remainder[:test_n]), remainder[test_n:]
-    else:
-        test = (test_pool, np.arange(len(test_pool[0])))
-
-    if client_pool is None:
-        shard_pool, candidates = pool, remainder
-    else:
-        shard_pool, candidates = client_pool, np.arange(len(client_pool[0]))
-    shards = [
-        (shard_pool, candidates[rows])
-        for rows in partition(
-            shard_pool[0][candidates], n_clients, partition_mode, per_client, seed, alpha
-        )
-    ]
-
-    parts = _take_all([(pool, server_train), (pool, server_val), test, *shards])
-    return DatasetSplit(
-        Collection(*parts[0]),
-        Collection(*parts[1]),
-        [Collection(X) for X, _ in parts[3:]],
-        Collection(*parts[2]),
-        [y for _, y in parts[3:]],
-    )
-
-
-def _take_all(requests):
-    """(features, labels) for each (pool, positions) request, one take per pool."""
-    by_pool: dict[int, tuple] = {}
-    for i, (pool, positions) in enumerate(requests):
-        by_pool.setdefault(id(pool), (pool, []))[1].append((i, positions))
-    out: list = [None] * len(requests)
-    for (labels, take), items in by_pool.values():
-        sizes = [len(positions) for _, positions in items]
-        rows = take(np.concatenate([positions for _, positions in items]))
-        for (i, positions), X in zip(items, np.split(rows, np.cumsum(sizes)[:-1])):
-            out[i] = (X, labels[positions])
-    return out
+    labels = np.arange(n_instances) % n_classes
+    return _blob_rows(centers, labels, rng, spread, [np.arange(n_instances)])[0], labels

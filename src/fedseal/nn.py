@@ -28,13 +28,15 @@ class ModelParams:
     """Flat parameter vector plus per-layer (fan_in, fan_out) shapes.
 
     Bias length per layer equals fan_out; packing order is W1, b1, W2, b2, ...
+    ``values`` is a read-only view of the array given, not a copy, so hand
+    over an array that nothing writes afterwards.
     """
 
     values: np.ndarray
     shapes: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64).view()
         expected = param_count(self.shapes)
         if values.ndim != 1 or values.size != expected:
             raise ValueError(
@@ -56,14 +58,6 @@ class ModelParams:
         return ModelParams(values=values, shapes=self.shapes)
 
 
-def _wrap(values: np.ndarray, shapes) -> ModelParams:
-    """A ModelParams over the read-only ``values`` itself, without a copy."""
-    params = object.__new__(ModelParams)
-    params.values = values
-    params.shapes = shapes
-    return params
-
-
 class OptimizerState:
     """SGD with momentum on a private copy of one model's parameters.
 
@@ -81,13 +75,11 @@ class OptimizerState:
         self._values = params.values.copy()
         self._scratch = np.empty_like(self._values)
         self.velocity = np.zeros_like(self._values)
-        view = self._values.view()
-        view.flags.writeable = False
-        self.params = _wrap(view, params.shapes)
+        self.params = ModelParams(self._values, params.shapes)
 
     def result(self) -> ModelParams:
         self._values.flags.writeable = False
-        return _wrap(self._values, self.params.shapes)
+        return ModelParams(self._values, self.params.shapes)
 
 
 def check_sgd(learning_rate: float, momentum: float, lr_decay: float = 1.0) -> None:

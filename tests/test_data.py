@@ -1,6 +1,8 @@
 """Data layer: IDX/CSV ingestion, partitioning, augmentation, splits."""
 
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from fedseal import (
     DataConfig,
     augment_strong,
     augment_weak,
-    build_split,
     ingest_csv,
     ingest_idx,
     load_split,
@@ -24,7 +25,7 @@ from fedseal import (
 
 from scipy import special
 
-from fedseal.data import _apply_op, _cos_sin_deg, _rotate
+from fedseal.data import _apply_op, _carve, _cos_sin_deg, _rotate
 
 from conftest import (
     ForcedRng,
@@ -496,12 +497,16 @@ def test_strong_augmentation_of_images_smaller_than_a_shift(shape):
 # ---------------------------------------------------------------------------
 
 
-def test_build_split_disjoint_and_hidden():
+def csv_split(tmp_path, pool, n_clients: int, seed: int, **sizes):
+    write_csv(*pool, tmp_path / "train.csv")
+    cfg = DataConfig(kind="csv", train_csv=str(tmp_path / "train.csv"), **sizes)
+    return load_split(cfg, n_clients, seed)
+
+
+def test_load_split_disjoint_and_hidden(tmp_path):
     pool = balanced_pool(1500, 5, seed=14)
-    split = build_split(
-        pool, n_clients=4, per_client=100, server_train_n=50, server_val_n=40,
-        seed=3, test_n=60,
-    )
+    split = csv_split(tmp_path, pool, n_clients=4, seed=3, per_client=100,
+                      server_train_n=50, server_val_n=40, test_n=60)
     assert len(split.server_train) == 50
     assert len(split.server_val) == 40
     assert len(split.test) == 60
@@ -530,24 +535,84 @@ def test_build_split_disjoint_and_hidden():
     assert len(used) == 50 + 40 + 60 + 4 * 100
 
 
-def test_build_split_same_seed_identical():
+def test_load_split_same_seed_identical(tmp_path):
     pool = balanced_pool(1200, 4, seed=15)
-    kwargs = dict(
-        n_clients=3, per_client=80, server_train_n=40, server_val_n=30,
-        seed=8, test_n=50, partition_mode="dirichlet",
-    )
-    a = build_split(pool, **kwargs)
-    b = build_split(pool, **kwargs)
+    sizes = dict(per_client=80, server_train_n=40, server_val_n=30, test_n=50,
+                 partition="dirichlet")
+    a = csv_split(tmp_path, pool, n_clients=3, seed=8, **sizes)
+    b = csv_split(tmp_path, pool, n_clients=3, seed=8, **sizes)
     for shard_a, shard_b in zip(a.client_train, b.client_train):
         np.testing.assert_array_equal(shard_a.X, shard_b.X)
     for k in range(3):
         np.testing.assert_array_equal(a.hidden_labels(k), b.hidden_labels(k))
 
 
-def test_build_split_divisibility_error():
+def test_load_split_divisibility_error(tmp_path):
     pool = balanced_pool(300, 4, seed=16)
     with pytest.raises(ValueError, match="divisible"):
-        build_split(pool, 2, 20, server_train_n=30, server_val_n=10, seed=0, test_n=10)
+        csv_split(tmp_path, pool, n_clients=2, seed=0, per_client=20, server_train_n=30,
+                  server_val_n=10, test_n=10)
+
+
+def labels_with_counts(counts, rng) -> np.ndarray:
+    return rng.permutation(np.repeat(np.arange(len(counts)), counts))
+
+
+def assert_disjoint_within(parts, pool_size: int) -> None:
+    positions = np.concatenate(parts)
+    assert len(np.unique(positions)) == len(positions)
+    assert ((0 <= positions) & (positions < pool_size)).all()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n_classes=st.integers(2, 6),
+    n_clients=st.integers(1, 5),
+    server_per_class=st.integers(1, 4),
+    server_val_n=st.integers(1, 15),
+    test_n=st.integers(0, 15),
+    per_client_units=st.integers(1, 12),
+    mode=st.sampled_from(["iid", "dirichlet"]),
+    alpha=st.floats(0.05, 5.0),
+    spare=st.lists(st.integers(0, 10), min_size=12, max_size=12),
+    separate_client_pool=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_carve_positions_are_disjoint_within_their_pool_and_exactly_sized(
+    n_classes, n_clients, server_per_class, server_val_n, test_n, per_client_units,
+    mode, alpha, spare, separate_client_pool, seed,
+):
+    # An iid shard takes per_client / n_classes rows of every class.
+    per_client = per_client_units * (n_classes if mode == "iid" else 1)
+    cfg = DataConfig(n_classes=n_classes, partition=mode, dirichlet_alpha=alpha,
+                     per_client=per_client, server_train_n=server_per_class * n_classes,
+                     server_val_n=server_val_n)
+    # Every class has stock for its server rows, for validation and test
+    # drawing only from it, and for every shard drawing only from it.
+    rng = stream(seed, "carve-pool")
+    need = n_clients * per_client
+    labels = labels_with_counts(
+        [server_per_class + server_val_n + test_n + need + s for s in spare[:n_classes]], rng
+    )
+    shard_labels = None
+    if separate_client_pool:
+        shard_labels = labels_with_counts([need + s for s in spare[-n_classes:]], rng)
+
+    server, val, test, shards = _carve(labels, cfg, n_clients, seed, test_n, shard_labels)
+    assert (len(server), len(val), len(test)) == (cfg.server_train_n, server_val_n, test_n)
+    assert [len(shard) for shard in shards] == [per_client] * n_clients
+    np.testing.assert_array_equal(np.bincount(labels[server], minlength=n_classes),
+                                  np.full(n_classes, server_per_class))
+    if shard_labels is None:
+        assert_disjoint_within([server, val, test, *shards], len(labels))
+    else:
+        assert_disjoint_within([server, val, test], len(labels))
+        assert_disjoint_within(shards, len(shard_labels))
+    # partition on its own, over the whole shard pool.
+    pool = labels if shard_labels is None else shard_labels
+    direct = partition(pool, n_clients, mode, per_client, seed, alpha)
+    assert [len(shard) for shard in direct] == [per_client] * n_clients
+    assert_disjoint_within(direct, len(pool))
 
 
 def test_synthetic_blobs_balanced_and_bounded():
@@ -606,6 +671,26 @@ def test_load_split_csv_subsamples_the_test_file(tmp_path):
         load_split(cfg, n_clients=2, seed=3)
 
 
+@pytest.mark.parametrize("part", ["train", "test"])
+def test_load_split_names_the_file_and_line_of_an_unlabeled_csv_row(tmp_path, part):
+    features, labels = synthetic_blobs(400, 4, 6, stream(22, "csv-unlabeled"))
+    paths = {name: tmp_path / f"{name}.csv" for name in ("train", "test")}
+    write_csv(features[:300], labels[:300], paths["train"])
+    write_csv(features[300:], labels[300:], paths["test"])
+    X, y = ingest_csv(paths[part])
+    y[7] = UNLABELED
+    write_csv(X, y, paths[part])
+    # test_n subsamples the test file, but every row of it must be labeled.
+    cfg = DataConfig(
+        kind="csv", train_csv=str(paths["train"]), test_csv=str(paths["test"]),
+        per_client=40, server_train_n=20, server_val_n=20, test_n=5,
+    )
+    role = {"train": "training pool", "test": "test file"}[part]
+    message = f"{paths[part]}: line 9: empty label, but a csv {role} must be fully labeled"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_split(cfg, n_clients=2, seed=3)
+
+
 def test_load_split_synthetic_covers_iid_partition():
     cfg = DataConfig(
         kind="synthetic", n_classes=5, n_features=6, per_client=50,
@@ -616,3 +701,21 @@ def test_load_split_synthetic_covers_iid_partition():
     assert [len(s) for s in split.client_train] == [50] * 4
     for shard in split.client_train:
         assert not shard.X.flags.writeable
+
+
+def test_synthetic_load_split_peaks_near_the_bytes_it_returns():
+    # The paper_iid shape.  The blob pools are drawn chunk by chunk and each
+    # collection is gathered once, so the peak stays near the split's own
+    # bytes; holding a whole pool beside the split would about double it.
+    cfg = DataConfig(n_features=784, image_height=28, image_width=28)
+    tracemalloc.start()
+    try:
+        split = load_split(cfg, n_clients=10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    labeled = (split.server_train, split.server_val, split.test)
+    held = sum(coll.X.nbytes + coll.y.nbytes for coll in labeled)
+    held += sum(shard.X.nbytes + split.hidden_labels(k).nbytes
+                for k, shard in enumerate(split.client_train))
+    assert peak <= 1.1 * held, peak / held

@@ -6,12 +6,14 @@ says so.
 """
 
 import hashlib
+import struct
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fedseal import parse_config
+from fedseal import DataConfig, load_split, parse_config, stream, synthetic_blobs, write_csv
 from fedseal.cli import emit_metrics
 from fedseal.config import with_overrides
 
@@ -54,3 +56,51 @@ def test_bundled_synthetic_config_as_images_matches_golden_digests(tmp_path):
     cfg = parse_config(BUNDLED_SYNTHETIC)
     cfg = replace(cfg, data=replace(cfg.data, n_features=64, image_height=8, image_width=8))
     assert digests(cfg, tmp_path) == GOLDEN_IMAGES
+
+
+# load_split output, one MD5 per case over every collection's X and y bytes
+# and every client shard's X and hidden-label bytes.
+GOLDEN_SPLITS = {
+    "synthetic_iid": "79b848eca4513930f63bb2bf5f207249",
+    "synthetic_dirichlet": "8057b23dd085eb5e6f27e93c812f3761",
+    "csv": "5c62306e0465502099fe412349646e98",
+    "idx": "30a512494ed9628c321e5066cda41359",
+}
+
+
+def split_digest(split) -> str:
+    md5 = hashlib.md5()
+    for coll in (split.server_train, split.server_val, split.test):
+        md5.update(coll.X.tobytes())
+        md5.update(coll.y.tobytes())
+    for k, shard in enumerate(split.client_train):
+        md5.update(shard.X.tobytes())
+        md5.update(split.hidden_labels(k).tobytes())
+    return md5.hexdigest()
+
+
+def split_config(case: str, tmp_path) -> DataConfig:
+    sizes = dict(per_client=60, server_train_n=40, server_val_n=20)
+    if case.startswith("synthetic"):
+        mode = case.removeprefix("synthetic_")
+        return DataConfig(kind="synthetic", n_classes=4, n_features=12, partition=mode,
+                          dirichlet_alpha=0.3, test_n=300, **sizes)
+    # One fixed pool for both file kinds: 500 training rows, 100 test rows.
+    X, y = synthetic_blobs(600, 4, 64, stream(21, "golden-split-pool"))
+    if case == "csv":
+        write_csv(X[:500], y[:500], tmp_path / "train.csv")
+        write_csv(X[500:], y[500:], tmp_path / "test.csv")
+        return DataConfig(kind="csv", train_csv=str(tmp_path / "train.csv"),
+                          test_csv=str(tmp_path / "test.csv"), test_n=30, **sizes)
+    pixels, labels = np.rint(X * 255).astype(np.uint8), y.astype(np.uint8)
+    (tmp_path / "images").write_bytes(struct.pack(">IIII", 0x803, 600, 8, 8) + pixels.tobytes())
+    (tmp_path / "labels").write_bytes(struct.pack(">II", 0x801, 600) + labels.tobytes())
+    return DataConfig(kind="idx", train_images=str(tmp_path / "images"),
+                      train_labels=str(tmp_path / "labels"), image_height=8, image_width=8,
+                      test_n=50, **sizes)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SPLITS))
+def test_load_split_matches_golden_digests(case, tmp_path):
+    split = load_split(split_config(case, tmp_path), n_clients=6, seed=5)
+    assert split_digest(split) == GOLDEN_SPLITS[case]

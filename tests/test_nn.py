@@ -320,6 +320,14 @@ def test_model_params_length_validation():
         ModelParams(np.zeros(5), shapes_for((2, 3)))
 
 
+def test_model_params_hold_a_read_only_view_not_a_copy():
+    values = np.zeros(param_count(shapes_for((2, 3))))
+    params = ModelParams(values, shapes_for((2, 3)))
+    assert np.shares_memory(params.values, values)
+    assert np.shares_memory(params.with_values(values).values, values)
+    assert not params.values.flags.writeable and values.flags.writeable
+
+
 def test_init_params_glorot_bounds_and_zero_bias():
     params = init_params((30, 20, 10), stream(2, "init"))
     for (fan_in, fan_out), (w, b) in zip(params.shapes, unflatten(params)):
