@@ -1,4 +1,4 @@
-"""All four algorithms on one synthetic task: lower bound to upper bound.
+"""fedseal and its three baselines on one synthetic task, lower to upper bound.
 
 Runs server-only training (lower bound), the FixMatch-style combination,
 the full algorithm, and the label-oracle FedAvg upper bound with identical

@@ -25,7 +25,6 @@ class ClientConfig(nn.SGDConfig):
     theta: float = 0.05
     lambda_max: float = 1.0
     lambda_ramp_rounds: int = 30
-    use_ensemble: bool = True
 
     def __post_init__(self) -> None:
         super().__post_init__()

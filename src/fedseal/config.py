@@ -24,14 +24,6 @@ class ConfigError(ValueError):
     """Bad experiment configuration; message carries file/line context."""
 
 
-def _bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"expected 'true' or 'false', got {text!r}")
-
-
 def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in text.split(","))
 
@@ -43,8 +35,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# One caster per annotation; a field with any other type fails at import.
-_CASTERS = {int: int, float: _finite_float, str: str, bool: _bool, tuple[int, ...]: _int_tuple}
+# One caster per annotation; a field with any other type fails at import.  No
+# key is a bool: an on/off switch between algorithms is a row of RECIPES.
+_CASTERS = {int: int, float: _finite_float, str: str, tuple[int, ...]: _int_tuple}
 
 
 def _derive_schema(root: type) -> dict[str, tuple[type, dict[str, object]]]:
@@ -149,8 +142,6 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

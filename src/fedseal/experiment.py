@@ -1,11 +1,12 @@
-"""Round loop, client sampling, baseline algorithms and metrics.
+"""Round loop, client sampling, the algorithm table and metrics.
 
 One round runs: aggregate last round's uploads -> supervised server training
 -> per-class thresholds -> broadcast (ensemble updates) -> filtering and
-local training on the sampled clients -> collect uploads.  Besides the full
-algorithm there are three baselines: ``server_sl`` (labeled server data
-only, the lower bound), ``fedavg_sl`` (clients train on their true labels,
-an unrealizable upper bound) and ``fedavg_fixmatch`` (current-model
+local training on the sampled clients -> collect uploads.  ``RECIPES`` says
+what each algorithm does in that loop: the full algorithm, its
+self-ensemble ablation and three baselines, ``server_sl`` (labeled server
+data only, the lower bound), ``fedavg_sl`` (clients train on their true
+labels, an unrealizable upper bound) and ``fedavg_fixmatch`` (current-model
 confidence against one fixed threshold, no negative learning).
 
 Every stochastic choice draws from a stream keyed by (seed, purpose, round,
@@ -42,16 +43,33 @@ from .data import (
 from .rng import stream
 from .server import ServerConfig, aggregate, bootstrap, compute_thresholds, server_train
 
-FEDSEAL = "fedseal"
-SERVER_SL = "server_sl"
-FEDAVG_SL = "fedavg_sl"
-FEDAVG_FIXMATCH = "fedavg_fixmatch"
-ALGORITHMS = (FEDSEAL, SERVER_SL, FEDAVG_SL, FEDAVG_FIXMATCH)
+
+@dataclass(frozen=True)
+class Recipe:
+    """What one algorithm does in a round, beyond the shared server phase."""
+
+    # A client's training labels: "ensemble" or "model" (the self-ensemble's
+    # or the round's model's confidence, filtered by threshold), "hidden"
+    # (the label oracle), or None (no client phase).
+    labels: str | None
+    fixed_threshold: bool = False  # fixmatch_threshold for every class
+    negative: bool = True  # complementary negative set
+    ramp: bool = True  # lambda ramp; False weighs the positive loss fully from round 1
+
+
+RECIPES = {
+    "fedseal": Recipe("ensemble"),
+    "server_sl": Recipe(None),
+    "fedavg_sl": Recipe("hidden"),
+    "fedavg_fixmatch": Recipe("model", fixed_threshold=True, negative=False, ramp=False),
+    "fedseal_no_ensemble": Recipe("model"),
+}
+ALGORITHMS = tuple(RECIPES)
 
 
 @dataclass
 class ExperimentConfig:
-    algorithm: str = FEDSEAL
+    algorithm: str = "fedseal"
     n_clients: int = 10
     clients_per_round: int = 10
     rounds: int = 100
@@ -161,43 +179,35 @@ def label_correct_rates(per_client) -> tuple[float | None, float | None]:
 
 
 def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus, ccfg):
-    """Local work for one sampled client, on the round's client config ``ccfg``."""
+    """Local work for one sampled client: (local model, filtered sets)."""
     cfg = state.cfg
+    recipe = RECIPES[cfg.algorithm]
     data_k = state.split.client_train[k]
     client_rng = stream(cfg.seed, "client", k, round_index)
 
-    if cfg.algorithm == FEDAVG_SL:
-        # Label oracle: reveal the hidden labels and train supervised.
+    if recipe.labels == "hidden":
         labeled = Collection(data_k.X, state.split.hidden_labels(k))
         local = server_train(w_t, labeled, ccfg, client_rng, state.weak_augment)
-        return k, local, FilteredSets()
+        return local, FilteredSets()
 
-    if cfg.algorithm == FEDAVG_FIXMATCH:
-        conf = update_ensemble(EnsembleState.empty(), w_t, data_k.X)
-        taus = np.full(w_t.n_classes, cfg.fixmatch_threshold)
-    elif cfg.client.use_ensemble:
+    if recipe.labels == "ensemble":
         conf = state.ensembles[k]
     else:
-        # Ablation: confidence from the current model only.
         conf = update_ensemble(EnsembleState.empty(), w_t, data_k.X)
-
-    positive = build_positive_set(conf, taus)
-    if cfg.algorithm == FEDAVG_FIXMATCH:
-        sets = FilteredSets(positive)
-    else:
-        negative = build_negative_set(
-            conf, taus, ccfg.theta, stream(cfg.seed, "negative", k, round_index)
-        )
-        sets = FilteredSets(positive, negative)
+    sets = FilteredSets(build_positive_set(conf, taus))
+    if recipe.negative:
+        negative_rng = stream(cfg.seed, "negative", k, round_index)
+        sets = replace(sets, negative=build_negative_set(conf, taus, ccfg.theta, negative_rng))
     local = client_train(
         w_t, sets, data_k.X, ccfg, round_index, client_rng, state.strong_augment
     )
-    return k, local, sets
+    return local, sets
 
 
 def run_round(state: ExperimentState, round_index: int):
     """Execute one full round; returns (state, RoundRecord)."""
     cfg = state.cfg
+    recipe = RECIPES[cfg.algorithm]
 
     # Step 1: aggregate previous uploads (if any), then server training.
     w_bar = aggregate(state.uploads) if state.uploads else state.global_params
@@ -211,26 +221,25 @@ def run_round(state: ExperimentState, round_index: int):
         state.weak_augment,
     )
     taus = compute_thresholds(w_t, state.split.server_val)
+    client_taus = taus  # the record keeps the server's thresholds
+    if recipe.fixed_threshold:
+        client_taus = np.full(w_t.n_classes, cfg.fixmatch_threshold)
     ccfg = replace(cfg.client, learning_rate=state.client_lr)
-    if cfg.algorithm == FEDAVG_FIXMATCH:
-        # FixMatch weighs its pseudo-labeled loss fully from round 1.
+    if not recipe.ramp:
         ccfg = replace(ccfg, lambda_max=1.0, lambda_ramp_rounds=1)
 
     # Steps 2-4: broadcast, client training, upload.
-    uploads: list = []
-    sets_by_client: dict[int, FilteredSets] = {}
+    results: list = []
     sampled: list[int] = []
-    if cfg.algorithm != SERVER_SL:
-        sampled = sample_clients(
-            cfg.n_clients, cfg.clients_per_round, round_index, cfg.seed
-        )
-        if cfg.algorithm == FEDSEAL and cfg.client.use_ensemble:
+    if recipe.labels is not None:
+        sampled = sample_clients(cfg.n_clients, cfg.clients_per_round, round_index, cfg.seed)
+        if recipe.labels == "ensemble":
             for k in range(cfg.n_clients):
                 state.ensembles[k] = update_ensemble(
                     state.ensembles[k], w_t, state.split.client_train[k].X
                 )
         task = partial(
-            _train_client, state, round_index=round_index, w_t=w_t, taus=taus, ccfg=ccfg
+            _train_client, state, round_index=round_index, w_t=w_t, taus=client_taus, ccfg=ccfg
         )
         if cfg.parallel_clients > 1 and len(sampled) > 1:
             workers = min(cfg.parallel_clients, len(sampled))
@@ -238,20 +247,19 @@ def run_round(state: ExperimentState, round_index: int):
                 results = list(pool.map(task, sampled))
         else:
             results = [task(k) for k in sampled]
-        for k, local, sets in results:
-            uploads.append(local)
-            sets_by_client[k] = sets
+    uploads = [local for local, _ in results]
+    sets = [s for _, s in results]
 
     # Metrics.
     pos_rate, neg_rate = label_correct_rates(
-        (sets_by_client[k], state.split.hidden_labels(k)) for k in sampled
+        zip(sets, (state.split.hidden_labels(k) for k in sampled))
     )
     record = RoundRecord(
         round=round_index,
         test_accuracy=evaluate(w_t, state.split.test),
         taus=tuple(float(v) for v in taus),
-        pos_sizes=tuple(len(sets_by_client[k].positive[0]) for k in sampled),
-        neg_sizes=tuple(len(sets_by_client[k].negative[0]) for k in sampled),
+        pos_sizes=tuple(len(s.positive[0]) for s in sets),
+        neg_sizes=tuple(len(s.negative[0]) for s in sets),
         pos_correct_rate=pos_rate,
         neg_correct_rate=neg_rate,
         lambda_weight=lambda_at(round_index, ccfg),

@@ -218,7 +218,7 @@ def test_criterion_2_gradient_correctness():
 FMNIST_SEEDS = (1, 2, 3)
 
 
-def fmnist_config(algorithm: str, seed: int, use_ensemble: bool = True) -> ExperimentConfig:
+def fmnist_config(algorithm: str, seed: int) -> ExperimentConfig:
     paths = fashion_mnist_paths()
     return ExperimentConfig(
         algorithm=algorithm,
@@ -234,7 +234,6 @@ def fmnist_config(algorithm: str, seed: int, use_ensemble: bool = True) -> Exper
         client=ClientConfig(
             epochs=1, batch_size=64, learning_rate=0.001, lr_decay=0.995,
             momentum=0.9, theta=0.05, lambda_max=1.0, lambda_ramp_rounds=30,
-            use_ensemble=use_ensemble,
         ),
         data=DataConfig(
             kind="idx",
@@ -302,7 +301,7 @@ def test_criterion_5_self_ensemble_ablation(fmnist_runs):
     ablated = float(
         np.median(
             [
-                run_experiment(fmnist_config("fedseal", s, use_ensemble=False))[-1].test_accuracy
+                run_experiment(fmnist_config("fedseal_no_ensemble", s))[-1].test_accuracy
                 for s in FMNIST_SEEDS
             ]
         )

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from fedseal import (
 )
 from fedseal.cli import emit_metrics, run
 from fedseal.config import _derive_schema
-from fedseal.experiment import RoundRecord
+from fedseal.experiment import ALGORITHMS, RoundRecord
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BUNDLED_SYNTHETIC = REPO_ROOT / "configs" / "synthetic_small.ini"
@@ -82,6 +83,13 @@ def test_readme_config_block_is_the_defaults():
     assert cfg == ExperimentConfig()
     # [server] and [client] share the SGD schedule keys, not the epochs default.
     assert (cfg.server.epochs, cfg.client.epochs) == (5, 1)
+
+
+def test_readme_algorithm_table_lists_every_recipe():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    names = re.findall(r"^\| `(\w+)` +\|", readme, flags=re.MULTILINE)
+    assert len(names) == len(set(names))
+    assert set(names) == set(ALGORITHMS)
 
 
 def test_clients_per_round_above_population_is_config_error():
@@ -150,7 +158,6 @@ momentum = 0.0
 theta = 0.1
 lambda_max = 2.5
 lambda_ramp_rounds = 4
-use_ensemble = false
 """
 
 
@@ -160,7 +167,7 @@ def test_round_trip_every_key_set_to_a_non_default_value():
     assert text == EVERY_KEY
     assert parse_config_text(text) == cfg
     key_lines = [line for line in text.splitlines() if " = " in line]
-    assert len(key_lines) == 41
+    assert len(key_lines) == 40
     default_lines = serialize_config(parse_config_text("[experiment]\nalgorithm = fedseal\n"))
     assert not set(key_lines) & set(default_lines.splitlines())
 
@@ -169,15 +176,15 @@ def test_round_trip_every_key_set_to_a_non_default_value():
     "path, digest",
     [
         ("configs/fashion_mnist_iid.ini",
-         "0393f7dcdcfb31d83848df4b7a55dd09d6e30f1530450eb9d781e918d1300e28"),
+         "606a4677559ebb6d011c6a70123d1a43244865689a63fa8cb81ab95d50b87b48"),
         ("configs/fashion_mnist_noniid.ini",
-         "76585ae45e31cd539daf08a09edd330a60a87d9720e70c1ab82dbaa77c554fef"),
+         "85f1fc8921719bd510c855c6ec64373252eba46884c3b6a8f13eb7a718ee3249"),
         ("configs/synthetic_small.ini",
-         "1a8f5b70dd9b3a9a6bd1936192154b21bd7578a414440b2dd232fdae497436fd"),
+         "3fa34dbc094b1891c8f0430c70dc87a73db9f3cdfef73799c4d3e05e1e9ee4b5"),
         ("perfbench/workloads/narrow_tabular.ini",
-         "8e90682a9ffd88bca78c3444ff54801920f8e4d2d5221e94fc358a91a3db427e"),
+         "eb9929d13b947705cbe92c6352704c6e04fde81b328ded08d9c3edd8ffd563ee"),
         ("perfbench/workloads/paper_iid.ini",
-         "e1ccbe6efcdbdfc1b084f522c8a5c46b71cefc6a37dbfdb4f7582546b02f90ba"),
+         "982a13351eff0bc1664929d74c375e38909cf66ddfb2e85cbbdf7a72bec5d6af"),
     ],
 )
 def test_bundled_config_hash_is_pinned(path, digest):
@@ -195,6 +202,7 @@ def test_bundled_config_hash_is_pinned(path, digest):
         ("server", "threshold_denominator"),
         ("server", "size_weighted_aggregation"),
         ("client", "ensemble_every_round"),
+        ("client", "use_ensemble"),
     ],
 )
 def test_unknown_key_names_key_and_line(section, key):
@@ -331,11 +339,20 @@ def test_duplicate_key_is_error():
 
 
 def test_bad_boolean_value():
+    # No key is a bool: the former use_ensemble knob fails at its line, and a
+    # bool field has no caster, so an algorithm switch is a row of RECIPES.
     text = (
         "[experiment]\nalgorithm = fedseal\n[client]\nuse_ensemble = maybe\n"
     )
     with pytest.raises(ConfigError, match=r"line 4.*use_ensemble"):
         parse_config_text(text)
+
+    @dataclasses.dataclass
+    class Switch:
+        enabled: bool = True
+
+    with pytest.raises(TypeError, match="Switch.enabled"):
+        _derive_schema(Switch)
 
 
 def test_missing_file_is_config_error(tmp_path):

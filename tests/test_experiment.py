@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fedseal import (
+    ALGORITHMS,
     ClientConfig,
     Collection,
     DataConfig,
@@ -327,9 +328,9 @@ def test_uploads_are_freed_once_aggregated(monkeypatch):
 
 
 def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):
-    # With use_ensemble = False each sampled client filters on the confidence
+    # Under fedseal_no_ensemble each sampled client filters on the confidence
     # of the round's global model alone and no client keeps an ensemble; the
-    # switch must change the sets once an ensemble holds two models.
+    # row must change the sets once an ensemble holds two models.
     trained = []
 
     def recording_client_train(w_t, sets, *rest):
@@ -338,9 +339,8 @@ def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):
 
     monkeypatch.setattr("fedseal.experiment.client_train", recording_client_train)
 
-    def run(use_ensemble):
-        cfg = small_config(n_clients=4, clients_per_round=2, rounds=5)
-        cfg.client = replace(cfg.client, use_ensemble=use_ensemble)
+    def run(algorithm):
+        cfg = small_config(algorithm, n_clients=4, clients_per_round=2, rounds=5)
         state = start(cfg)
         rounds = []
         for t in range(1, cfg.rounds + 1):
@@ -351,7 +351,7 @@ def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):
             rounds.append((state.global_params, dict(zip(sampled, trained))))
         return cfg, state, rounds
 
-    cfg, state, ablated = run(use_ensemble=False)
+    cfg, state, ablated = run("fedseal_no_ensemble")
     assert all(e.count == 0 and e.avg.size == 0 for e in state.ensembles.values())
     for t, (w_t, sets_by_client) in enumerate(ablated, start=1):
         taus = compute_thresholds(w_t, state.split.server_val)
@@ -364,7 +364,7 @@ def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):
             assert _same_sets(sets, expected), (t, k)
     assert any(len(sets.positive[0]) for _, by_k in ablated for sets in by_k.values())
 
-    _, with_ensemble, full = run(use_ensemble=True)
+    _, with_ensemble, full = run("fedseal")
     # Sampled or not, every client folds in every round's global model.
     assert all(e.count == cfg.rounds for e in with_ensemble.ensembles.values())
     assert any(
@@ -471,11 +471,12 @@ def test_fedavg_sl_reduces_to_textbook_fedavg():
     )
 
 
-def test_full_run_deterministic_including_parallel_clients():
-    cfg = small_config(rounds=3)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_full_run_deterministic_including_parallel_clients(algorithm):
+    cfg = small_config(algorithm, rounds=3)
     serial = run_experiment(cfg)
-    again = run_experiment(small_config(rounds=3))
-    parallel = run_experiment(small_config(rounds=3, parallel_clients=3))
+    again = run_experiment(small_config(algorithm, rounds=3))
+    parallel = run_experiment(small_config(algorithm, rounds=3, parallel_clients=3))
     assert serial == again
     assert serial == parallel
 

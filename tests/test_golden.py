@@ -31,6 +31,7 @@ GOLDEN = {
         "2b0ec9ad896b550b4e46ab20a244610b",
         "cdd7499884b46a300f200ab7ac118472",
     ),
+    "fedseal_no_ensemble": ("5ed473c6c43cc5fb0e63b806f9353a72", "3bf24d9f05ce01d830a8b40ea8dadda2"),
 }
 
 
