@@ -3,8 +3,9 @@
 ``python -m fedseal.cli --config experiment.ini`` runs the configured
 experiment and writes three artifacts into the output directory:
 
-* ``manifest.json`` -- config snapshot, paths, start timestamp, version;
-  written once, before round 1.
+* ``manifest.json`` -- config snapshot, paths, start timestamp, version and
+  the numeric environment (numpy version, BLAS name and version, BLAS
+  thread variables); written once, before round 1.
 * ``rounds.csv`` -- one row per round (schema below).
 * ``summary.json`` -- final/best accuracy, best round, config hash, seed.
 
@@ -21,9 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import ConfigError, config_hash, parse_config, serialize_config, with_overrides
@@ -81,6 +85,25 @@ def _write_json(data: dict, path: Path) -> str:
     return text
 
 
+def _numeric_environment() -> dict:
+    """What a run's floating-point results depend on beyond its config.
+
+    Digests can differ across BLAS builds and thread counts.  BLAS fields
+    are None where numpy is too old to report its build as a dict.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 only prints its config
+        blas = {}
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {
+        "numpy_version": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        **{var: os.environ.get(var) for var in threads},
+    }
+
+
 def _write_summary(records: list[RoundRecord], cfg: ExperimentConfig, out_dir: Path) -> str:
     best = max(records, key=lambda rec: (rec.test_accuracy, -rec.round))
     summary = {
@@ -136,6 +159,7 @@ def run(argv: list[str] | None = None) -> int:
             },
             "started_at": datetime.now(timezone.utc).isoformat(),
             "version": __version__,
+            "environment": _numeric_environment(),
         }
         _write_json(manifest, out_dir / "manifest.json")
 

@@ -120,7 +120,7 @@ class RoundRecord:
     neg_sizes: tuple[int, ...]
     pos_correct_rate: float | None
     neg_correct_rate: float | None
-    lambda_weight: float
+    lambda_weight: float | None  # None when no loss is weighted by lambda
 
 
 class ExperimentState:
@@ -262,7 +262,9 @@ def run_round(state: ExperimentState, round_index: int):
         neg_sizes=tuple(len(s.negative[0]) for s in sets),
         pos_correct_rate=pos_rate,
         neg_correct_rate=neg_rate,
-        lambda_weight=lambda_at(round_index, ccfg),
+        lambda_weight=(
+            lambda_at(round_index, ccfg) if recipe.labels in ("ensemble", "model") else None
+        ),
     )
 
     # Advance state: new global, fresh uploads, decayed learning rates.

@@ -22,6 +22,12 @@ import numpy as np
 # loss functions finite on overconfident models.
 PROB_FLOOR = 1e-12
 
+# forward_batch runs the network over row blocks of this size, so a pass over
+# a whole collection holds one block's activations at a time.  BLAS may round
+# a row differently with the row count of its call, so changing the size can
+# move the last bit of a probability, and with it the golden digests.
+FORWARD_BLOCK_ROWS = 256
+
 
 @dataclass
 class ModelParams:
@@ -175,8 +181,15 @@ def _features(params: ModelParams, X) -> np.ndarray:
 
 
 def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Class-probability rows for a (n, width) feature matrix."""
-    probs, _, _ = _forward_cached(params, _features(params, features))
+    """Class-probability rows for a (n, width) feature matrix.
+
+    The rows go through the network ``FORWARD_BLOCK_ROWS`` at a time.
+    """
+    X = _features(params, features)
+    probs = np.empty((X.shape[0], params.n_classes))
+    for start in range(0, X.shape[0], FORWARD_BLOCK_ROWS):
+        block = slice(start, start + FORWARD_BLOCK_ROWS)
+        probs[block] = _forward_cached(params, X[block])[0]
     return probs
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedseal import (
@@ -16,6 +17,7 @@ from fedseal import (
     config_hash,
     parse_config,
     parse_config_text,
+    run_experiment,
     serialize_config,
 )
 from fedseal.cli import emit_metrics, run
@@ -429,7 +431,7 @@ def test_run_single_round_on_bundled_synthetic_config(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == summary
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["version"]
-    assert set(manifest) == {"config_text", "artifacts", "started_at", "version"}
+    assert set(manifest) == {"config_text", "artifacts", "started_at", "version", "environment"}
 
 
 def test_run_missing_config_flag_returns_one(capsys):
@@ -491,6 +493,30 @@ def test_manifest_config_snapshot_reproduces_the_run(tmp_path):
     out_b = tmp_path / "b"
     assert run(["--config", str(replay_cfg), "--output-dir", str(out_b)]) == 0
     assert (out_a / "rounds.csv").read_bytes() == (out_b / "rounds.csv").read_bytes()
+
+
+def test_manifest_records_the_numeric_environment_and_leaves_rounds_csv_alone(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(FAST_CONFIG)
+    out = tmp_path / "o"
+    assert run(["--config", str(cfg_path), "--output-dir", str(out)]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert set(env) == {
+        "numpy_version", "blas_name", "blas_version",
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    }
+    assert env["numpy_version"] == np.__version__
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None
+    if np.lib.NumpyVersion(np.__version__) >= "1.26.0":  # the first to give a dict
+        assert env["blas_name"] and env["blas_version"]
+    # The environment goes to the manifest only: rounds.csv is the file the
+    # run path writes without the CLI.
+    direct = emit_metrics(run_experiment(parse_config(cfg_path)), tmp_path / "direct")
+    assert (out / "rounds.csv").read_bytes() == direct["rounds_csv"].read_bytes()
 
 
 # Imports the package and its CLI, then runs two rounds of the bundled config

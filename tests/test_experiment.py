@@ -136,6 +136,23 @@ def test_evaluate_rejects_empty_or_unlabeled():
         evaluate(model, Collection(np.zeros((1, 2))))
 
 
+def test_whole_collection_passes_make_one_forward_batch_call(monkeypatch):
+    # forward_batch blocks its rows internally; the benchmark's trace counts
+    # its calls and rows, so each whole-collection pass must stay one call.
+    rows = []
+
+    def counting_forward_batch(params, features):
+        rows.append(len(features))
+        return forward_batch(params, features)
+
+    monkeypatch.setattr("fedseal.nn.forward_batch", counting_forward_batch)
+    model = make_params((5, 8, 3), seed=1)
+    evaluate(model, labeled_rows(600, 5, 3, seed=1))
+    assert rows == [600]
+    update_ensemble(EnsembleState.empty(), model, labeled_rows(600, 5, 3, seed=2).X)
+    assert rows == [600, 600]
+
+
 # ---------------------------------------------------------------------------
 # label_correct_rates
 # ---------------------------------------------------------------------------
@@ -245,6 +262,16 @@ def test_run_round_repeatable_record():
     _, rec_b = run_round(start(cfg), 1)
     assert rec_a == rec_b
     np.testing.assert_array_equal(a.global_params.values, b.global_params.values)
+
+
+@pytest.mark.parametrize("algorithm, expected", [
+    ("fedseal", 0.2), ("fedseal_no_ensemble", 0.2), ("fedavg_fixmatch", 1.0),
+    # No client phase, or clients trained on true labels: no loss takes lambda.
+    ("server_sl", None), ("fedavg_sl", None),
+])
+def test_record_lambda_only_where_a_loss_is_weighted_by_it(algorithm, expected):
+    _, record = run_round(start(small_config(algorithm)), 2)
+    assert record.lambda_weight == expected
 
 
 def test_three_round_trace_matches_hand_stepped_transcript():

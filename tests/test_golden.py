@@ -25,8 +25,8 @@ BUNDLED_SYNTHETIC = REPO_ROOT / "configs" / "synthetic_small.ini"
 # algorithm -> (MD5 of rounds.csv, MD5 of the final global parameter bytes)
 GOLDEN = {
     "fedseal": ("fa740ce0109ff8630d6c1df265a9a8f2", "7305ed161f1a02ffd359a6efb3c551ff"),
-    "server_sl": ("ed08a7e4ba6032a8308202d7ba776977", "3c1ac8a87cdb474264f8c2e3e2d79840"),
-    "fedavg_sl": ("a7cf2d42c160eb4828a112ece5657e15", "cea16f58eac1210ddd0a10fe4f48faa7"),
+    "server_sl": ("653634de386f30c3b2aa7f6de9778b84", "3c1ac8a87cdb474264f8c2e3e2d79840"),
+    "fedavg_sl": ("29258d285b732fae759fa892e7fba04c", "cea16f58eac1210ddd0a10fe4f48faa7"),
     "fedavg_fixmatch": (
         "2b0ec9ad896b550b4e46ab20a244610b",
         "cdd7499884b46a300f200ab7ac118472",
@@ -38,6 +38,17 @@ GOLDEN = {
 # synthetic_small.ini as 8 x 8 images (fedseal), so that weak and strong
 # augmentation both take the image path.
 GOLDEN_IMAGES = ("429318e0972de32cacd8d05b92442265", "66620f204f6b659a944a0fca51f16bce")
+
+
+# synthetic_small.ini with 2000-row shards and a 3000-row test set, for 6
+# rounds: every whole-collection forward pass spans many 256-row blocks.
+GOLDEN_LARGE = {
+    "fedseal": ("1d8aba093650c83110c7191ab9dd1f88", "55b6ca80292c27983ac95b7cd00a3799"),
+    "fedavg_fixmatch": (
+        "684a21e4828921282e3b407ef52563c1",
+        "9eb019ae13be503c8375a3b34bf695f4",
+    ),
+}
 
 
 def digests(cfg, tmp_path) -> tuple[str, str]:
@@ -57,6 +68,13 @@ def test_bundled_synthetic_config_as_images_matches_golden_digests(tmp_path):
     cfg = parse_config(BUNDLED_SYNTHETIC)
     cfg = replace(cfg, data=replace(cfg.data, n_features=64, image_height=8, image_width=8))
     assert digests(cfg, tmp_path) == GOLDEN_IMAGES
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_LARGE))
+def test_collections_larger_than_one_forward_block_match_golden_digests(algorithm, tmp_path):
+    cfg = with_overrides(parse_config(BUNDLED_SYNTHETIC), algorithm=algorithm, rounds=6)
+    cfg = replace(cfg, data=replace(cfg.data, per_client=2000, test_n=3000))
+    assert digests(cfg, tmp_path) == GOLDEN_LARGE[algorithm]
 
 
 # load_split output, one MD5 per case over every collection's X and y bytes

@@ -1,6 +1,7 @@
 """Model core: batch forward/predict, losses, analytic gradients, SGD."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from fedseal import (
     sgd_step,
     stream,
 )
-from fedseal.nn import param_count, shapes_for, unflatten
+from fedseal.nn import _forward_cached, param_count, shapes_for, unflatten
 
 from conftest import fd_batch_gradient, make_params, random_batch, reference_loss, rel_error
 
@@ -80,6 +81,36 @@ def test_forward_deterministic():
     params = make_params((5, 7, 3), seed=1)
     X = stream(1, "x").random((3, 5))
     np.testing.assert_array_equal(forward_batch(params, X), forward_batch(params, X))
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
+def test_forward_blocks_match_one_whole_batch_pass(n):
+    params = make_params((5, 7, 3), seed=2)
+    X = stream(2, "x").random((n, 5))
+    probs = forward_batch(params, X)
+    assert probs.shape == (n, 3)
+    np.testing.assert_array_equal(probs, _forward_cached(params, X)[0])
+
+
+def _forward_extra_peak(params: ModelParams, X: np.ndarray) -> int:
+    """Peak bytes traced during forward_batch, beyond the output it returns."""
+    tracemalloc.start()
+    try:
+        probs = forward_batch(params, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - probs.nbytes
+
+
+@pytest.mark.parametrize("width", [32, 784])
+def test_forward_working_set_does_not_grow_with_rows(width):
+    # The activations held at once are one block's, so scoring 3000 rows
+    # needs no more scratch memory than scoring 256.
+    params = make_params((width, 128, 64, 10), seed=0)
+    X = stream(0, "x").random((3000, width))
+    small, large = _forward_extra_peak(params, X[:256]), _forward_extra_peak(params, X)
+    assert large <= 1.1 * small, (large, small)
 
 
 # ---------------------------------------------------------------------------
