@@ -10,7 +10,6 @@ import numpy as np
 
 from fedseal import (
     DataConfig,
-    EnsembleState,
     ServerConfig,
     bootstrap,
     build_negative_set,
@@ -18,8 +17,8 @@ from fedseal import (
     compute_thresholds,
     label_correct_rates,
     load_split,
+    nn,
     stream,
-    update_ensemble,
 )
 from fedseal.client import FilteredSets
 
@@ -36,7 +35,9 @@ taus = compute_thresholds(model, split.server_val)
 print("per-class confidence thresholds:", np.round(taus, 3))
 
 shard = split.client_train[0]
-confidence = update_ensemble(EnsembleState.empty(), model, shard.X)
+# The (n, M) confidence matrix a client filters: here one model's outputs;
+# a fedseal client uses the mean over every model it has downloaded.
+confidence = nn.forward_batch(model, shard.X)
 sets = FilteredSets(
     build_positive_set(confidence, taus),
     build_negative_set(confidence, taus, theta=0.05, rng=stream(11, "neg")),

@@ -10,7 +10,6 @@ baselines and a FixMatch-style combination share the same round loop.
 
 from .client import (
     ClientConfig,
-    EnsembleState,
     FilteredSets,
     build_negative_set,
     build_positive_set,
@@ -20,7 +19,6 @@ from .client import (
 )
 from .config import ConfigError, config_hash, parse_config, parse_config_text, serialize_config
 from .data import (
-    UNLABELED,
     Collection,
     DataConfig,
     DatasetSplit,

@@ -2,10 +2,12 @@
 
 A client never sees a true label.  Instead it keeps a running average of
 every downloaded global model's confidence on its own data (the
-self-ensemble), filters instances whose ensemble confidence clears the
-server's per-class threshold into a pseudo-labeled positive set, assigns a
-complementary "definitely not this class" label to low-confidence classes
-of the rest, and trains on the weighted combination of both signals.
+self-ensemble), an (n, M) matrix with one row per shard row.  The filters
+take any such confidence matrix, the self-ensemble or one model's output:
+rows whose top class clears the server's per-class threshold form a
+pseudo-labeled positive set, and a class the rest are confidently not
+becomes their complementary label.  The client then trains on
+lam * positive loss + negative loss, with ``lam`` set by the round.
 """
 
 from __future__ import annotations
@@ -46,18 +48,6 @@ class ClientConfig(nn.SGDConfig):
             )
 
 
-class EnsembleState:
-    """Running average of historical models' confidence, one row per shard row."""
-
-    def __init__(self, avg: np.ndarray, count: int):
-        self.avg = avg
-        self.count = count
-
-    @classmethod
-    def empty(cls) -> "EnsembleState":
-        return cls(np.empty((0, 0)), 0)
-
-
 def _no_rows() -> tuple[np.ndarray, np.ndarray]:
     return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
@@ -78,56 +68,57 @@ class FilteredSets:
 
 
 def update_ensemble(
-    state: EnsembleState, model: nn.ModelParams, features: np.ndarray
-) -> EnsembleState:
-    """Fold the current model's confidence on a shard into the running average.
+    avg: np.ndarray | None, t: int, model: nn.ModelParams, features: np.ndarray
+) -> np.ndarray:
+    """The mean confidence of ``t`` models on a shard, given the first t - 1's.
 
-    With t models seen so far the update is avg <- ((t-1)/t) avg + (1/t) p,
-    which keeps avg equal to the plain mean of every model's output without
-    storing the models.  The first call simply stores the outputs.
+    ``avg`` is the mean of the previous t - 1 models' outputs (None when
+    t == 1), and ``model`` is the t-th.  The update is
+    avg <- ((t-1)/t) avg + (1/t) p, which keeps avg equal to the plain mean
+    of every model's output without storing the models.  At t == 1 it
+    returns p itself.
     """
+    if t < 1:
+        raise ValueError(f"ensemble size must be >= 1, got {t}")
     probs = nn.forward_batch(model, features)
-    if state.count == 0:
-        return EnsembleState(probs, 1)
-    if probs.shape != state.avg.shape:
+    if t == 1:
+        return probs
+    if avg is None:
+        raise ValueError(f"model {t} of an ensemble needs the mean of the first {t - 1}")
+    if probs.shape != avg.shape:
         raise ValueError("ensemble update saw a different instance set")
-    t = state.count + 1
-    avg = ((t - 1) / t) * state.avg + (1.0 / t) * probs
-    return EnsembleState(avg, t)
+    return ((t - 1) / t) * avg + (1.0 / t) * probs
 
 
-def _filter(state: EnsembleState, taus: np.ndarray):
+def _filter(conf: np.ndarray, taus: np.ndarray):
     """Per-row pseudo-labels and whether each clears its class threshold."""
-    conf = state.avg
     labels = np.argmax(conf, axis=1)
     top = conf[np.arange(len(conf)), labels]
     return labels, top >= np.asarray(taus)[labels]
 
 
-def build_positive_set(
-    state: EnsembleState, taus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows whose pseudo-label confidence clears its class threshold, with those labels."""
-    labels, keep = _filter(state, taus)
+def build_positive_set(conf: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``conf`` whose top class clears its threshold, with that class."""
+    labels, keep = _filter(conf, taus)
     rows = np.flatnonzero(keep)
     return rows, labels[rows]
 
 
 def build_negative_set(
-    state: EnsembleState,
+    conf: np.ndarray,
     taus: np.ndarray,
     theta: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Complementary labels for rows kept out of the positive set.
 
-    For each such row, any class with ensemble confidence <= theta is a
-    candidate; one is drawn uniformly, with one ``rng.integers`` call over
-    all rows in row order.  Rows with no candidate class are skipped, so the
-    result is disjoint from the positive set by construction.
+    For each such row, any class with confidence <= theta is a candidate;
+    one is drawn uniformly, with one ``rng.integers`` call over all rows in
+    row order.  Rows with no candidate class are skipped, so the result is
+    disjoint from the positive set by construction.
     """
-    _, in_positive = _filter(state, taus)
-    candidates = state.avg <= theta
+    _, in_positive = _filter(conf, taus)
+    candidates = conf <= theta
     counts = candidates.sum(axis=1)
     rows = np.flatnonzero(~in_positive & (counts > 0))
     picks = rng.integers(0, counts[rows])
@@ -148,11 +139,11 @@ def client_train(
     sets: FilteredSets,
     features: np.ndarray,
     cfg: ClientConfig,
-    round_index: int,
+    lam: float,
     rng: np.random.Generator,
     strong_augment_fn=None,
 ) -> nn.ModelParams:
-    """Local SGD on lambda * positive loss + negative loss over a shard.
+    """Local SGD on ``lam`` * positive loss + negative loss over a shard.
 
     Positive rows train with strong augmentation, one
     ``strong_augment_fn(batch, rng)`` call per batch, against their
@@ -163,7 +154,6 @@ def client_train(
     pos_rows, pos_labels = sets.positive
     neg_rows, neg_labels = sets.negative
     n_pos, n_neg = len(pos_rows), len(neg_rows)
-    lam = lambda_at(round_index, cfg)
     use_pos = n_pos > 0 and lam > 0.0
     batches = max(-(-n_pos // cfg.batch_size) if use_pos else 0,
                   -(-n_neg // cfg.batch_size))

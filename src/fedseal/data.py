@@ -1,7 +1,7 @@
 """Datasets: ingestion, client partitioning, augmentation.
 
 A dataset is a pair of arrays: an (n, width) feature matrix with values in
-[0, 1] and n integer class labels, ``UNLABELED`` where a row has none.
+[0, 1] and n non-negative integer class labels.
 :func:`load_split` carves one labeled pool into the four collections a run
 needs (server train, server validation, per-client unlabeled shards, test),
 held by a :class:`DatasetSplit`, each a row-aligned :class:`Collection`
@@ -27,8 +27,6 @@ IDX_LABEL_MAGIC = 0x00000801
 
 IID = "iid"
 DIRICHLET = "dirichlet"
-
-UNLABELED = -1
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -181,8 +179,8 @@ def ingest_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 def ingest_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Load ``label,f0,f1,...`` CSV into (features, labels).
 
-    An empty label cell reads as ``UNLABELED``.  Feature cells must be finite
-    numbers in [0, 1]; a bad cell fails with its file and line.
+    Every row needs a non-negative integer label, and feature cells must be
+    finite numbers in [0, 1]; a bad cell fails with its file and line.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -205,16 +203,16 @@ def ingest_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 f"{path}: line {line_no}: expected {width + 1} cells, got {len(cells)}"
             )
         if cells[0] == "":
-            labels[row] = UNLABELED
-        else:
-            try:
-                labels[row] = int(cells[0])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {line_no}: non-integer label {cells[0]!r}"
-                ) from None
-            if labels[row] < 0:
-                raise ValueError(f"{path}: line {line_no}: negative label {cells[0]!r}")
+            raise ValueError(f"{path}: line {line_no}: empty label, but every row "
+                             "must be labeled")
+        try:
+            labels[row] = int(cells[0])
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {line_no}: non-integer label {cells[0]!r}"
+            ) from None
+        if labels[row] < 0:
+            raise ValueError(f"{path}: line {line_no}: negative label {cells[0]!r}")
         try:
             x = np.array([float(c) for c in cells[1:]])
         except ValueError:
@@ -235,8 +233,7 @@ def write_csv(features: np.ndarray, labels: np.ndarray, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write("label," + ",".join(f"f{i}" for i in range(features.shape[1])) + "\n")
         for x, label in zip(features, labels):
-            cell = "" if label == UNLABELED else str(int(label))
-            f.write(cell + "," + ",".join(repr(float(v)) for v in x) + "\n")
+            f.write(f"{int(label)}," + ",".join(repr(float(v)) for v in x) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -614,13 +611,15 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
         ]
     else:
         if cfg.kind == "idx":
-            X, y = ingest_idx(cfg.train_images, cfg.train_labels)
-            if cfg.test_images:
-                test_file = ingest_idx(cfg.test_images, cfg.test_labels)
+            ingest = ingest_idx
+            train_paths = (cfg.train_images, cfg.train_labels)
+            test_paths = (cfg.test_images, cfg.test_labels)
         else:
-            X, y = _ingest_labeled_csv(cfg.train_csv, "training pool")
-            if cfg.test_csv:
-                test_file = _ingest_labeled_csv(cfg.test_csv, "test file")
+            ingest, train_paths, test_paths = ingest_csv, (cfg.train_csv,), (cfg.test_csv,)
+        X, y = ingest(*train_paths)
+        if test_paths[0]:
+            test_file = ingest(*test_paths)
+            _check_test_file(*test_file, X, y, test_paths[0], test_paths[-1])
         if cfg.image_shape and X.shape[1] != np.prod(cfg.image_shape):
             raise ValueError(f"image_height x image_width = {cfg.image_height} x "
                              f"{cfg.image_width} does not fit {X.shape[1]} features")
@@ -645,14 +644,17 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
     )
 
 
-def _ingest_labeled_csv(path, role: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`ingest_csv`, failing at the first row with an empty label."""
-    X, y = ingest_csv(path)
-    unlabeled = np.flatnonzero(y == UNLABELED)
-    if unlabeled.size:
-        raise ValueError(f"{path}: line {unlabeled[0] + 2}: empty label, but a csv "
-                         f"{role} must be fully labeled")
-    return X, y
+def _check_test_file(test_X, test_y, X, y, features_path, labels_path) -> None:
+    """Reject a test file that the model trained on pool (X, y) cannot score."""
+    if test_X.shape[1] != X.shape[1]:
+        raise ValueError(f"{features_path}: {test_X.shape[1]} features per row, but the "
+                         f"training pool has {X.shape[1]}")
+    if not len(test_y):
+        raise ValueError(f"{features_path}: no rows, but a test file needs at least one")
+    n_classes = int(y.max()) + 1
+    if test_y.max() >= n_classes:
+        raise ValueError(f"{labels_path}: label {int(test_y.max())} is not a class of the "
+                         f"training pool, whose labels are 0..{n_classes - 1}")
 
 
 def _carve(labels, cfg: DataConfig, n_clients: int, seed: int, test_n: int,

@@ -24,7 +24,6 @@ import numpy as np
 from . import nn
 from .client import (
     ClientConfig,
-    EnsembleState,
     FilteredSets,
     build_negative_set,
     build_positive_set,
@@ -124,14 +123,23 @@ class RoundRecord:
 
 
 class ExperimentState:
-    """Everything that persists between rounds."""
+    """Everything that persists between rounds.
+
+    Beside the fixed config, split and augmenters, a round reads and advances
+    exactly these: ``global_params``, the last round's model; ``uploads``,
+    the sampled clients' local models awaiting aggregation; ``ensembles``,
+    one (n_k, M) self-ensemble matrix per client (None until the first
+    broadcast, and always None for algorithms without one); and the decayed
+    ``server_lr`` and ``client_lr``.  These, with the round index, are what
+    a checkpoint of a run must hold.
+    """
 
     def __init__(self, cfg: ExperimentConfig, split: DatasetSplit, global_params):
         self.cfg = cfg
         self.split = split
         self.global_params = global_params
         self.uploads: list = []
-        self.ensembles = {k: EnsembleState.empty() for k in range(cfg.n_clients)}
+        self.ensembles: list[np.ndarray | None] = [None] * cfg.n_clients
         self.server_lr = cfg.server.learning_rate
         self.client_lr = cfg.client.learning_rate
         shape = cfg.data.image_shape
@@ -178,7 +186,7 @@ def label_correct_rates(per_client) -> tuple[float | None, float | None]:
     return (pos_hits / pos_n if pos_n else None, neg_hits / neg_n if neg_n else None)
 
 
-def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus, ccfg):
+def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus, ccfg, lam):
     """Local work for one sampled client: (local model, filtered sets)."""
     cfg = state.cfg
     recipe = RECIPES[cfg.algorithm]
@@ -193,14 +201,12 @@ def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus, c
     if recipe.labels == "ensemble":
         conf = state.ensembles[k]
     else:
-        conf = update_ensemble(EnsembleState.empty(), w_t, data_k.X)
+        conf = nn.forward_batch(w_t, data_k.X)
     sets = FilteredSets(build_positive_set(conf, taus))
     if recipe.negative:
         negative_rng = stream(cfg.seed, "negative", k, round_index)
         sets = replace(sets, negative=build_negative_set(conf, taus, ccfg.theta, negative_rng))
-    local = client_train(
-        w_t, sets, data_k.X, ccfg, round_index, client_rng, state.strong_augment
-    )
+    local = client_train(w_t, sets, data_k.X, ccfg, lam, client_rng, state.strong_augment)
     return local, sets
 
 
@@ -225,8 +231,9 @@ def run_round(state: ExperimentState, round_index: int):
     if recipe.fixed_threshold:
         client_taus = np.full(w_t.n_classes, cfg.fixmatch_threshold)
     ccfg = replace(cfg.client, learning_rate=state.client_lr)
-    if not recipe.ramp:
-        ccfg = replace(ccfg, lambda_max=1.0, lambda_ramp_rounds=1)
+    lam = None  # no loss is weighted by lambda
+    if recipe.labels in ("ensemble", "model"):
+        lam = lambda_at(round_index, ccfg) if recipe.ramp else 1.0
 
     # Steps 2-4: broadcast, client training, upload.
     results: list = []
@@ -236,11 +243,10 @@ def run_round(state: ExperimentState, round_index: int):
         if recipe.labels == "ensemble":
             for k in range(cfg.n_clients):
                 state.ensembles[k] = update_ensemble(
-                    state.ensembles[k], w_t, state.split.client_train[k].X
+                    state.ensembles[k], round_index, w_t, state.split.client_train[k].X
                 )
-        task = partial(
-            _train_client, state, round_index=round_index, w_t=w_t, taus=client_taus, ccfg=ccfg
-        )
+        task = partial(_train_client, state, round_index=round_index, w_t=w_t,
+                       taus=client_taus, ccfg=ccfg, lam=lam)
         if cfg.parallel_clients > 1 and len(sampled) > 1:
             workers = min(cfg.parallel_clients, len(sampled))
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -262,9 +268,7 @@ def run_round(state: ExperimentState, round_index: int):
         neg_sizes=tuple(len(s.negative[0]) for s in sets),
         pos_correct_rate=pos_rate,
         neg_correct_rate=neg_rate,
-        lambda_weight=(
-            lambda_at(round_index, ccfg) if recipe.labels in ("ensemble", "model") else None
-        ),
+        lambda_weight=lam,
     )
 
     # Advance state: new global, fresh uploads, decayed learning rates.

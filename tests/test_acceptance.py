@@ -20,7 +20,6 @@ import pytest
 from fedseal import (
     ClientConfig,
     DataConfig,
-    EnsembleState,
     ExperimentConfig,
     ServerConfig,
     aggregate,
@@ -121,11 +120,11 @@ def test_criterion_1_oracle_equivalences():
         rng = stream(seed, "c1-ens")
         feats = np.stack([rng.random(3) for _ in range(5)])
         models = [make_params((3, 4, 3), seed=seed * 31 + j) for j in range(int(rng.integers(2, 9)))]
-        state = EnsembleState.empty()
-        for model in models:
-            state = update_ensemble(state, model, feats)
+        avg = None
+        for t, model in enumerate(models, start=1):
+            avg = update_ensemble(avg, t, model, feats)
         batch_avg = np.mean([forward_batch(m, feats) for m in models], axis=0)
-        assert np.max(np.abs(state.avg - batch_avg)) <= 1e-12
+        assert np.max(np.abs(avg - batch_avg)) <= 1e-12
 
     # Filter sets vs a brute-force inequality scan.
     for seed in range(100):
@@ -134,9 +133,7 @@ def test_criterion_1_oracle_equivalences():
         rows = rng.dirichlet(np.ones(n_classes) * 0.5, size=n)
         taus = rng.uniform(0.0, 1.0, n_classes)
         theta = float(rng.uniform(0.01, 0.35))
-        state = EnsembleState(rows, 1)
-
-        pos_rows, pos_labels = build_positive_set(state, taus)
+        pos_rows, pos_labels = build_positive_set(rows, taus)
         positive = list(zip(pos_rows.tolist(), pos_labels.tolist()))
         expected_pos = []
         for i in range(n):
@@ -145,7 +142,7 @@ def test_criterion_1_oracle_equivalences():
                 expected_pos.append((i, label))
         assert positive == expected_pos
 
-        neg_rows, neg_labels = build_negative_set(state, taus, theta, stream(seed, "c1-neg"))
+        neg_rows, neg_labels = build_negative_set(rows, taus, theta, stream(seed, "c1-neg"))
         negative = list(zip(neg_rows.tolist(), neg_labels.tolist()))
         assert negative == reference_negative_set(rows, taus, theta, stream(seed, "c1-neg"))
         assert {i for i, _ in negative}.isdisjoint(i for i, _ in expected_pos)

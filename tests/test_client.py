@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fedseal import (
     ClientConfig,
-    EnsembleState,
     FilteredSets,
     ModelParams,
     OptimizerState,
@@ -32,8 +31,8 @@ def unlabeled(n: int, width: int, seed: int) -> np.ndarray:
     return np.stack([rng.random(width) for _ in range(n)])
 
 
-def state_from_rows(rows: np.ndarray, count: int = 1) -> EnsembleState:
-    return EnsembleState(np.asarray(rows, dtype=float), count)
+def conf_matrix(rows) -> np.ndarray:
+    return np.asarray(rows, dtype=float)
 
 
 def pairs(rows_and_labels) -> list[tuple[int, int]]:
@@ -49,47 +48,51 @@ def pairs(rows_and_labels) -> list[tuple[int, int]]:
 def test_first_update_stores_forward_outputs_exactly():
     data = unlabeled(7, 4, seed=0)
     model = make_params((4, 6, 3), seed=0)
-    state = update_ensemble(EnsembleState.empty(), model, data)
+    avg = update_ensemble(None, 1, model, data)
     expected = forward_batch(model, data)
-    assert state.count == 1
-    np.testing.assert_array_equal(state.avg, expected)
+    np.testing.assert_array_equal(avg, expected)
+    # At t == 1 any previous matrix is ignored.
+    np.testing.assert_array_equal(update_ensemble(np.zeros((7, 3)), 1, model, data), expected)
 
 
 def test_same_model_twice_leaves_average_unchanged():
     data = unlabeled(5, 4, seed=1)
     model = make_params((4, 6, 3), seed=1)
-    once = update_ensemble(EnsembleState.empty(), model, data)
-    twice = update_ensemble(once, model, data)
-    assert twice.count == 2
-    np.testing.assert_array_equal(twice.avg, once.avg)
+    once = update_ensemble(None, 1, model, data)
+    twice = update_ensemble(once, 2, model, data)
+    np.testing.assert_array_equal(twice, once)
 
 
 def test_incremental_average_equals_batch_mean_of_three_models():
     data = unlabeled(9, 5, seed=2)
     models = [make_params((5, 7, 4), seed=s) for s in (10, 11, 12)]
-    state = EnsembleState.empty()
-    for model in models:
-        state = update_ensemble(state, model, data)
+    avg = ensemble_of(models, data)
     batch_mean = np.mean([forward_batch(m, data) for m in models], axis=0)
-    np.testing.assert_allclose(state.avg, batch_mean, atol=1e-12)
+    np.testing.assert_allclose(avg, batch_mean, atol=1e-12)
 
 
 def test_incremental_average_drift_over_hundred_updates():
     data = unlabeled(4, 3, seed=3)
     models = [make_params((3, 5, 3), seed=s) for s in range(100)]
-    state = EnsembleState.empty()
-    for model in models:
-        state = update_ensemble(state, model, data)
+    avg = ensemble_of(models, data)
     batch_mean = np.mean([forward_batch(m, data) for m in models], axis=0)
-    assert state.count == 100
-    np.testing.assert_allclose(state.avg, batch_mean, atol=1e-12)
+    np.testing.assert_allclose(avg, batch_mean, atol=1e-12)
 
 
 def test_update_rejects_changed_instance_set():
     model = make_params((4, 6, 3), seed=4)
-    state = update_ensemble(EnsembleState.empty(), model, unlabeled(5, 4, seed=4))
+    data = unlabeled(5, 4, seed=4)
+    avg = update_ensemble(None, 1, model, data)
     with pytest.raises(ValueError, match="different instance set"):
-        update_ensemble(state, model, unlabeled(6, 4, seed=5))
+        update_ensemble(avg, 2, model, unlabeled(6, 4, seed=5))
+    with pytest.raises(ValueError, match="needs the mean of the first 1"):
+        update_ensemble(None, 2, model, data)
+
+
+def test_update_rejects_an_ensemble_of_no_models():
+    model = make_params((4, 6, 3), seed=4)
+    with pytest.raises(ValueError, match="ensemble size must be >= 1"):
+        update_ensemble(None, 0, model, unlabeled(5, 4, seed=4))
 
 
 # ---------------------------------------------------------------------------
@@ -98,23 +101,23 @@ def test_update_rejects_changed_instance_set():
 
 
 def test_pseudo_label_argmax_and_confidence():
-    state = state_from_rows([[0.1, 0.8, 0.1]])
-    rows, labels = build_positive_set(state, np.zeros(3))
+    conf = conf_matrix([[0.1, 0.8, 0.1]])
+    rows, labels = build_positive_set(conf, np.zeros(3))
     assert rows.tolist() == [0] and labels.tolist() == [1]
     # The row clears its class threshold exactly up to its confidence, 0.8.
-    assert build_positive_set(state, np.array([0.0, 0.8, 0.0]))[0].tolist() == [0]
-    assert build_positive_set(state, np.array([0.0, np.nextafter(0.8, 1), 0.0]))[0].size == 0
+    assert build_positive_set(conf, np.array([0.0, 0.8, 0.0]))[0].tolist() == [0]
+    assert build_positive_set(conf, np.array([0.0, np.nextafter(0.8, 1), 0.0]))[0].size == 0
 
 
 def test_pseudo_label_uniform_breaks_tie_low():
-    state = state_from_rows([[0.25, 0.25, 0.25, 0.25]])
-    assert build_positive_set(state, np.zeros(4))[1].tolist() == [0]
+    conf = conf_matrix([[0.25, 0.25, 0.25, 0.25]])
+    assert build_positive_set(conf, np.zeros(4))[1].tolist() == [0]
 
 
 def test_pseudo_label_matches_exhaustive_scan():
     rng = stream(6, "scan")
     rows = rng.dirichlet(np.ones(7), size=500)
-    kept, labels = build_positive_set(state_from_rows(rows), np.zeros(7))
+    kept, labels = build_positive_set(rows, np.zeros(7))
     assert kept.tolist() == list(range(500))
     for i in range(500):
         best, best_p = 0, rows[i][0]
@@ -129,27 +132,25 @@ def test_pseudo_label_matches_exhaustive_scan():
 # ---------------------------------------------------------------------------
 
 
-def filter_fixture(seed: int, n: int = 20, n_classes: int = 5):
-    rng = stream(seed, "filters")
-    rows = rng.dirichlet(np.ones(n_classes) * 0.6, size=n)
-    return state_from_rows(rows), rows
+def filter_fixture(seed: int, n: int = 20, n_classes: int = 5) -> np.ndarray:
+    return stream(seed, "filters").dirichlet(np.ones(n_classes) * 0.6, size=n)
 
 
 def test_positive_set_zero_thresholds_keeps_everything():
-    state, _ = filter_fixture(7)
-    assert len(build_positive_set(state, np.zeros(5))[0]) == 20
+    conf = filter_fixture(7)
+    assert len(build_positive_set(conf, np.zeros(5))[0]) == 20
 
 
 def test_positive_set_unit_thresholds_empty():
-    state, rows = filter_fixture(8)
-    assert rows.max() < 1.0
-    assert pairs(build_positive_set(state, np.ones(5))) == []
+    conf = filter_fixture(8)
+    assert conf.max() < 1.0
+    assert pairs(build_positive_set(conf, np.ones(5))) == []
 
 
 def test_positive_set_matches_brute_force_comparison():
-    state, rows = filter_fixture(9)
+    rows = filter_fixture(9)
     taus = stream(9, "taus").uniform(0.1, 0.9, 5)
-    got = pairs(build_positive_set(state, taus))
+    got = pairs(build_positive_set(rows, taus))
     expected = []
     for i in range(20):
         label = int(np.argmax(rows[i]))
@@ -159,24 +160,24 @@ def test_positive_set_matches_brute_force_comparison():
 
 
 def test_positive_set_monotone_in_tau():
-    state, _ = filter_fixture(10)
+    conf = filter_fixture(10)
     taus = stream(10, "taus").uniform(0.2, 0.8, 5)
-    base = set(pairs(build_positive_set(state, taus)))
+    base = set(pairs(build_positive_set(conf, taus)))
     for m in range(5):
         lowered = taus.copy()
         lowered[m] *= 0.5
-        assert base <= set(pairs(build_positive_set(state, lowered)))
+        assert base <= set(pairs(build_positive_set(conf, lowered)))
 
 
 def test_negative_set_singleton_candidate():
-    state = state_from_rows([[0.9, 0.02, 0.08]])
-    got = build_negative_set(state, np.ones(3), 0.05, stream(0, "neg"))
+    conf = conf_matrix([[0.9, 0.02, 0.08]])
+    got = build_negative_set(conf, np.ones(3), 0.05, stream(0, "neg"))
     assert pairs(got) == [(0, 1)]
 
 
 def test_negative_set_skips_when_no_class_below_theta():
-    state = state_from_rows([[0.4, 0.3, 0.3]])
-    assert pairs(build_negative_set(state, np.ones(3), 0.05, stream(0, "neg"))) == []
+    conf = conf_matrix([[0.4, 0.3, 0.3]])
+    assert pairs(build_negative_set(conf, np.ones(3), 0.05, stream(0, "neg"))) == []
 
 
 def test_negative_set_disjoint_from_positive_over_random_configs():
@@ -186,9 +187,8 @@ def test_negative_set_disjoint_from_positive_over_random_configs():
         rows = rng.dirichlet(np.ones(n_classes) * 0.4, size=n)
         taus = rng.uniform(0.0, 1.0, n_classes)
         theta = float(rng.uniform(0.01, 0.4))
-        state = state_from_rows(rows)
-        pos_rows = set(build_positive_set(state, taus)[0].tolist())
-        neg = pairs(build_negative_set(state, taus, theta, rng))
+        pos_rows = set(build_positive_set(rows, taus)[0].tolist())
+        neg = pairs(build_negative_set(rows, taus, theta, rng))
         neg_rows = {i for i, _ in neg}
         assert pos_rows.isdisjoint(neg_rows)
         assert len(pos_rows | neg_rows) <= n
@@ -206,11 +206,11 @@ def random_models(t: int, dims, seed: int) -> list[ModelParams]:
     return models
 
 
-def ensemble_of(models: list[ModelParams], X: np.ndarray) -> EnsembleState:
-    state = EnsembleState.empty()
-    for model in models:
-        state = update_ensemble(state, model, X)
-    return state
+def ensemble_of(models: list[ModelParams], X: np.ndarray) -> np.ndarray:
+    avg = None
+    for t, model in enumerate(models, start=1):
+        avg = update_ensemble(avg, t, model, X)
+    return avg
 
 
 shards = dict(
@@ -228,12 +228,12 @@ def test_filtered_sets_are_disjoint_and_complementary_labels_are_below_theta(
     n, width, n_classes, t, seed, theta
 ):
     X = stream(seed, "prop-shard").random((n, width))
-    state = ensemble_of(random_models(t, (width, 6, n_classes), seed), X)
+    conf = ensemble_of(random_models(t, (width, 6, n_classes), seed), X)
     rng = stream(seed, "prop-filter")
     taus = rng.uniform(0.0, 1.0, n_classes)
-    pos_rows, _ = build_positive_set(state, taus)
-    neg_rows, comp = build_negative_set(state, taus, theta, rng)
-    assert (state.avg[neg_rows, comp] <= theta).all()
+    pos_rows, _ = build_positive_set(conf, taus)
+    neg_rows, comp = build_negative_set(conf, taus, theta, rng)
+    assert (conf[neg_rows, comp] <= theta).all()
     assert np.intersect1d(pos_rows, neg_rows).size == 0
 
 
@@ -242,10 +242,9 @@ def test_filtered_sets_are_disjoint_and_complementary_labels_are_below_theta(
 def test_ensemble_is_the_mean_of_its_models_outputs(n, width, n_classes, t, seed):
     X = stream(seed, "prop-shard").random((n, width))
     models = random_models(t, (width, 6, n_classes), seed)
-    state = ensemble_of(models, X)
-    assert state.count == t
+    avg = ensemble_of(models, X)
     expected = np.mean([forward_batch(model, X) for model in models], axis=0)
-    np.testing.assert_allclose(state.avg, expected, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(avg, expected, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -259,17 +258,16 @@ def test_negative_set_matches_per_row_reference(seed):
     rows = rng.dirichlet(np.ones(n_classes) * rng.uniform(0.1, 2.0), size=n)
     taus = rng.uniform(0.0, 1.0 if seed % 5 else 0.05, n_classes)
     theta = float(rng.uniform(0.001, 0.5))
-    state = state_from_rows(rows)
     got_rng, ref_rng = stream(seed, "neg-draws"), stream(seed, "neg-draws")
-    got = pairs(build_negative_set(state, taus, theta, got_rng))
+    got = pairs(build_negative_set(rows, taus, theta, got_rng))
     assert got == reference_negative_set(rows, taus, theta, ref_rng)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_negative_set_all_positive_shard_draws_nothing():
-    state = state_from_rows([[0.9, 0.05, 0.05], [0.02, 0.96, 0.02]])
+    conf = conf_matrix([[0.9, 0.05, 0.05], [0.02, 0.96, 0.02]])
     rng, untouched = stream(1, "neg"), stream(1, "neg")
-    assert pairs(build_negative_set(state, np.zeros(3), 0.1, rng)) == []
+    assert pairs(build_negative_set(conf, np.zeros(3), 0.1, rng)) == []
     assert rng.bit_generator.state == untouched.bit_generator.state
 
 
@@ -305,9 +303,7 @@ def test_lambda_requires_round_at_least_one():
 def test_client_train_no_sets_returns_global_unchanged():
     data = unlabeled(6, 4, seed=11)
     model = make_params((4, 6, 3), seed=11)
-    out = client_train(
-        model, FilteredSets(), data, ClientConfig(), 1, stream(11, "c")
-    )
+    out = client_train(model, FilteredSets(), data, ClientConfig(), 1.0, stream(11, "c"))
     np.testing.assert_array_equal(out.values, model.values)
 
 
@@ -317,12 +313,9 @@ def test_client_train_positive_only_matches_pseudo_label_oracle():
     data = unlabeled(10, 4, seed=12)
     model = make_params((4, 6, 3), seed=12)
     pseudo = [(i, i % 3) for i in range(len(data))]
-    cfg = ClientConfig(
-        epochs=2, batch_size=4, learning_rate=0.05, momentum=0.9,
-        lambda_max=1.0, lambda_ramp_rounds=1,
-    )
+    cfg = ClientConfig(epochs=2, batch_size=4, learning_rate=0.05, momentum=0.9)
     trained = client_train(
-        model, FilteredSets(tuple(zip(*pseudo))), data, cfg, round_index=5,
+        model, FilteredSets(tuple(zip(*pseudo))), data, cfg, lam=1.0,
         rng=stream(12, "train"), strong_augment_fn=augment_strong,
     )
 
@@ -364,8 +357,8 @@ def test_client_train_bit_deterministic():
         (np.arange(6, 10), (np.arange(6, 10) + 1) % 3),
     )
     cfg = ClientConfig(epochs=2, batch_size=4, learning_rate=0.03)
-    a = client_train(model, sets, data, cfg, 3, stream(14, "t"), augment_strong)
-    b = client_train(model, sets, data, cfg, 3, stream(14, "t"), augment_strong)
+    a = client_train(model, sets, data, cfg, 0.1, stream(14, "t"), augment_strong)
+    b = client_train(model, sets, data, cfg, 0.1, stream(14, "t"), augment_strong)
     np.testing.assert_array_equal(a.values, b.values)
 
 
@@ -373,8 +366,7 @@ def test_client_train_lambda_zero_and_no_negatives_is_noop():
     data = unlabeled(8, 4, seed=15)
     model = make_params((4, 6, 3), seed=15)
     sets = FilteredSets((np.arange(8), np.zeros(8)))
-    cfg = ClientConfig(lambda_max=0.0)
-    out = client_train(model, sets, data, cfg, 2, stream(15, "t"), augment_strong)
+    out = client_train(model, sets, data, ClientConfig(), 0.0, stream(15, "t"), augment_strong)
     assert np.array_equal(out.values, model.values)
 
 
@@ -383,7 +375,7 @@ def test_client_train_negative_only_component():
     model = make_params((4, 6, 3), seed=16)
     sets = FilteredSets(negative=(np.arange(8), np.ones(8)))
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.1, momentum=0.0)
-    out = client_train(model, sets, data, cfg, 1, stream(16, "t"))
+    out = client_train(model, sets, data, cfg, 1.0, stream(16, "t"))
     # One full batch, momentum 0: exactly one plain SGD step on the
     # complementary loss (row order does not change the mean).
     opt = OptimizerState(model, 0.1, 0.0)

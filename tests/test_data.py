@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedseal import (
-    UNLABELED,
     DataConfig,
     augment_strong,
     augment_weak,
@@ -142,16 +141,15 @@ def test_ingest_csv_labeled_row(tmp_path):
 
 def test_ingest_csv_unlabeled_row(tmp_path):
     path = tmp_path / "d.csv"
-    path.write_text("label,f0,f1\n,0.1,0.2\n")
-    features, labels = ingest_csv(path)
-    assert labels.tolist() == [UNLABELED]
-    np.testing.assert_array_equal(features, [[0.1, 0.2]])
+    path.write_text("label,f0,f1\n0,0.5,0.5\n,0.1,0.2\n")
+    with pytest.raises(ValueError, match=r"d\.csv: line 3: empty label"):
+        ingest_csv(path)
 
 
 def test_csv_round_trip_is_identity(tmp_path):
     rng = stream(21, "csv")
     features = rng.random((50, 7))
-    labels = np.where(np.arange(50) % 3 > 0, rng.integers(0, 4, size=50), UNLABELED)
+    labels = rng.integers(0, 4, size=50)
     path = tmp_path / "rt.csv"
     write_csv(features, labels, path)
     back_features, back_labels = ingest_csv(path)
@@ -664,11 +662,16 @@ def test_load_split_csv_subsamples_the_test_file(tmp_path):
     again = load_split(cfg, n_clients=2, seed=3)
     np.testing.assert_array_equal(again.test.X, split.test.X)
 
-    labels = labels.copy()
-    labels[7] = UNLABELED
-    write_csv(features, labels, tmp_path / "train.csv")
-    with pytest.raises(ValueError, match="csv training pool must be fully labeled"):
+    blank_label(tmp_path / "train.csv", line=9)
+    with pytest.raises(ValueError, match=r"train\.csv: line 9: empty label"):
         load_split(cfg, n_clients=2, seed=3)
+
+
+def blank_label(path, line: int) -> None:
+    """Empty the label cell of one line of a csv file."""
+    lines = path.read_text().splitlines()
+    lines[line - 1] = lines[line - 1][lines[line - 1].index(","):]
+    path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("part", ["train", "test"])
@@ -677,17 +680,49 @@ def test_load_split_names_the_file_and_line_of_an_unlabeled_csv_row(tmp_path, pa
     paths = {name: tmp_path / f"{name}.csv" for name in ("train", "test")}
     write_csv(features[:300], labels[:300], paths["train"])
     write_csv(features[300:], labels[300:], paths["test"])
-    X, y = ingest_csv(paths[part])
-    y[7] = UNLABELED
-    write_csv(X, y, paths[part])
+    blank_label(paths[part], line=9)
     # test_n subsamples the test file, but every row of it must be labeled.
     cfg = DataConfig(
         kind="csv", train_csv=str(paths["train"]), test_csv=str(paths["test"]),
         per_client=40, server_train_n=20, server_val_n=20, test_n=5,
     )
-    role = {"train": "training pool", "test": "test file"}[part]
-    message = f"{paths[part]}: line 9: empty label, but a csv {role} must be fully labeled"
+    message = f"{paths[part]}: line 9: empty label, but every row must be labeled"
     with pytest.raises(ValueError, match=re.escape(message)):
+        load_split(cfg, n_clients=2, seed=3)
+
+
+TEST_FILE_PROBLEMS = {
+    "width": "5 features per row, but the training pool has 6",
+    "rows": "no rows, but a test file needs at least one",
+    "labels": "label 5 is not a class of the training pool, whose labels are 0..3",
+}
+
+
+@pytest.mark.parametrize("kind", ["csv", "idx"])
+@pytest.mark.parametrize("case", TEST_FILE_PROBLEMS)
+def test_load_split_rejects_a_test_file_the_pool_cannot_score(tmp_path, kind, case):
+    rng = stream(23, "test-file")
+    test_shape = {"width": (30, 1, 5), "rows": (0, 2, 3), "labels": (30, 2, 3)}[case]
+    files = {}
+    for part, shape, n_classes in [("train", (400, 2, 3), 4),
+                                   ("test", test_shape, 6 if case == "labels" else 4)]:
+        pixels = rng.integers(0, 256, size=shape)
+        labels = np.arange(shape[0]) % n_classes
+        (tmp_path / part).mkdir()
+        if kind == "idx":
+            files[part] = write_idx_pair(tmp_path / part, pixels, labels.tolist())
+        else:
+            files[part] = (tmp_path / part / "d.csv",) * 2
+            write_csv(pixels.reshape(shape[0], shape[1] * shape[2]) / 255.0, labels,
+                      files[part][0])
+    paths = dict(train_images=str(files["train"][0]), train_labels=str(files["train"][1]),
+                 test_images=str(files["test"][0]), test_labels=str(files["test"][1]))
+    if kind == "csv":
+        paths = dict(train_csv=paths["train_images"], test_csv=paths["test_images"])
+    cfg = DataConfig(kind=kind, per_client=40, server_train_n=20, server_val_n=20, test_n=5,
+                     **paths)
+    blamed = files["test"][1 if case == "labels" else 0]
+    with pytest.raises(ValueError, match=re.escape(f"{blamed}: {TEST_FILE_PROBLEMS[case]}")):
         load_split(cfg, n_clients=2, seed=3)
 
 

@@ -15,7 +15,6 @@ from fedseal import (
     ClientConfig,
     Collection,
     DataConfig,
-    EnsembleState,
     ExperimentConfig,
     FilteredSets,
     ServerConfig,
@@ -27,6 +26,7 @@ from fedseal import (
     compute_thresholds,
     evaluate,
     label_correct_rates,
+    lambda_at,
     load_split,
     parse_config,
     run_experiment,
@@ -149,7 +149,7 @@ def test_whole_collection_passes_make_one_forward_batch_call(monkeypatch):
     model = make_params((5, 8, 3), seed=1)
     evaluate(model, labeled_rows(600, 5, 3, seed=1))
     assert rows == [600]
-    update_ensemble(EnsembleState.empty(), model, labeled_rows(600, 5, 3, seed=2).X)
+    update_ensemble(None, 1, model, labeled_rows(600, 5, 3, seed=2).X)
     assert rows == [600, 600]
 
 
@@ -270,8 +270,29 @@ def test_run_round_repeatable_record():
     ("server_sl", None), ("fedavg_sl", None),
 ])
 def test_record_lambda_only_where_a_loss_is_weighted_by_it(algorithm, expected):
-    _, record = run_round(start(small_config(algorithm)), 2)
+    state, _ = run_round(start(small_config(algorithm)), 1)
+    _, record = run_round(state, 2)
     assert record.lambda_weight == expected
+
+
+@pytest.mark.parametrize("algorithm", ["fedseal", "fedavg_fixmatch"])
+def test_clients_train_with_the_lambda_the_round_records(monkeypatch, algorithm):
+    received = []
+
+    def recording_client_train(w_t, sets, features, cfg, lam, *rest):
+        received.append(lam)
+        return client_train(w_t, sets, features, cfg, lam, *rest)
+
+    monkeypatch.setattr("fedseal.experiment.client_train", recording_client_train)
+    cfg = small_config(algorithm, rounds=4)
+    state = start(cfg)
+    for t in range(1, cfg.rounds + 1):
+        received.clear()
+        state, record = run_round(state, t)
+        # fedavg_fixmatch weighs the positive loss fully from round 1.
+        expected = lambda_at(t, cfg.client) if algorithm == "fedseal" else 1.0
+        assert received == [expected] * cfg.clients_per_round
+        assert record.lambda_weight == expected
 
 
 def test_three_round_trace_matches_hand_stepped_transcript():
@@ -286,7 +307,7 @@ def test_three_round_trace_matches_hand_stepped_transcript():
     strong = partial(augment_strong, image_shape=None)
     w = bootstrap(split.server_train, cfg.server, stream(cfg.seed, "bootstrap"), dims, weak)
     uploads = []
-    ensembles = {k: EnsembleState.empty() for k in range(cfg.n_clients)}
+    ensembles = [None] * cfg.n_clients
     server_lr, client_lr = cfg.server.learning_rate, cfg.client.learning_rate
 
     for t in range(1, cfg.rounds + 1):
@@ -298,7 +319,7 @@ def test_three_round_trace_matches_hand_stepped_transcript():
         taus = compute_thresholds(w_t, split.server_val)
         sampled = sample_clients(cfg.n_clients, cfg.clients_per_round, t, cfg.seed)
         for k in range(cfg.n_clients):
-            ensembles[k] = update_ensemble(ensembles[k], w_t, split.client_train[k].X)
+            ensembles[k] = update_ensemble(ensembles[k], t, w_t, split.client_train[k].X)
         uploads = []
         rec = records[t - 1]
         np.testing.assert_array_equal(np.array(rec.taus), taus)
@@ -312,7 +333,7 @@ def test_three_round_trace_matches_hand_stepped_transcript():
             uploads.append(
                 client_train(
                     w_t, FilteredSets(pos, neg), split.client_train[k].X,
-                    replace(cfg.client, learning_rate=client_lr), t,
+                    replace(cfg.client, learning_rate=client_lr), lambda_at(t, cfg.client),
                     stream(cfg.seed, "client", k, t), strong,
                 )
             )
@@ -379,11 +400,11 @@ def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):
         return cfg, state, rounds
 
     cfg, state, ablated = run("fedseal_no_ensemble")
-    assert all(e.count == 0 and e.avg.size == 0 for e in state.ensembles.values())
+    assert state.ensembles == [None] * cfg.n_clients
     for t, (w_t, sets_by_client) in enumerate(ablated, start=1):
         taus = compute_thresholds(w_t, state.split.server_val)
         for k, sets in sets_by_client.items():
-            conf = update_ensemble(EnsembleState.empty(), w_t, state.split.client_train[k].X)
+            conf = forward_batch(w_t, state.split.client_train[k].X)
             expected = FilteredSets(
                 build_positive_set(conf, taus),
                 build_negative_set(conf, taus, cfg.client.theta, stream(cfg.seed, "negative", k, t)),
@@ -393,7 +414,9 @@ def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):
 
     _, with_ensemble, full = run("fedseal")
     # Sampled or not, every client folds in every round's global model.
-    assert all(e.count == cfg.rounds for e in with_ensemble.ensembles.values())
+    for k, avg in enumerate(with_ensemble.ensembles):
+        outputs = [forward_batch(w_t, with_ensemble.split.client_train[k].X) for w_t, _ in full]
+        np.testing.assert_allclose(avg, np.mean(outputs, axis=0), atol=1e-12)
     assert any(
         not _same_sets(a, b)
         for (_, by_k_a), (_, by_k_b) in zip(ablated[1:], full[1:])
