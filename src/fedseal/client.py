@@ -7,7 +7,8 @@ take any such confidence matrix, the self-ensemble or one model's output:
 rows whose top class clears the server's per-class threshold form a
 pseudo-labeled positive set, and a class the rest are confidently not
 becomes their complementary label.  The client then trains on
-lam * positive loss + negative loss, with ``lam`` set by the round.
+lam * positive loss + negative loss (two :func:`nn.train` terms), with
+``lam`` set by the round.
 """
 
 from __future__ import annotations
@@ -148,37 +149,9 @@ def client_train(
     Positive rows train with strong augmentation, one
     ``strong_augment_fn(batch, rng)`` call per batch, against their
     pseudo-labels; negative rows train un-augmented against the
-    complementary loss.  An empty component drops out of the objective; if
-    both sets are empty the global model is returned untouched.
+    complementary loss.  An empty component, or the positive one at
+    ``lam`` = 0, drops out of the objective and draws nothing from ``rng``;
+    if neither is left the global model is returned untouched.
     """
-    pos_rows, pos_labels = sets.positive
-    neg_rows, neg_labels = sets.negative
-    n_pos, n_neg = len(pos_rows), len(neg_rows)
-    use_pos = n_pos > 0 and lam > 0.0
-    batches = max(-(-n_pos // cfg.batch_size) if use_pos else 0,
-                  -(-n_neg // cfg.batch_size))
-    if batches == 0 or cfg.epochs == 0:
-        return global_model
-
-    opt = nn.OptimizerState(global_model, cfg.learning_rate, cfg.momentum)
-    for _ in range(cfg.epochs):
-        pos_order = rng.permutation(n_pos) if use_pos else None
-        neg_order = rng.permutation(n_neg) if n_neg else None
-        for b in range(batches):
-            lo, hi = b * cfg.batch_size, (b + 1) * cfg.batch_size
-            grad = None
-            if use_pos and lo < n_pos:
-                picked = pos_order[lo:hi]
-                rows = pos_rows[picked]
-                x = features[rows]
-                if strong_augment_fn is not None:
-                    x = strong_augment_fn(x, rng)
-                grad = lam * nn.gradient(opt.params, x, pos_labels[picked])
-            if lo < n_neg:
-                picked = neg_order[lo:hi]
-                neg_grad = nn.gradient(
-                    opt.params, features[neg_rows[picked]], neg_labels[picked], negative=True
-                )
-                grad = neg_grad if grad is None else grad + neg_grad
-            nn.sgd_step(opt, grad)
-    return opt.result()
+    terms = [(*sets.positive, lam, False, strong_augment_fn), (*sets.negative, 1.0, True, None)]
+    return nn.train(global_model, cfg, rng, features, terms)

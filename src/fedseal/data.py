@@ -617,6 +617,8 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
         else:
             ingest, train_paths, test_paths = ingest_csv, (cfg.train_csv,), (cfg.test_csv,)
         X, y = ingest(*train_paths)
+        if not len(y):
+            raise ValueError(f"{train_paths[0]}: no rows, but the training pool needs at least one")
         if test_paths[0]:
             test_file = ingest(*test_paths)
             _check_test_file(*test_file, X, y, test_paths[0], test_paths[-1])

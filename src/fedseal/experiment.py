@@ -151,8 +151,6 @@ def sample_clients(n_clients: int, k: int, round_index: int, seed: int) -> list[
     """Uniform sample of k distinct clients, deterministic in (seed, round)."""
     if k > n_clients:
         raise ValueError(f"cannot sample {k} clients from {n_clients}")
-    if k == n_clients:
-        return list(range(n_clients))
     rng = stream(seed, "sample", round_index)
     return sorted(int(c) for c in rng.choice(n_clients, size=k, replace=False))
 

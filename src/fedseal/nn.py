@@ -3,9 +3,10 @@
 The network is a plain MLP (tanh hidden layers, softmax head) over flat
 feature vectors.  Parameters live in a single flat float64 vector plus layer
 shape metadata, so a whole model can be averaged, diffed and shipped around
-as one array.  A :class:`ModelParams` is read-only; training works on a
-private copy inside an :class:`OptimizerState`, which :func:`sgd_step`
-updates in place and which becomes a new ``ModelParams`` when the loop ends.
+as one array.  A :class:`ModelParams` is read-only; :func:`train`, the one
+SGD loop of server, bootstrap and clients, works on a private copy inside an
+:class:`OptimizerState`, which :func:`sgd_step` updates in place and which
+becomes a new ``ModelParams`` when the loop ends.
 
 Alternate backbones only need to reproduce the call signatures of
 ``init_params`` / ``forward_batch`` / ``gradient``; the rest of the package
@@ -275,3 +276,39 @@ def sgd_step(opt: OptimizerState, grad: np.ndarray) -> None:
     opt._values -= opt._scratch
     if not np.isfinite(opt._values).all():
         raise FloatingPointError("non-finite parameter values after SGD step")
+
+
+def train(model: ModelParams, cfg: SGDConfig, rng: np.random.Generator, X, terms) -> ModelParams:
+    """Mini-batch momentum SGD on a weighted sum of losses over rows of ``X``.
+
+    A term is ``(rows, labels, weight, negative, augment_fn)``: positions in
+    ``X``, their labels, a loss weight and kind (see :func:`batch_loss`), and
+    an optional ``augment_fn(batch, rng)``.  Terms with no rows or zero weight
+    drop out; with none left the model is returned untouched.  Each epoch
+    draws one ``rng.permutation`` per term, in term order; batch b sums, in
+    term order, the weighted gradient of the b-th slice of each permutation.
+    """
+    terms = [term for term in terms if len(term[0]) and term[2] != 0.0]
+    if not terms:
+        return model
+    size, longest = cfg.batch_size, max(len(term[0]) for term in terms)
+    opt = OptimizerState(model, cfg.learning_rate, cfg.momentum)
+    for _ in range(cfg.epochs):
+        shuffled = []
+        for rows, labels, *rest in terms:
+            order = rng.permutation(len(rows))
+            shuffled.append((rows[order], labels[order], *rest))
+        for lo in range(0, longest, size):
+            grad = None
+            for rows, labels, weight, negative, augment_fn in shuffled:
+                if lo >= len(rows):
+                    continue
+                x = X[rows[lo : lo + size]]
+                if augment_fn is not None:
+                    x = augment_fn(x, rng)
+                term_grad = gradient(opt.params, x, labels[lo : lo + size], negative=negative)
+                if weight != 1.0:
+                    term_grad *= weight
+                grad = term_grad if grad is None else np.add(grad, term_grad, out=grad)
+            sgd_step(opt, grad)
+    return opt.result()

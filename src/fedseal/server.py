@@ -2,8 +2,8 @@
 
 Each round the server averages the uploaded local models, refines the
 average on its labeled data, and publishes a per-class confidence threshold
-measured on its validation set.  Before round 1 the same training machinery
-bootstraps the initial model from the labeled data alone.
+measured on its validation set.  Before round 1 the same :func:`nn.train`
+loop bootstraps the initial model from the labeled data alone.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ def aggregate(local_models: list[nn.ModelParams]) -> nn.ModelParams:
     for model in local_models[1:]:
         if model.shapes != first.shapes or model.values.size != first.values.size:
             raise ValueError("local models disagree on parameter layout")
-    if len(local_models) == 1:
-        return first
     total = np.zeros_like(first.values)
     for model in local_models:
         total += model.values - first.values
@@ -65,24 +63,14 @@ def server_train(
 ) -> nn.ModelParams:
     """Refine the model with shuffled mini-batch SGD on cross-entropy.
 
-    ``data`` is a labeled collection.  Each batch of every epoch passes
-    through ``augment_fn(batch, rng)`` (weak augmentation), one call per
-    batch.  The input model is not modified.
+    ``data`` is a labeled collection, one weight-1 :func:`nn.train` term
+    whose batches each pass through ``augment_fn(batch, rng)`` (weak
+    augmentation).  The input model is not modified.
     """
     if not len(data):
         raise ValueError("server training set is empty")
-    opt = nn.OptimizerState(global_model, cfg.learning_rate, cfg.momentum)
-    n = len(data)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            x = data.X[rows]
-            if augment_fn is not None:
-                x = augment_fn(x, rng)
-            grad = nn.gradient(opt.params, x, data.y[rows])
-            nn.sgd_step(opt, grad)
-    return opt.result()
+    term = (np.arange(len(data)), data.y, 1.0, False, augment_fn)
+    return nn.train(global_model, cfg, rng, data.X, [term])
 
 
 def compute_thresholds(model: nn.ModelParams, validation: Collection) -> np.ndarray:
@@ -106,7 +94,7 @@ def compute_thresholds(model: nn.ModelParams, validation: Collection) -> np.ndar
         if den == 0:
             continue
         num = float(probs[preds == m, m].sum())
-        taus[m] = min(num / den, 1.0)
+        taus[m] = num / den
     return np.clip(taus, 0.0, 1.0)
 
 
@@ -118,8 +106,6 @@ def bootstrap(
     augment_fn=None,
 ) -> nn.ModelParams:
     """Train the initial model on server data alone, from a fresh init."""
-    if not len(data):
-        raise ValueError("bootstrap training set is empty")
     params = nn.init_params(dims, rng)
     return server_train(
         params, data, replace(cfg, epochs=cfg.bootstrap_epochs), rng, augment_fn

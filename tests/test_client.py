@@ -175,6 +175,12 @@ def test_negative_set_singleton_candidate():
     assert pairs(got) == [(0, 1)]
 
 
+def test_negative_set_candidate_at_exactly_theta():
+    conf = conf_matrix([[0.375, 0.375, 0.25]])
+    got = build_negative_set(conf, np.ones(3), 0.25, stream(0, "neg"))
+    assert pairs(got) == [(0, 2)]
+
+
 def test_negative_set_skips_when_no_class_below_theta():
     conf = conf_matrix([[0.4, 0.3, 0.3]])
     assert pairs(build_negative_set(conf, np.ones(3), 0.05, stream(0, "neg"))) == []
@@ -368,6 +374,23 @@ def test_client_train_lambda_zero_and_no_negatives_is_noop():
     sets = FilteredSets((np.arange(8), np.zeros(8)))
     out = client_train(model, sets, data, ClientConfig(), 0.0, stream(15, "t"), augment_strong)
     assert np.array_equal(out.values, model.values)
+
+
+def test_client_train_lambda_zero_trains_only_the_negative_set():
+    # At lam = 0 the positive set drops out: it draws no permutation and no
+    # augmentation, so the run is negative-only training on the same stream.
+    data = unlabeled(12, 4, seed=17)
+    model = make_params((4, 6, 3), seed=17)
+    negative = (np.arange(8, 12), np.arange(8, 12) % 3)
+    both = FilteredSets((np.arange(8), np.arange(8) % 3), negative)
+    cfg = ClientConfig(epochs=2, batch_size=3, learning_rate=0.1)
+    rng_both, rng_neg = stream(17, "t"), stream(17, "t")
+    out = client_train(model, both, data, cfg, 0.0, rng_both, augment_strong)
+    expected = client_train(model, FilteredSets(negative=negative), data, cfg, 0.0, rng_neg,
+                            augment_strong)
+    assert not np.array_equal(out.values, model.values)
+    np.testing.assert_array_equal(out.values, expected.values)
+    assert rng_both.bit_generator.state == rng_neg.bit_generator.state
 
 
 def test_client_train_negative_only_component():

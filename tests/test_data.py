@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedseal import (
+    Collection,
     DataConfig,
     augment_strong,
     augment_weak,
@@ -246,6 +247,11 @@ def test_partition_iid_divisibility():
     labels = pool_labels(300, 4)
     with pytest.raises(ValueError, match="divisible"):
         partition(labels, n_clients=2, mode="iid", per_client=30, rng_seed=0)
+
+
+def test_partition_rejects_an_unlabeled_row():
+    with pytest.raises(ValueError, match="partition pool must be fully labeled"):
+        partition(np.array([0, 1, -1, 1]), n_clients=1, mode="iid", per_client=2, rng_seed=0)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -1.0])
@@ -550,6 +556,35 @@ def test_load_split_divisibility_error(tmp_path):
     with pytest.raises(ValueError, match="divisible"):
         csv_split(tmp_path, pool, n_clients=2, seed=0, per_client=20, server_train_n=30,
                   server_val_n=10, test_n=10)
+
+
+def test_load_split_rejects_a_class_short_of_its_server_rows(tmp_path):
+    X, y = balanced_pool(300, 4, seed=16)
+    keep = (y != 3) | (np.cumsum(y == 3) <= 2)  # two rows of class 3; the server needs 5
+    with pytest.raises(ValueError, match="class 3 has too few instances for the server split"):
+        csv_split(tmp_path, (X[keep], y[keep]), n_clients=2, seed=0, per_client=20,
+                  server_train_n=20, server_val_n=10, test_n=10)
+
+
+@pytest.mark.parametrize("kind", ["csv", "idx"])
+def test_load_split_rejects_an_empty_training_pool(tmp_path, kind):
+    if kind == "idx":
+        paths = write_idx_pair(tmp_path, np.zeros((0, 2, 3)), [])
+        files = dict(train_images=str(paths[0]), train_labels=str(paths[1]))
+    else:
+        paths = (tmp_path / "train.csv",)
+        write_csv(np.empty((0, 6)), [], paths[0])
+        files = dict(train_csv=str(paths[0]))
+    cfg = DataConfig(kind=kind, per_client=40, server_train_n=20, server_val_n=20, test_n=5,
+                     **files)
+    message = f"{paths[0]}: no rows, but the training pool needs at least one"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_split(cfg, n_clients=2, seed=3)
+
+
+def test_collection_needs_one_label_per_row():
+    with pytest.raises(ValueError, match="2 labels for 3 rows"):
+        Collection(np.zeros((3, 2)), [0, 1])
 
 
 def labels_with_counts(counts, rng) -> np.ndarray:

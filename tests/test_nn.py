@@ -242,6 +242,14 @@ def test_gradient_finite_difference_property(seed):
         assert rel_error(gradient(params, *batch), fd_batch_gradient(params, batch)) < 1e-4
 
 
+@pytest.mark.parametrize("label, negative", [(1, False), (0, True)])
+def test_gradient_of_a_clamped_row_is_zero(label, negative):
+    # Under [1, 0, 0], p of class 1 and 1 - p of class 0 fall below
+    # PROB_FLOOR, where the clamped loss is flat.
+    params = _emitting([1.0, 0.0, 0.0])
+    assert not gradient(params, np.ones((1, 1)), [label], negative).any()
+
+
 def test_gradient_empty_batch_is_an_error():
     with pytest.raises(ValueError, match="empty batch"):
         gradient(make_params((2, 3, 2), seed=0), np.empty((0, 2)), [])
