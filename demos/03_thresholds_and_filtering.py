@@ -37,7 +37,7 @@ print("per-class confidence thresholds:", np.round(taus, 3))
 shard = split.client_train[0]
 # The (n, M) confidence matrix a client filters: here one model's outputs;
 # a fedseal client uses the mean over every model it has downloaded.
-confidence = nn.forward_batch(model, shard.X)
+confidence = nn.forward_batch(model, shard)
 sets = FilteredSets(
     build_positive_set(confidence, taus),
     build_negative_set(confidence, taus, theta=0.05, rng=stream(11, "neg")),

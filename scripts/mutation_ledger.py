@@ -1,0 +1,140 @@
+"""Mutation ledger: single-line mutants of src/ and the tests that kill them.
+
+Each row of ``MUTANTS`` is (file under src/fedseal, exact text, replacement,
+killing test).  For every row the script copies the repository to a
+temporary directory, replaces the text (which must occur exactly once in
+its file), runs the killing test alone, then the whole tier-1 suite with
+``-x``, and writes one JSON record per mutant to MUTANTS.json at the
+repository root:
+
+    python scripts/mutation_ledger.py
+
+A mutant is killed when tier-1 fails; ``first_failure`` is the test that
+stopped it.  The exit status is 1 when a mutant survives or its killing test
+passes on it.  A refactor that moves or rewrites a mutated line must carry
+its row along: ``tests/test_mutation_ledger.py`` checks that every text still
+occurs exactly once.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "fedseal"
+
+MUTANTS = (
+    ("nn.py",
+     "terms = [term for term in terms if len(term[0]) and term[2] != 0.0]",
+     "terms = [term for term in terms if len(term[0])]",
+     "tests/test_client.py::test_client_train_lambda_zero_trains_only_the_negative_set"),
+    ("client.py",
+     "candidates = conf <= theta",
+     "candidates = conf < theta",
+     "tests/test_client.py::test_negative_set_candidate_at_exactly_theta"),
+    ("nn.py",
+     "grad_z[p < PROB_FLOOR] = 0.0",
+     "pass",
+     "tests/test_nn.py::test_gradient_of_a_clamped_row_is_zero[1-False]"),
+    ("nn.py",
+     "scale = np.where(q < PROB_FLOOR, 0.0, p / np.maximum(q, PROB_FLOOR))",
+     "scale = p / np.maximum(q, PROB_FLOOR)",
+     "tests/test_nn.py::test_gradient_of_a_clamped_row_is_zero[0-True]"),
+    ("data.py",
+     "if not len(y):",
+     "if False:",
+     "tests/test_data.py::test_load_split_rejects_an_empty_training_pool"),
+    ("data.py",
+     "if self.y.shape != (len(self),):",
+     "if False:",
+     "tests/test_data.py::test_collection_needs_one_label_per_row"),
+    ("data.py",
+     "if len(class_pool) < per_class:",
+     "if False:",
+     "tests/test_data.py::test_load_split_rejects_a_class_short_of_its_server_rows"),
+    ("data.py",
+     "if (labels < 0).any():",
+     "if False:",
+     "tests/test_data.py::test_partition_rejects_an_unlabeled_row"),
+    ("experiment.py",
+     "return sorted(int(c) for c in rng.choice(n_clients, size=k, replace=False))",
+     "return [int(c) for c in rng.choice(n_clients, size=k, replace=False)]",
+     "tests/test_golden.py::test_partial_participation_matches_golden_digests"),
+    ("experiment.py",
+     "for k, shard in enumerate(state.split.client_train):",
+     "for k, shard in ((k, state.split.client_train[k]) for k in sampled):",
+     "tests/test_golden.py::test_partial_participation_matches_golden_digests"),
+    ("data.py",
+     "def __init__(self, X, y):",
+     "def __init__(self, X, y=None):",
+     "tests/test_data.py::test_collection_needs_its_labels"),
+    ("data.py",
+     "if not len(self):",
+     "if False:",
+     "tests/test_data.py::test_collection_rejects_zero_rows"),
+    ("data.py",
+     "if (self.y < 0).any():",
+     "if False:",
+     "tests/test_data.py::test_collection_rejects_a_negative_label_and_names_it"),
+    ("data.py",
+     "if image_shape is not None and (rows, cols) != tuple(image_shape):",
+     "if False:",
+     "tests/test_data.py::test_load_split_rejects_an_idx_file_of_another_image_shape"),
+)
+
+# The ledger's own test fails on every mutant (its text no longer occurs), so it is left out.
+TIER1 = ("-q", "-rfE", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+         "--ignore=tests/test_mutation_ledger.py")
+
+
+def run_pytest(root: Path, *args: str) -> tuple[bool, str | None]:
+    """(passed, first failing test id) of a pytest run in ``root``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("FEDSEAL_FASHION_MNIST_DIR", None)
+    proc = subprocess.run([sys.executable, "-m", "pytest", *TIER1, *args], cwd=root, env=env,
+                          capture_output=True, text=True)
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return proc.returncode == 0, failed[0] if failed else None
+
+
+def run_mutant(file: str, text: str, replacement: str, killer: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "repo"
+        # Without the dataset, acceptance criteria 3-5 skip instead of
+        # training for half an hour on every mutant.
+        shutil.copytree(REPO, root, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", "runs", "data",
+            "MUTANTS.json"))
+        path = root / "src" / "fedseal" / file
+        source = path.read_text()
+        if source.count(text) != 1:
+            raise SystemExit(f"src/fedseal/{file}: {text!r} occurs {source.count(text)} times")
+        path.write_text(source.replace(text, replacement))
+        killer_passed, _ = run_pytest(root, killer)
+        tier1_passed, first = run_pytest(root, "-x")
+    return {"file": f"src/fedseal/{file}", "text": text, "replacement": replacement,
+            "killing_test": killer, "killing_test_fails": not killer_passed,
+            "killed": not tier1_passed, "first_failure": first}
+
+
+def main() -> int:
+    records = []
+    for row in MUTANTS:
+        records.append(run_mutant(*row))
+        rec = records[-1]
+        status = "killed" if rec["killed"] and rec["killing_test_fails"] else "SURVIVED"
+        print(f"{status:8} {rec['file']}: {rec['text']}  (first failure: {rec['first_failure']})",
+              flush=True)
+    (REPO / "MUTANTS.json").write_text(json.dumps(records, indent=1) + "\n")
+    return 0 if all(r["killed"] and r["killing_test_fails"] for r in records) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,11 +2,11 @@
 
 A dataset is a pair of arrays: an (n, width) feature matrix with values in
 [0, 1] and n non-negative integer class labels.
-:func:`load_split` carves one labeled pool into the four collections a run
-needs (server train, server validation, per-client unlabeled shards, test),
-held by a :class:`DatasetSplit`, each a row-aligned :class:`Collection`
-gathered once.  Client shards expose no labels to algorithm code; their true
-labels are kept in arrays aligned with the shards, reachable only through
+:func:`load_split` carves one labeled pool into the four parts a run needs,
+held by a :class:`DatasetSplit` and each gathered once: the server train,
+server validation and test sets are each a labeled :class:`Collection`, and
+each client shard is a plain read-only (n_k, width) feature matrix.  A shard's
+true labels are kept in an array aligned with it, reachable only through
 :meth:`DatasetSplit.hidden_labels`, which exists for correctness metrics and
 the label-oracle baseline.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import gzip
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,66 +37,63 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class Collection:
-    """Row-aligned (n, width) features and labels of one collection.
+    """Row-aligned (n, width) features and labels of one labeled collection.
 
-    ``y`` is None for client shards.  Both are read-only views.
+    There is at least one row and every label is non-negative, so consumers
+    need not check either.  Both arrays are read-only views.
     """
 
-    def __init__(self, X, y=None):
+    def __init__(self, X, y):
         self.X = _frozen(np.asarray(X, dtype=np.float64))
-        self.y = None if y is None else _frozen(np.asarray(y, dtype=np.int64))
+        self.y = _frozen(np.asarray(y, dtype=np.int64))
         if self.X.ndim != 2:
             raise ValueError(f"features must be an (n, width) matrix, got shape {self.X.shape}")
-        if self.y is not None and self.y.shape != (len(self),):
+        if self.y.shape != (len(self),):
             raise ValueError(f"{self.y.size} labels for {len(self)} rows")
+        if not len(self):
+            raise ValueError("a collection needs at least one row")
+        if (self.y < 0).any():
+            raise ValueError(f"negative label {int(self.y.min())}: every row must be labeled")
 
     def __len__(self) -> int:
         return self.X.shape[0]
 
 
 class DatasetSplit:
-    """Disjoint server/validation/client/test collections for one run."""
+    """Disjoint server/validation/test collections and client shards for one run."""
 
     def __init__(
         self,
         server_train: Collection,
         server_val: Collection,
-        client_train: list[Collection],
+        client_train: list[np.ndarray],
         test: Collection,
         hidden_labels: list[np.ndarray],
     ):
         self.server_train = server_train
         self.server_val = server_val
-        self.client_train = list(client_train)
+        self.client_train = [_frozen(np.asarray(X, dtype=np.float64)) for X in client_train]
         self.test = test
         self._hidden_labels = [_frozen(np.asarray(h, dtype=np.int64)) for h in hidden_labels]
         self._validate()
 
     def _validate(self) -> None:
-        labeled = {"server_train": self.server_train, "server_val": self.server_val,
-                   "test": self.test}
-        collections = [*labeled.values(), *self.client_train]
-        widths = sorted({coll.X.shape[1] for coll in collections})
+        features = [coll.X for coll in (self.server_train, self.server_val, self.test)]
+        widths = sorted({X.shape[1] for X in features + self.client_train})
         if len(widths) > 1:
             raise ValueError(f"collections disagree on feature width: {widths}")
-        for name, coll in labeled.items():
-            if coll.y is None or (coll.y < 0).any():
-                raise ValueError(f"{name} rows must be labeled")
         if len(self._hidden_labels) != len(self.client_train):
             raise ValueError(
                 f"{len(self._hidden_labels)} hidden label arrays for "
                 f"{len(self.client_train)} client shards"
             )
         for k, (shard, hidden) in enumerate(zip(self.client_train, self._hidden_labels)):
-            if shard.y is not None:
-                raise ValueError(f"client shard {k} leaks its labels")
             if hidden.shape != (len(shard),) or (hidden < 0).any():
                 raise ValueError(f"client shard {k} needs one hidden label per row")
 
     @property
     def n_classes(self) -> int:
-        return int(max(coll.y.max() for coll in (self.server_train, self.server_val, self.test)
-                       if len(coll))) + 1
+        return 1 + int(max(c.y.max() for c in (self.server_train, self.server_val, self.test)))
 
     @property
     def feature_width(self) -> int:
@@ -127,12 +125,13 @@ def _read_binary(path) -> bytes:
         return f.read()
 
 
-def ingest_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+def ingest_idx(images_path, labels_path, image_shape=None) -> tuple[np.ndarray, np.ndarray]:
     """Load an IDX image/label file pair (big-endian, standard magics).
 
     Returns (features, labels): pixels scaled by 1/255 and flattened
     row-major, one row per image.  Paths ending in ``.gz`` are decompressed
-    transparently.
+    transparently.  Given an ``image_shape`` (height, width), an images file
+    whose header declares any other shape is rejected.
     """
     img_buf = _read_binary(images_path)
     lbl_buf = _read_binary(labels_path)
@@ -146,6 +145,9 @@ def ingest_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     count = _read_be32(img_buf, 4, str(images_path))
     rows = _read_be32(img_buf, 8, str(images_path))
     cols = _read_be32(img_buf, 12, str(images_path))
+    if image_shape is not None and (rows, cols) != tuple(image_shape):
+        raise ValueError(f"{images_path}: images are {rows} x {cols}, but image_height x "
+                         f"image_width is {image_shape[0]} x {image_shape[1]}")
     expected = 16 + count * rows * cols
     if len(img_buf) != expected:
         raise ValueError(
@@ -611,7 +613,7 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
         ]
     else:
         if cfg.kind == "idx":
-            ingest = ingest_idx
+            ingest = partial(ingest_idx, image_shape=cfg.image_shape)
             train_paths = (cfg.train_images, cfg.train_labels)
             test_paths = (cfg.test_images, cfg.test_labels)
         else:
@@ -640,7 +642,7 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
     return DatasetSplit(
         Collection(server_X, y[server]),
         Collection(val_X, y[val]),
-        [Collection(features) for features in shard_X],
+        shard_X,
         Collection(test_X, test_y),
         [shard_y[rows] for rows in shards],
     )

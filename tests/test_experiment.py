@@ -129,11 +129,14 @@ def test_evaluate_matches_per_instance_loop():
 
 
 def test_evaluate_rejects_empty_or_unlabeled():
+    # Collection refuses such a test set where it is built, so none reaches evaluate.
     model = make_params((2, 3, 2), seed=0)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="at least one row"):
         evaluate(model, labeled_rows(0, 2, 2, seed=0))
-    with pytest.raises(ValueError, match="labeled"):
+    with pytest.raises(TypeError, match="'y'"):
         evaluate(model, Collection(np.zeros((1, 2))))
+    with pytest.raises(ValueError, match="every row must be labeled"):
+        evaluate(model, Collection(np.zeros((1, 2)), [-1]))
 
 
 def test_whole_collection_passes_make_one_forward_batch_call(monkeypatch):
@@ -212,7 +215,7 @@ def test_start_matches_benchmark_set_up(monkeypatch):
         np.testing.assert_array_equal(a.y, b.y)
     assert len(ours.split.client_train) == len(theirs.split.client_train) == cfg.n_clients
     for k, (a, b) in enumerate(zip(ours.split.client_train, theirs.split.client_train)):
-        np.testing.assert_array_equal(a.X, b.X)
+        np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(ours.split.hidden_labels(k), theirs.split.hidden_labels(k))
     assert (ours.server_lr, ours.client_lr) == (theirs.server_lr, theirs.client_lr)
 
@@ -319,7 +322,7 @@ def test_three_round_trace_matches_hand_stepped_transcript():
         taus = compute_thresholds(w_t, split.server_val)
         sampled = sample_clients(cfg.n_clients, cfg.clients_per_round, t, cfg.seed)
         for k in range(cfg.n_clients):
-            ensembles[k] = update_ensemble(ensembles[k], t, w_t, split.client_train[k].X)
+            ensembles[k] = update_ensemble(ensembles[k], t, w_t, split.client_train[k])
         uploads = []
         rec = records[t - 1]
         np.testing.assert_array_equal(np.array(rec.taus), taus)
@@ -332,7 +335,7 @@ def test_three_round_trace_matches_hand_stepped_transcript():
             assert (len(pos[0]), len(neg[0])) == (pos_in_rec, neg_in_rec)
             uploads.append(
                 client_train(
-                    w_t, FilteredSets(pos, neg), split.client_train[k].X,
+                    w_t, FilteredSets(pos, neg), split.client_train[k],
                     replace(cfg.client, learning_rate=client_lr), lambda_at(t, cfg.client),
                     stream(cfg.seed, "client", k, t), strong,
                 )
@@ -404,7 +407,7 @@ def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):
     for t, (w_t, sets_by_client) in enumerate(ablated, start=1):
         taus = compute_thresholds(w_t, state.split.server_val)
         for k, sets in sets_by_client.items():
-            conf = forward_batch(w_t, state.split.client_train[k].X)
+            conf = forward_batch(w_t, state.split.client_train[k])
             expected = FilteredSets(
                 build_positive_set(conf, taus),
                 build_negative_set(conf, taus, cfg.client.theta, stream(cfg.seed, "negative", k, t)),
@@ -415,7 +418,7 @@ def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):
     _, with_ensemble, full = run("fedseal")
     # Sampled or not, every client folds in every round's global model.
     for k, avg in enumerate(with_ensemble.ensembles):
-        outputs = [forward_batch(w_t, with_ensemble.split.client_train[k].X) for w_t, _ in full]
+        outputs = [forward_batch(w_t, with_ensemble.split.client_train[k]) for w_t, _ in full]
         np.testing.assert_allclose(avg, np.mean(outputs, axis=0), atol=1e-12)
     assert any(
         not _same_sets(a, b)
@@ -511,7 +514,7 @@ def test_fedavg_sl_reduces_to_textbook_fedavg():
     locals_ = []
     for k in range(2):
         shard = split.client_train[k]
-        labeled = Collection(shard.X, split.hidden_labels(k))
+        labeled = Collection(shard, split.hidden_labels(k))
         locals_.append(
             server_train(w0, labeled, cfg.client, stream(cfg.seed, "client", k, 1), weak)
         )

@@ -77,6 +77,17 @@ def test_collections_larger_than_one_forward_block_match_golden_digests(algorith
     assert digests(cfg, tmp_path) == GOLDEN_LARGE[algorithm]
 
 
+# synthetic_small.ini (fedseal) with 3 of its 5 clients sampled each round:
+# clients that sit a round out still fold every broadcast model into their
+# self-ensembles, and only this golden runs that path.
+GOLDEN_PARTIAL = ("9dbf2d2de10d3b439f0de49e02e6de5f", "8b4383f017e73ea72026b5e458ac10b7")
+
+
+def test_partial_participation_matches_golden_digests(tmp_path):
+    cfg = replace(parse_config(BUNDLED_SYNTHETIC), clients_per_round=3)
+    assert digests(cfg, tmp_path) == GOLDEN_PARTIAL
+
+
 # load_split output, one MD5 per case over every collection's X and y bytes
 # and every client shard's X and hidden-label bytes.
 GOLDEN_SPLITS = {
@@ -93,7 +104,7 @@ def split_digest(split) -> str:
         md5.update(coll.X.tobytes())
         md5.update(coll.y.tobytes())
     for k, shard in enumerate(split.client_train):
-        md5.update(shard.X.tobytes())
+        md5.update(shard.tobytes())
         md5.update(split.hidden_labels(k).tobytes())
     return md5.hexdigest()
 

@@ -138,7 +138,8 @@ def test_server_train_does_not_mutate_input_model():
 
 
 def test_server_train_empty_dataset_is_error():
-    with pytest.raises(ValueError, match="empty"):
+    # Collection refuses an empty set where it is built, so none reaches server_train.
+    with pytest.raises(ValueError, match="at least one row"):
         server_train(make_params((2, 3, 2), seed=0), labeled_rows(0, 2, 2, seed=0),
                      ServerConfig(), stream(0, "x"))
 
@@ -209,7 +210,8 @@ def test_thresholds_clamped_to_one():
 
 
 def test_thresholds_empty_validation_is_error():
-    with pytest.raises(ValueError, match="empty"):
+    # Collection refuses an empty set where it is built, so none reaches compute_thresholds.
+    with pytest.raises(ValueError, match="at least one row"):
         compute_thresholds(make_params((2, 3, 2), seed=0), labeled_rows(0, 2, 2, seed=0))
 
 
