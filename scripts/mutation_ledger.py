@@ -86,6 +86,22 @@ MUTANTS = (
      "if image_shape is not None and (rows, cols) != tuple(image_shape):",
      "if False:",
      "tests/test_data.py::test_load_split_rejects_an_idx_file_of_another_image_shape"),
+    ("nn.py",
+     "if not 0 <= self.momentum < 1:",
+     "if not 0 <= self.momentum <= 1:",
+     "tests/test_cli.py::test_bad_value_names_key_and_line[server-momentum-1]"),
+    ("nn.py",
+     "if not np.isfinite(values).all():",
+     "if False:",
+     "tests/test_nn.py::test_sgd_step_rejects_non_finite_result"),
+    ("experiment.py",
+     "if self.seed < 0:",
+     "if False:",
+     "tests/test_cli.py::test_bad_value_names_key_and_line[experiment-seed--1]"),
+    ("data.py",
+     'if self.kind == "idx" and self.image_shape is None:',
+     "if False:",
+     "tests/test_cli.py::test_idx_data_needs_its_image_shape"),
 )
 
 # The ledger's own test fails on every mutant (its text no longer occurs), so it is left out.

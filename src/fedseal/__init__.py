@@ -44,7 +44,6 @@ from .experiment import (
 )
 from .nn import (
     ModelParams,
-    OptimizerState,
     batch_loss,
     forward_batch,
     gradient,

@@ -578,6 +578,8 @@ class DataConfig:
         if (h, w) != (0, 0) and min(h, w) < 1:
             bad = "image_height" if h < 1 else "image_width"
             raise ValueError(f"{bad} must be >= 1 for images (both 0 for vectors), got {h} x {w}")
+        if self.kind == "idx" and self.image_shape is None:
+            raise ValueError("kind = idx needs image_height and image_width, the images' shape")
         if self.kind == "synthetic" and h > 0 and self.n_features != h * w:
             raise ValueError(f"n_features = {self.n_features} must equal image_height x "
                              f"image_width = {h} x {w}")

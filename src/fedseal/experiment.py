@@ -95,6 +95,8 @@ class ExperimentConfig:
             )
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.fixmatch_threshold <= 1.0:
             raise ValueError(
                 f"fixmatch_threshold must be in [0, 1], got {self.fixmatch_threshold}"

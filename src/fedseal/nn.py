@@ -4,9 +4,9 @@ The network is a plain MLP (tanh hidden layers, softmax head) over flat
 feature vectors.  Parameters live in a single flat float64 vector plus layer
 shape metadata, so a whole model can be averaged, diffed and shipped around
 as one array.  A :class:`ModelParams` is read-only; :func:`train`, the one
-SGD loop of server, bootstrap and clients, works on a private copy inside an
-:class:`OptimizerState`, which :func:`sgd_step` updates in place and which
-becomes a new ``ModelParams`` when the loop ends.
+SGD loop of server, bootstrap and clients, owns a private copy of the
+parameters and a velocity, which :func:`sgd_step` updates in place, and
+returns the copy as a new ``ModelParams`` when the loop ends.
 
 Alternate backbones only need to reproduce the call signatures of
 ``init_params`` / ``forward_batch`` / ``gradient``; the rest of the package
@@ -65,39 +65,6 @@ class ModelParams:
         return ModelParams(values=values, shapes=self.shapes)
 
 
-class OptimizerState:
-    """SGD with momentum on a private copy of one model's parameters.
-
-    :func:`sgd_step` updates the copy and ``velocity`` in place.  ``params``
-    is a read-only view of the copy, so a gradient taken through it always
-    sees the current values.  :meth:`result` freezes the copy and returns it
-    as the trained model, after which the state takes no more steps.  Each
-    training loop owns its state, so client threads share no buffers.
-    """
-
-    def __init__(self, params: ModelParams, learning_rate: float, momentum: float):
-        check_sgd(learning_rate, momentum)
-        self.learning_rate = float(learning_rate)
-        self.momentum = float(momentum)
-        self._values = params.values.copy()
-        self._scratch = np.empty_like(self._values)
-        self.velocity = np.zeros_like(self._values)
-        self.params = ModelParams(self._values, params.shapes)
-
-    def result(self) -> ModelParams:
-        self._values.flags.writeable = False
-        return ModelParams(self._values, self.params.shapes)
-
-
-def check_sgd(learning_rate: float, momentum: float, lr_decay: float = 1.0) -> None:
-    """Reject a negative or NaN learning rate or decay, and momentum outside [0, 1)."""
-    for name, value in (("learning_rate", learning_rate), ("lr_decay", lr_decay)):
-        if not value >= 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-    if not 0 <= momentum < 1:
-        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-
-
 @dataclass
 class SGDConfig:
     """Mini-batch momentum-SGD schedule; ``learning_rate`` is the current round's."""
@@ -113,7 +80,11 @@ class SGDConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        check_sgd(self.learning_rate, self.momentum, self.lr_decay)
+        for name, value in (("learning_rate", self.learning_rate), ("lr_decay", self.lr_decay)):
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 def shapes_for(dims: tuple[int, ...] | list[int]) -> tuple[tuple[int, int], ...]:
@@ -260,21 +231,22 @@ def gradient(params: ModelParams, X, labels, negative=False) -> np.ndarray:
     return np.concatenate(grads)
 
 
-def sgd_step(opt: OptimizerState, grad: np.ndarray) -> None:
-    """One momentum-SGD update of ``opt``'s parameters and velocity, in place."""
-    if not opt._values.flags.writeable:
-        raise RuntimeError("optimizer state already handed out its result")
+def sgd_step(values, velocity, grad, cfg: SGDConfig, scratch) -> None:
+    """One momentum-SGD update of ``values`` and ``velocity``, in place.
+
+    ``velocity = momentum * velocity + grad``, then ``values -= learning_rate
+    * velocity``, with the product written to ``scratch``, so a step
+    allocates no parameter-sized array.  ``grad`` is not written.
+    """
     grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != opt._values.shape:
+    if grad.shape != values.shape:
         raise ValueError(
-            f"gradient length {grad.size} does not match parameter length {opt._values.size}"
+            f"gradient length {grad.size} does not match parameter length {values.size}"
         )
-    velocity = opt.velocity
-    velocity *= opt.momentum
+    velocity *= cfg.momentum
     velocity += grad
-    np.multiply(velocity, opt.learning_rate, out=opt._scratch)
-    opt._values -= opt._scratch
-    if not np.isfinite(opt._values).all():
+    values -= np.multiply(velocity, cfg.learning_rate, out=scratch)
+    if not np.isfinite(values).all():
         raise FloatingPointError("non-finite parameter values after SGD step")
 
 
@@ -292,7 +264,11 @@ def train(model: ModelParams, cfg: SGDConfig, rng: np.random.Generator, X, terms
     if not terms:
         return model
     size, longest = cfg.batch_size, max(len(term[0]) for term in terms)
-    opt = OptimizerState(model, cfg.learning_rate, cfg.momentum)
+    # A private copy that only sgd_step writes; gradients read it through
+    # the read-only view ``live``, which is also the trained model returned.
+    values = model.values.copy()
+    velocity, scratch = np.zeros_like(values), np.empty_like(values)
+    live = model.with_values(values)
     for _ in range(cfg.epochs):
         shuffled = []
         for rows, labels, *rest in terms:
@@ -306,9 +282,9 @@ def train(model: ModelParams, cfg: SGDConfig, rng: np.random.Generator, X, terms
                 x = X[rows[lo : lo + size]]
                 if augment_fn is not None:
                     x = augment_fn(x, rng)
-                term_grad = gradient(opt.params, x, labels[lo : lo + size], negative=negative)
+                term_grad = gradient(live, x, labels[lo : lo + size], negative=negative)
                 if weight != 1.0:
                     term_grad *= weight
                 grad = term_grad if grad is None else np.add(grad, term_grad, out=grad)
-            sgd_step(opt, grad)
-    return opt.result()
+            sgd_step(values, velocity, grad, cfg, scratch)
+    return live

@@ -243,6 +243,8 @@ def test_unknown_key_names_key_and_line(section, key):
         # Synthetic split sizes the 10 classes cannot divide failed at run time.
         ("data", "per_client", "101"),
         ("data", "server_train_n", "41"),
+        # A negative seed passed validation and failed in SeedSequence at run time.
+        ("experiment", "seed", "-1"),
     ],
 )
 def test_bad_value_names_key_and_line(section, key, value):
@@ -256,6 +258,16 @@ def test_test_n_zero_takes_a_whole_test_file():
     with pytest.raises(ConfigError, match="line 6: test_n must be >= 1"):
         parse_config_text(text + "test_n = 0\n")
     assert parse_config_text(text + "test_csv = b.csv\ntest_n = 0\n").data.test_n == 0
+
+
+def test_idx_data_needs_its_image_shape():
+    # Without a shape, IDX images trained as flat vectors with vector augmentation.
+    text = ("[experiment]\nalgorithm = fedseal\n[data]\nkind = idx\n"
+            "train_images = images.gz\ntrain_labels = labels.gz\n")
+    with pytest.raises(ConfigError, match="line 4: kind = idx needs image_height and image_width"):
+        parse_config_text(text)
+    cfg = parse_config_text(text + "image_height = 2\nimage_width = 3\n")
+    assert cfg.data.image_shape == (2, 3)
 
 
 def test_split_sizes_must_divide_only_where_the_class_count_is_known():
@@ -445,6 +457,15 @@ def test_run_config_error_returns_one(tmp_path, capsys):
     bad.write_text("[experiment]\nalgorithm = warp\n")
     assert run(["--config", str(bad)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_run_negative_seed_override_returns_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(FAST_CONFIG)
+    out = tmp_path / "o"
+    assert run(["--config", str(cfg_path), "--output-dir", str(out), "--seed", "-2"]) == 1
+    assert "config error: override: seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_runtime_error_returns_two(tmp_path, capsys):

@@ -9,7 +9,6 @@ from fedseal import (
     ClientConfig,
     FilteredSets,
     ModelParams,
-    OptimizerState,
     build_negative_set,
     build_positive_set,
     client_train,
@@ -326,14 +325,16 @@ def test_client_train_positive_only_matches_pseudo_label_oracle():
     )
 
     rng = stream(12, "train")
-    opt = OptimizerState(model, 0.05, 0.9)
+    values = model.values.copy()
+    velocity, scratch = np.zeros_like(values), np.empty_like(values)
     for _ in range(2):
         order = rng.permutation(len(pseudo))
         for start in range(0, len(pseudo), 4):
             picked = [pseudo[i] for i in order[start : start + 4]]
             x = augment_strong(data[[row for row, _ in picked]], rng)
-            sgd_step(opt, gradient(opt.params, x, [label for _, label in picked]))
-    np.testing.assert_array_equal(trained.values, opt.result().values)
+            grad = gradient(model.with_values(values), x, [label for _, label in picked])
+            sgd_step(values, velocity, grad, cfg, scratch)
+    np.testing.assert_array_equal(trained.values, values)
 
 
 def test_client_combined_loss_gradient_matches_finite_differences():
@@ -401,6 +402,5 @@ def test_client_train_negative_only_component():
     out = client_train(model, sets, data, cfg, 1.0, stream(16, "t"))
     # One full batch, momentum 0: exactly one plain SGD step on the
     # complementary loss (row order does not change the mean).
-    opt = OptimizerState(model, 0.1, 0.0)
-    sgd_step(opt, gradient(model, data, np.ones(8), negative=True))
-    np.testing.assert_allclose(out.values, opt.result().values, rtol=1e-12, atol=1e-15)
+    expected = model.values - 0.1 * gradient(model, data, np.ones(8), negative=True)
+    np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=1e-15)

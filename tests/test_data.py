@@ -570,7 +570,8 @@ def test_load_split_rejects_a_class_short_of_its_server_rows(tmp_path):
 def test_load_split_rejects_an_empty_training_pool(tmp_path, kind):
     if kind == "idx":
         paths = write_idx_pair(tmp_path, np.zeros((0, 2, 3)), [])
-        files = dict(train_images=str(paths[0]), train_labels=str(paths[1]))
+        files = dict(train_images=str(paths[0]), train_labels=str(paths[1]),
+                     image_height=2, image_width=3)
     else:
         paths = (tmp_path / "train.csv",)
         write_csv(np.empty((0, 6)), [], paths[0])
@@ -791,12 +792,18 @@ def test_load_split_rejects_a_test_file_the_pool_cannot_score(tmp_path, kind, ca
                       files[part][0])
     paths = dict(train_images=str(files["train"][0]), train_labels=str(files["train"][1]),
                  test_images=str(files["test"][0]), test_labels=str(files["test"][1]))
+    problem = TEST_FILE_PROBLEMS[case]
     if kind == "csv":
         paths = dict(train_csv=paths["train_images"], test_csv=paths["test_images"])
+    else:
+        paths.update(image_height=2, image_width=3)
+        if case == "width":
+            # The header's 1 x 5 shape fails before the width is compared.
+            problem = "images are 1 x 5, but image_height x image_width is 2 x 3"
     cfg = DataConfig(kind=kind, per_client=40, server_train_n=20, server_val_n=20, test_n=5,
                      **paths)
     blamed = files["test"][1 if case == "labels" else 0]
-    with pytest.raises(ValueError, match=re.escape(f"{blamed}: {TEST_FILE_PROBLEMS[case]}")):
+    with pytest.raises(ValueError, match=re.escape(f"{blamed}: {problem}")):
         load_split(cfg, n_clients=2, seed=3)
 
 

@@ -1,14 +1,15 @@
 """Model core: batch forward/predict, losses, analytic gradients, SGD."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from fedseal import (
     ModelParams,
-    OptimizerState,
     batch_loss,
     forward_batch,
     gradient,
@@ -17,7 +18,7 @@ from fedseal import (
     sgd_step,
     stream,
 )
-from fedseal.nn import _forward_cached, param_count, shapes_for, unflatten
+from fedseal.nn import SGDConfig, _forward_cached, param_count, shapes_for, train, unflatten
 
 from conftest import fd_batch_gradient, make_params, random_batch, reference_loss, rel_error
 
@@ -268,85 +269,118 @@ def test_gradient_rejects_bad_labels_and_width():
 # ---------------------------------------------------------------------------
 
 
-def _opt(params, lr=0.1, momentum=0.0):
-    return OptimizerState(params, learning_rate=lr, momentum=momentum)
+def _buffers(params):
+    """A writable copy of ``params``'s values, zero velocity and a scratch."""
+    return params.values.copy(), np.zeros(params.values.size), np.empty(params.values.size)
 
 
-def _step(params, grad, **kwargs):
-    opt = _opt(params, **kwargs)
-    sgd_step(opt, grad)
-    return opt.result()
+def _step(params, grad, lr=0.1, momentum=0.0):
+    """Values after one sgd_step from ``params`` at zero velocity."""
+    values, velocity, scratch = _buffers(params)
+    sgd_step(values, velocity, grad, SGDConfig(learning_rate=lr, momentum=momentum), scratch)
+    return values
 
 
 def test_sgd_step_zero_lr_keeps_params():
     params = make_params((2, 3, 2), seed=8)
     grad = stream(8, "g").random(params.values.size)
-    stepped = _step(params, grad, lr=0.0, momentum=0.9)
-    np.testing.assert_array_equal(stepped.values, params.values)
+    np.testing.assert_array_equal(_step(params, grad, lr=0.0, momentum=0.9), params.values)
 
 
 def test_sgd_step_plain_sgd_exact():
     params = make_params((2, 3, 2), seed=9)
     grad = stream(9, "g").random(params.values.size)
-    stepped = _step(params, grad, lr=0.05, momentum=0.0)
-    np.testing.assert_array_equal(stepped.values, params.values - 0.05 * grad)
+    np.testing.assert_array_equal(_step(params, grad, lr=0.05), params.values - 0.05 * grad)
 
 
 def test_sgd_step_momentum_two_steps_displacement():
     # v1 = g, v2 = 0.9 g + g = 1.9 g, so two steps move by lr * g * (1 + 1.9).
     params = make_params((2, 3, 2), seed=10)
     grad = stream(10, "g").random(params.values.size)
-    opt = _opt(params, lr=0.01, momentum=0.9)
-    sgd_step(opt, grad)
-    np.testing.assert_allclose(params.values - opt.params.values, 0.01 * grad, rtol=1e-12)
-    sgd_step(opt, grad)
-    np.testing.assert_allclose(
-        params.values - opt.result().values, 0.01 * grad * (1 + 1.9), rtol=1e-12
-    )
+    cfg = SGDConfig(learning_rate=0.01, momentum=0.9)
+    values, velocity, scratch = _buffers(params)
+    sgd_step(values, velocity, grad, cfg, scratch)
+    np.testing.assert_allclose(params.values - values, 0.01 * grad, rtol=1e-12)
+    sgd_step(values, velocity, grad, cfg, scratch)
+    np.testing.assert_allclose(params.values - values, 0.01 * grad * (1 + 1.9), rtol=1e-12)
+    np.testing.assert_allclose(velocity, 1.9 * grad, rtol=1e-12)
 
 
 def test_sgd_step_does_not_mutate_inputs():
-    # The optimizer steps a private copy: the starting model, the gradient
-    # and a result already handed out never change, and the live view
-    # cannot be written through.
+    # Only values and velocity change; a write to the gradient would raise.
     params = make_params((2, 3, 2), seed=11)
-    before = params.values.copy()
     grad = np.ones(params.values.size)
-    opt = _opt(params, lr=0.1, momentum=0.5)
-    sgd_step(opt, grad)
-    np.testing.assert_array_equal(params.values, before)
-    np.testing.assert_array_equal(grad, np.ones(params.values.size))
-    with pytest.raises(ValueError, match="read-only"):
-        opt.params.values[0] = 1.0
-    first = opt.result()
-    frozen = first.values.copy()
-    with pytest.raises(RuntimeError, match="result"):
-        sgd_step(opt, grad)
-    np.testing.assert_array_equal(first.values, frozen)
-    with pytest.raises(ValueError, match="read-only"):
-        first.values[0] = 1.0
+    grad.flags.writeable = False
+    values, velocity, scratch = _buffers(params)
+    sgd_step(values, velocity, grad, SGDConfig(learning_rate=0.1, momentum=0.5), scratch)
+    np.testing.assert_array_equal(values, params.values - 0.1)
+
+
+def test_sgd_step_allocates_no_parameter_sized_array():
+    params = make_params((784, 128, 64, 10), seed=0)
+    values, velocity, scratch = _buffers(params)
+    grad, cfg = np.ones(params.values.size), SGDConfig(learning_rate=0.01, momentum=0.9)
+    tracemalloc.start()
+    try:
+        sgd_step(values, velocity, grad, cfg, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The finite check holds one byte a parameter; a float copy would hold eight.
+    assert peak < values.nbytes / 4, (peak, values.nbytes)
 
 
 def test_sgd_step_length_mismatch():
     params = make_params((2, 3, 2), seed=12)
     with pytest.raises(ValueError, match="does not match"):
-        sgd_step(_opt(params), np.zeros(3))
+        _step(params, np.zeros(3))
 
 
 def test_sgd_step_rejects_non_finite_result():
     params = make_params((2, 3, 2), seed=13)
-    grad = np.full(params.values.size, np.inf)
     with pytest.raises(FloatingPointError):
-        sgd_step(_opt(params), grad)
+        _step(params, np.full(params.values.size, np.inf))
 
 
-def test_optimizer_states_share_no_buffers():
-    # Two optimizers started from one model step independently.
-    params = make_params((2, 3, 2), seed=15)
-    a, b = _opt(params, lr=0.1), _opt(params, lr=0.1)
-    sgd_step(a, np.ones(params.values.size))
-    np.testing.assert_array_equal(b.params.values, params.values)
-    np.testing.assert_array_equal(b.velocity, np.zeros(params.values.size))
+# ---------------------------------------------------------------------------
+# train
+# ---------------------------------------------------------------------------
+
+
+def _train(model, seed):
+    X = stream(seed, "x").random((60, 4))
+    terms = [(np.arange(40), np.arange(40) % 3, 1.0, False, None),
+             (np.arange(40, 60), np.arange(20) % 3, 0.5, True, None)]
+    cfg = SGDConfig(epochs=4, batch_size=4, learning_rate=0.05, momentum=0.9)
+    return train(model, cfg, stream(seed, "train"), X, terms)
+
+
+def test_train_leaves_its_model_and_returns_read_only_values():
+    model = make_params((4, 6, 3), seed=15)
+    before = model.values.copy()
+    trained = _train(model, seed=15)
+    np.testing.assert_array_equal(model.values, before)
+    assert not np.array_equal(trained.values, before)
+    with pytest.raises(ValueError, match="read-only"):
+        trained.values[0] = 1.0
+
+
+def test_train_in_threads_gives_the_sequential_bytes():
+    # Each call owns its copy, velocity and scratch, so loops started from
+    # one model and interleaved by threads share no buffers.  More workers
+    # than cores and a short switch interval make the interleaving likely.
+    model = make_params((4, 6, 3), seed=16)
+    seeds = range(1, 5)
+    sequential = [_train(model, seed) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+            threaded = list(pool.map(lambda seed: _train(model, seed), seeds, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(sequential, threaded):
+        np.testing.assert_array_equal(a.values, b.values)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from fedseal import (
     Collection,
     ModelParams,
-    OptimizerState,
     ServerConfig,
     aggregate,
     batch_loss,
@@ -17,7 +16,6 @@ from fedseal import (
     gradient,
     init_params,
     server_train,
-    sgd_step,
     stream,
     synthetic_blobs,
 )
@@ -115,9 +113,8 @@ def test_server_train_single_full_batch_equals_one_sgd_step():
     cfg = ServerConfig(epochs=1, batch_size=12, learning_rate=0.1, momentum=0.0)
     trained = server_train(model, data, cfg, stream(4, "srv"))
 
-    opt = OptimizerState(model, 0.1, 0.0)
-    sgd_step(opt, gradient(model, data.X, data.y))
-    np.testing.assert_allclose(trained.values, opt.result().values, rtol=1e-12, atol=1e-15)
+    expected = model.values - 0.1 * gradient(model, data.X, data.y)
+    np.testing.assert_allclose(trained.values, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_server_train_drives_loss_down_on_separable_data():
