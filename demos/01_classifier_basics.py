@@ -21,7 +21,10 @@ from fedseal import (
 
 rng = stream(0, "demo-classifier")
 params = init_params((8, 16, 8, 4), rng)
-print(f"network 8 -> 16 -> 8 -> 4, {params.values.size} parameters")
+print(f"network 8 -> 16 -> 8 -> 4, {params.values.size} {params.values.dtype} parameters")
+# The network computes in its parameters' dtype.  Runs train in float32; the
+# finite-difference check below needs float64 algebra, so cast up.
+params = params.with_values(params.values.astype(np.float64))
 
 x = rng.random((1, 8))
 probs = forward_batch(params, x)[0]

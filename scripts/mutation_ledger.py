@@ -102,6 +102,14 @@ MUTANTS = (
      'if self.kind == "idx" and self.image_shape is None:',
      "if False:",
      "tests/test_cli.py::test_idx_data_needs_its_image_shape"),
+    ("nn.py",
+     "if grad.dtype != values.dtype:",
+     "if False:",
+     "tests/test_nn.py::test_sgd_step_rejects_a_gradient_of_another_dtype"),
+    ("nn.py",
+     "return X[rows].astype(params.values.dtype, copy=False)",
+     "return X[rows].astype(np.float64, copy=False)",
+     "tests/test_nn.py::test_float32_params_compute_and_return_float32"),
 )
 
 # The ledger's own test fails on every mutant (its text no longer occurs), so it is left out.

@@ -1,12 +1,16 @@
 """Small feed-forward classifier with exact analytic gradients.
 
 The network is a plain MLP (tanh hidden layers, softmax head) over flat
-feature vectors.  Parameters live in a single flat float64 vector plus layer
-shape metadata, so a whole model can be averaged, diffed and shipped around
-as one array.  A :class:`ModelParams` is read-only; :func:`train`, the one
-SGD loop of server, bootstrap and clients, owns a private copy of the
-parameters and a velocity, which :func:`sgd_step` updates in place, and
-returns the copy as a new ``ModelParams`` when the loop ends.
+feature vectors.  Parameters live in one flat vector plus layer shape
+metadata, so a whole model can be averaged, diffed and shipped around as one
+array.  The network computes in that vector's dtype: :func:`init_params`
+makes float32, and float64 parameters give exact float64 algebra.  Feature
+rows stay float64 and are cast one forward block or mini-batch at a time.
+
+A :class:`ModelParams` is read-only; :func:`train`, the one SGD loop of
+server, bootstrap and clients, owns a private copy of the parameters and a
+velocity, which :func:`sgd_step` updates in place, and returns the copy as a
+new ``ModelParams`` when the loop ends.
 
 Alternate backbones only need to reproduce the call signatures of
 ``init_params`` / ``forward_batch`` / ``gradient``; the rest of the package
@@ -32,9 +36,11 @@ FORWARD_BLOCK_ROWS = 256
 
 @dataclass
 class ModelParams:
-    """Flat parameter vector plus per-layer (fan_in, fan_out) shapes.
+    """Flat float32 or float64 parameter vector plus per-layer (fan_in, fan_out) shapes.
 
-    Bias length per layer equals fan_out; packing order is W1, b1, W2, b2, ...
+    The network computes in the vector's dtype; any other dtype is coerced
+    to float64.  Bias length per layer equals fan_out; packing order is W1,
+    b1, W2, b2, ...
     ``values`` is a read-only view of the array given, not a copy, so hand
     over an array that nothing writes afterwards.
     """
@@ -43,7 +49,10 @@ class ModelParams:
     shapes: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64).view()
+        values = np.asarray(self.values)
+        if values.dtype not in (np.float32, np.float64):
+            values = values.astype(np.float64)
+        values = values.view()
         expected = param_count(self.shapes)
         if values.ndim != 1 or values.size != expected:
             raise ValueError(
@@ -99,14 +108,17 @@ def param_count(shapes) -> int:
 
 
 def init_params(dims, rng: np.random.Generator) -> ModelParams:
-    """Glorot-uniform weights, zero biases, drawn in layer order from ``rng``."""
+    """Glorot-uniform weights, zero biases, drawn in layer order from ``rng``.
+
+    The draws are float64 and are then cast, so the parameters are float32.
+    """
     shapes = shapes_for(dims)
     chunks = []
     for fan_in, fan_out in shapes:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         chunks.append(rng.uniform(-limit, limit, size=fan_in * fan_out))
         chunks.append(np.zeros(fan_out))
-    return ModelParams(values=np.concatenate(chunks), shapes=shapes)
+    return ModelParams(values=np.concatenate(chunks).astype(np.float32), shapes=shapes)
 
 
 def unflatten(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -141,27 +153,34 @@ def _forward_cached(params: ModelParams, x: np.ndarray):
     return probs, inputs, layers
 
 
-def _features(params: ModelParams, X) -> np.ndarray:
-    """``X`` as a float (n, width) matrix of the network's input width."""
-    X = np.asarray(X, dtype=np.float64)
+def _features(params: ModelParams, X, rows=slice(None)) -> np.ndarray:
+    """Rows ``rows`` of ``X``, an (n, width) matrix of the network's input
+    width, in the parameters' dtype.
+
+    The cast copies float64 rows for float32 parameters, so a pass over many
+    rows takes them a block at a time.
+    """
+    X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != params.n_inputs:
         got = X.shape[1] if X.ndim == 2 else X.shape
         raise ValueError(
             f"feature width mismatch: network expects {params.n_inputs}, got {got}"
         )
-    return X
+    return X[rows].astype(params.values.dtype, copy=False)
 
 
 def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Class-probability rows for a (n, width) feature matrix.
 
-    The rows go through the network ``FORWARD_BLOCK_ROWS`` at a time.
+    The rows go through the network, and are cast to the parameters' dtype,
+    ``FORWARD_BLOCK_ROWS`` at a time; the probabilities have that dtype.
     """
-    X = _features(params, features)
-    probs = np.empty((X.shape[0], params.n_classes))
+    X = np.asarray(features)
+    _features(params, X, slice(0))  # checks the width, even of an empty matrix
+    probs = np.empty((X.shape[0], params.n_classes), dtype=params.values.dtype)
     for start in range(0, X.shape[0], FORWARD_BLOCK_ROWS):
         block = slice(start, start + FORWARD_BLOCK_ROWS)
-        probs[block] = _forward_cached(params, X[block])[0]
+        probs[block] = _forward_cached(params, _features(params, X, block))[0]
     return probs
 
 
@@ -197,7 +216,10 @@ def batch_loss(params: ModelParams, X, labels, negative=False) -> float:
 
 
 def gradient(params: ModelParams, X, labels, negative=False) -> np.ndarray:
-    """Analytic gradient of ``batch_loss`` with respect to the flat vector."""
+    """Analytic gradient of ``batch_loss`` with respect to the flat vector.
+
+    The gradient has the parameters' dtype.
+    """
     X, labels = _batch_arrays(params, X, labels)
     probs, inputs, layers = _forward_cached(params, X)
     rows = np.arange(len(labels))
@@ -236,12 +258,17 @@ def sgd_step(values, velocity, grad, cfg: SGDConfig, scratch) -> None:
 
     ``velocity = momentum * velocity + grad``, then ``values -= learning_rate
     * velocity``, with the product written to ``scratch``, so a step
-    allocates no parameter-sized array.  ``grad`` is not written.
+    allocates no parameter-sized array.  ``grad`` is not written, and must
+    have the dtype of ``values``: a cast would allocate a parameter-sized copy.
     """
-    grad = np.asarray(grad, dtype=np.float64)
+    grad = np.asarray(grad)
     if grad.shape != values.shape:
         raise ValueError(
             f"gradient length {grad.size} does not match parameter length {values.size}"
+        )
+    if grad.dtype != values.dtype:
+        raise ValueError(
+            f"gradient dtype {grad.dtype} does not match parameter dtype {values.dtype}"
         )
     velocity *= cfg.momentum
     velocity += grad

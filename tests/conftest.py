@@ -4,9 +4,10 @@ reference oracles."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from scipy import ndimage
 
-from fedseal import Collection, ModelParams, batch_loss, init_params, run_round, start, stream
+from fedseal import Collection, ModelParams, batch_loss, init_params, nn, run_round, start, stream
 
 
 def fd_gradient(params: ModelParams, loss_fn, h: float = 1e-4) -> np.ndarray:
@@ -32,8 +33,22 @@ def rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - reference))) / scale
 
 
-def make_params(dims, seed: int = 0) -> ModelParams:
-    return init_params(dims, stream(seed, "test-params"))
+def make_params(dims, seed: int = 0, dtype=np.float32) -> ModelParams:
+    """``init_params`` on a test stream; float64 gives exact float64 algebra."""
+    params = init_params(dims, stream(seed, "test-params"))
+    return params.with_values(params.values.astype(dtype))
+
+
+@pytest.fixture
+def float64_params(monkeypatch):
+    """Runs in the test bootstrap float64 parameters, so they train in float64."""
+    init = nn.init_params
+
+    def init_float64(dims, rng):
+        params = init(dims, rng)
+        return params.with_values(params.values.astype(np.float64))
+
+    monkeypatch.setattr(nn, "init_params", init_float64)
 
 
 def random_batch(params: ModelParams, n: int, seed: int, negative: bool = False):

@@ -93,7 +93,8 @@ def test_criterion_1_oracle_equivalences():
     for seed in range(100):
         rng = stream(seed, "c1-agg")
         count = int(rng.integers(2, 7))
-        models = [make_params((3, 4, 3), seed=1000 * seed + j) for j in range(count)]
+        models = [make_params((3, 4, 3), seed=1000 * seed + j, dtype=np.float64)
+                  for j in range(count)]
         averaged = aggregate(models).values
         stacked = np.stack([m.values for m in models])
         for j in range(stacked.shape[1]):
@@ -103,7 +104,7 @@ def test_criterion_1_oracle_equivalences():
 
     # Thresholds vs a direct transcription of the per-class ratio.
     for seed in range(100):
-        model = make_params((4, 6, 3), seed=seed)
+        model = make_params((4, 6, 3), seed=seed, dtype=np.float64)
         val = labeled_rows(int(stream(seed, "c1-n").integers(3, 12)), 4, 3, seed=seed)
         taus = compute_thresholds(model, val)
         probs = forward_batch(model, val.X)
@@ -119,7 +120,8 @@ def test_criterion_1_oracle_equivalences():
     for seed in range(100):
         rng = stream(seed, "c1-ens")
         feats = np.stack([rng.random(3) for _ in range(5)])
-        models = [make_params((3, 4, 3), seed=seed * 31 + j) for j in range(int(rng.integers(2, 9)))]
+        models = [make_params((3, 4, 3), seed=seed * 31 + j, dtype=np.float64)
+                  for j in range(int(rng.integers(2, 9)))]
         avg = None
         for t, model in enumerate(models, start=1):
             avg = update_ensemble(avg, t, model, feats)
@@ -163,7 +165,7 @@ def test_criterion_2_gradient_correctness():
     for seed in range(20):
         rng = stream(seed, "c2")
         dims = (int(rng.integers(2, 5)), int(rng.integers(3, 7)), int(rng.integers(2, 5)))
-        params = make_params(dims, seed=seed + 500)
+        params = make_params(dims, seed=seed + 500, dtype=np.float64)
         width, n_classes = dims[0], dims[-1]
         n = int(rng.integers(3, 7))
 

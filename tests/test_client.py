@@ -64,7 +64,7 @@ def test_same_model_twice_leaves_average_unchanged():
 
 def test_incremental_average_equals_batch_mean_of_three_models():
     data = unlabeled(9, 5, seed=2)
-    models = [make_params((5, 7, 4), seed=s) for s in (10, 11, 12)]
+    models = [make_params((5, 7, 4), seed=s, dtype=np.float64) for s in (10, 11, 12)]
     avg = ensemble_of(models, data)
     batch_mean = np.mean([forward_batch(m, data) for m in models], axis=0)
     np.testing.assert_allclose(avg, batch_mean, atol=1e-12)
@@ -72,7 +72,7 @@ def test_incremental_average_equals_batch_mean_of_three_models():
 
 def test_incremental_average_drift_over_hundred_updates():
     data = unlabeled(4, 3, seed=3)
-    models = [make_params((3, 5, 3), seed=s) for s in range(100)]
+    models = [make_params((3, 5, 3), seed=s, dtype=np.float64) for s in range(100)]
     avg = ensemble_of(models, data)
     batch_mean = np.mean([forward_batch(m, data) for m in models], axis=0)
     np.testing.assert_allclose(avg, batch_mean, atol=1e-12)
@@ -202,12 +202,12 @@ def test_negative_set_disjoint_from_positive_over_random_configs():
 
 
 def random_models(t: int, dims, seed: int) -> list[ModelParams]:
-    """t random models; scaling the weights spreads their confidence from flat to sharp."""
+    """t random float64 models; scaling the weights spreads their confidence from flat to sharp."""
     rng = stream(seed, "prop-models")
     models = []
     for i in range(t):
         model = init_params(dims, stream(seed, "prop-model", i))
-        models.append(model.with_values(model.values * rng.uniform(0.5, 20.0)))
+        models.append(model.with_values(model.values.astype(np.float64) * rng.uniform(0.5, 20.0)))
     return models
 
 
@@ -338,7 +338,7 @@ def test_client_train_positive_only_matches_pseudo_label_oracle():
 
 
 def test_client_combined_loss_gradient_matches_finite_differences():
-    model = make_params((3, 5, 4), seed=13)
+    model = make_params((3, 5, 4), seed=13, dtype=np.float64)
     rng = stream(13, "mix")
     pos = [(rng.random(3), int(rng.integers(0, 4))) for _ in range(3)]
     neg = [(rng.random(3), int(rng.integers(0, 4))) for _ in range(3)]
@@ -396,7 +396,7 @@ def test_client_train_lambda_zero_trains_only_the_negative_set():
 
 def test_client_train_negative_only_component():
     data = unlabeled(8, 4, seed=16)
-    model = make_params((4, 6, 3), seed=16)
+    model = make_params((4, 6, 3), seed=16, dtype=np.float64)
     sets = FilteredSets(negative=(np.arange(8), np.ones(8)))
     cfg = ClientConfig(epochs=1, batch_size=8, learning_rate=0.1, momentum=0.0)
     out = client_train(model, sets, data, cfg, 1.0, stream(16, "t"))

@@ -378,7 +378,7 @@ def test_uploads_are_freed_once_aggregated(monkeypatch):
     assert alive == {2: [False] * cfg.clients_per_round, 3: [False] * cfg.clients_per_round}
 
 
-def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch):
+def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch, float64_params):
     # Under fedseal_no_ensemble each sampled client filters on the confidence
     # of the round's global model alone and no client keeps an ensemble; the
     # row must change the sets once an ensemble holds two models.
@@ -495,7 +495,7 @@ def test_noop_clients_reduce_fedseal_to_server_sl_exactly():
     assert [r.test_accuracy for r in fed_records] == [r.test_accuracy for r in sl_records]
 
 
-def test_fedavg_sl_reduces_to_textbook_fedavg():
+def test_fedavg_sl_reduces_to_textbook_fedavg(float64_params):
     # No server epochs, no bootstrap training: after round 2 the global model
     # is exactly the mean of the two locals trained independently in round 1.
     cfg = small_config(

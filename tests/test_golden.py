@@ -1,8 +1,8 @@
 """Golden determinism: pinned artifacts for the bundled synthetic config.
 
-A change that keeps the random draw order must reproduce these digests
-exactly; a change that alters the draw order on purpose updates them and
-says so.
+A change that keeps the random draw order and the arithmetic must reproduce
+these digests exactly; a change that alters either on purpose updates them
+and says so.  The runs train in float32, the dtype of ``init_params``.
 """
 
 import hashlib
@@ -24,29 +24,29 @@ BUNDLED_SYNTHETIC = REPO_ROOT / "configs" / "synthetic_small.ini"
 
 # algorithm -> (MD5 of rounds.csv, MD5 of the final global parameter bytes)
 GOLDEN = {
-    "fedseal": ("fa740ce0109ff8630d6c1df265a9a8f2", "7305ed161f1a02ffd359a6efb3c551ff"),
-    "server_sl": ("653634de386f30c3b2aa7f6de9778b84", "3c1ac8a87cdb474264f8c2e3e2d79840"),
-    "fedavg_sl": ("29258d285b732fae759fa892e7fba04c", "cea16f58eac1210ddd0a10fe4f48faa7"),
+    "fedseal": ("1f6d328932b2cca40723c7bb877a07b2", "364a2857d28ee18b28d8b7c7219c805a"),
+    "server_sl": ("45cc9c4f91901e51c706ff488eb26ff4", "fc6926c7992c239a2f567f7e2b144cc9"),
+    "fedavg_sl": ("aa488216a62077ea8b8d97b8cc3d0d37", "71a0dac14bdd48e1eb482ee8260c0281"),
     "fedavg_fixmatch": (
-        "2b0ec9ad896b550b4e46ab20a244610b",
-        "cdd7499884b46a300f200ab7ac118472",
+        "719f1c7e607fde53134b7f9171e64872",
+        "dcca22e12b5fb93bfe5241ca2629cfe7",
     ),
-    "fedseal_no_ensemble": ("5ed473c6c43cc5fb0e63b806f9353a72", "3bf24d9f05ce01d830a8b40ea8dadda2"),
+    "fedseal_no_ensemble": ("022ed57a152d3bdecb590658b4d29e03", "71cbea6354e9a6ace0de4d87d0a2556b"),
 }
 
 
 # synthetic_small.ini as 8 x 8 images (fedseal), so that weak and strong
 # augmentation both take the image path.
-GOLDEN_IMAGES = ("429318e0972de32cacd8d05b92442265", "66620f204f6b659a944a0fca51f16bce")
+GOLDEN_IMAGES = ("31567aebb2bf8132bbd75ef8c4b01cdd", "5c359cef849c3746a7ed3361597a1791")
 
 
 # synthetic_small.ini with 2000-row shards and a 3000-row test set, for 6
 # rounds: every whole-collection forward pass spans many 256-row blocks.
 GOLDEN_LARGE = {
-    "fedseal": ("1d8aba093650c83110c7191ab9dd1f88", "55b6ca80292c27983ac95b7cd00a3799"),
+    "fedseal": ("91e56169370ddd6ede91ad315e9dd352", "e2f4a3cc02864bc71b88976390247de6"),
     "fedavg_fixmatch": (
-        "684a21e4828921282e3b407ef52563c1",
-        "9eb019ae13be503c8375a3b34bf695f4",
+        "27cbc46ca6d73cf1301de2303b541d5b",
+        "29e489293acc97df0b557ff4a40b8cc7",
     ),
 }
 
@@ -80,7 +80,7 @@ def test_collections_larger_than_one_forward_block_match_golden_digests(algorith
 # synthetic_small.ini (fedseal) with 3 of its 5 clients sampled each round:
 # clients that sit a round out still fold every broadcast model into their
 # self-ensembles, and only this golden runs that path.
-GOLDEN_PARTIAL = ("9dbf2d2de10d3b439f0de49e02e6de5f", "8b4383f017e73ea72026b5e458ac10b7")
+GOLDEN_PARTIAL = ("6525494dfdc9fb5a8ad47e710170e912", "578f2a3b7bb5d7afada7da0471d96761")
 
 
 def test_partial_participation_matches_golden_digests(tmp_path):

@@ -51,7 +51,7 @@ def test_aggregate_two_models():
 
 def test_aggregate_matches_per_coordinate_mean():
     rng = stream(1, "agg")
-    models = [make_params((4, 5, 3), seed=s) for s in range(5)]
+    models = [make_params((4, 5, 3), seed=s, dtype=np.float64) for s in range(5)]
     averaged = aggregate(models)
     for j in range(models[0].values.size):
         coordinate_mean = sum(m.values[j] for m in models) / 5
@@ -86,7 +86,7 @@ def test_aggregate_matches_stacked_mean_oracle_bit_for_bit(dims):
 
 
 def test_aggregate_permutation_invariant():
-    models = [make_params((3, 4, 2), seed=s) for s in range(6)]
+    models = [make_params((3, 4, 2), seed=s, dtype=np.float64) for s in range(6)]
     forward_order = aggregate(models)
     reversed_order = aggregate(models[::-1])
     np.testing.assert_allclose(
@@ -109,7 +109,7 @@ def test_server_train_zero_lr_keeps_model():
 
 def test_server_train_single_full_batch_equals_one_sgd_step():
     data = labeled_rows(12, 3, 2, seed=4)
-    model = make_params((3, 5, 2), seed=4)
+    model = make_params((3, 5, 2), seed=4, dtype=np.float64)
     cfg = ServerConfig(epochs=1, batch_size=12, learning_rate=0.1, momentum=0.0)
     trained = server_train(model, data, cfg, stream(4, "srv"))
 
