@@ -110,6 +110,10 @@ MUTANTS = (
      "return X[rows].astype(params.values.dtype, copy=False)",
      "return X[rows].astype(np.float64, copy=False)",
      "tests/test_nn.py::test_float32_params_compute_and_return_float32"),
+    ("data.py",
+     "self.X = _frozen(np.asarray(X, dtype=np.float32))",
+     "self.X = _frozen(np.asarray(X, dtype=np.float64))",
+     "tests/test_data.py::test_load_split_stores_every_collection_and_shard_as_read_only_float32[synthetic]"),
 )
 
 # The ledger's own test fails on every mutant (its text no longer occurs), so it is left out.

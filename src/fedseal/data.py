@@ -1,7 +1,9 @@
 """Datasets: ingestion, client partitioning, augmentation.
 
-A dataset is a pair of arrays: an (n, width) feature matrix with values in
-[0, 1] and n non-negative integer class labels.
+A dataset is a pair of arrays: an (n, width) float32 feature matrix with
+values in [0, 1] and n non-negative integer class labels.  Rows are float32
+from the moment they are generated or ingested, the dtype the network
+computes in; augmentation works on a private float64 copy of its batch.
 :func:`load_split` carves one labeled pool into the four parts a run needs,
 held by a :class:`DatasetSplit` and each gathered once: the server train,
 server validation and test sets are each a labeled :class:`Collection`, and
@@ -37,14 +39,15 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class Collection:
-    """Row-aligned (n, width) features and labels of one labeled collection.
+    """Row-aligned (n, width) float32 features and labels of one labeled collection.
 
     There is at least one row and every label is non-negative, so consumers
-    need not check either.  Both arrays are read-only views.
+    need not check either.  Both arrays are read-only views; features of
+    another dtype are cast to float32 once, here.
     """
 
     def __init__(self, X, y):
-        self.X = _frozen(np.asarray(X, dtype=np.float64))
+        self.X = _frozen(np.asarray(X, dtype=np.float32))
         self.y = _frozen(np.asarray(y, dtype=np.int64))
         if self.X.ndim != 2:
             raise ValueError(f"features must be an (n, width) matrix, got shape {self.X.shape}")
@@ -72,7 +75,7 @@ class DatasetSplit:
     ):
         self.server_train = server_train
         self.server_val = server_val
-        self.client_train = [_frozen(np.asarray(X, dtype=np.float64)) for X in client_train]
+        self.client_train = [_frozen(np.asarray(X, dtype=np.float32)) for X in client_train]
         self.test = test
         self._hidden_labels = [_frozen(np.asarray(h, dtype=np.int64)) for h in hidden_labels]
         self._validate()
@@ -128,8 +131,9 @@ def _read_binary(path) -> bytes:
 def ingest_idx(images_path, labels_path, image_shape=None) -> tuple[np.ndarray, np.ndarray]:
     """Load an IDX image/label file pair (big-endian, standard magics).
 
-    Returns (features, labels): pixels scaled by 1/255 and flattened
-    row-major, one row per image.  Paths ending in ``.gz`` are decompressed
+    Returns (features, labels): pixels divided by 255 in float32, which is
+    ``float32(pixel / 255.0)`` for every uint8 value, and flattened row-major,
+    one row per image.  Paths ending in ``.gz`` are decompressed
     transparently.  Given an ``image_shape`` (height, width), an images file
     whose header declares any other shape is rejected.
     """
@@ -173,16 +177,18 @@ def ingest_idx(images_path, labels_path, image_shape=None) -> tuple[np.ndarray, 
         )
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, offset=16)
-    images = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    images = pixels.reshape(count, rows * cols).astype(np.float32)
+    images /= np.float32(255)
     labels = np.frombuffer(lbl_buf, dtype=np.uint8, offset=8).astype(np.int64)
     return images, labels
 
 
 def ingest_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Load ``label,f0,f1,...`` CSV into (features, labels).
+    """Load ``label,f0,f1,...`` CSV into (float32 features, labels).
 
     Every row needs a non-negative integer label, and feature cells must be
-    finite numbers in [0, 1]; a bad cell fails with its file and line.
+    finite numbers in [0, 1]; a bad cell fails with its file and line.  Cells
+    are parsed and checked as float64, then stored as float32.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -195,7 +201,7 @@ def ingest_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{path}: line 1: expected header 'label,f0,f1,...'")
     width = len(header) - 1
 
-    features = np.empty((len(lines) - 1, width))
+    features = np.empty((len(lines) - 1, width), dtype=np.float32)
     labels = np.empty(len(lines) - 1, dtype=np.int64)
     for row, line in enumerate(lines[1:]):
         line_no = row + 2
@@ -340,7 +346,7 @@ def partition(
 
 
 def _stack(X, image_shape) -> np.ndarray:
-    """(n, h, w) float copy of an (n, width) batch; a vector row is 1 x width."""
+    """(n, h, w) float64 copy of an (n, width) batch; a vector row is 1 x width."""
     X = np.array(X, dtype=np.float64)
     h, w = (1, X.shape[-1]) if image_shape is None else image_shape
     if X.ndim != 2 or X.shape[1] != h * w:
@@ -716,14 +722,14 @@ def _blob_rows(centers: np.ndarray, labels: np.ndarray, rng: np.random.Generator
     """The feature rows at each of ``parts``' positions in a Gaussian-blob pool.
 
     Row i of the pool has features clip(centers[labels[i]] + N(0, spread)),
-    drawn from ``rng`` in row order.  The pool is generated chunk by chunk and
-    only the requested rows are kept, scattered into one array that is
-    returned as one view per part, so the whole pool is never held in memory
-    beside them.
+    drawn from ``rng`` in row order and computed in float64.  The pool is
+    generated chunk by chunk and only the requested rows are kept, scattered
+    as float32 into one array that is returned as one view per part, so the
+    whole pool is never held in memory beside them.
     """
     n, width = len(labels), centers.shape[1]
     sizes = [len(positions) for positions in parts]
-    out = np.empty((sum(sizes), width))
+    out = np.empty((sum(sizes), width), dtype=np.float32)
     dest = np.full(n, -1)
     dest[np.concatenate(parts)] = np.arange(len(out))
     for lo in range(0, n, _BLOB_CHUNK):
@@ -743,7 +749,7 @@ def synthetic_blobs(
     rng: np.random.Generator,
     spread: float = 0.1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Balanced Gaussian class blobs as (features, labels), features in [0, 1]."""
+    """Balanced Gaussian class blobs as (float32 features in [0, 1], labels)."""
     centers = rng.uniform(0.2, 0.8, size=(n_classes, n_features))
     labels = np.arange(n_instances) % n_classes
     return _blob_rows(centers, labels, rng, spread, [np.arange(n_instances)])[0], labels

@@ -5,7 +5,8 @@ feature vectors.  Parameters live in one flat vector plus layer shape
 metadata, so a whole model can be averaged, diffed and shipped around as one
 array.  The network computes in that vector's dtype: :func:`init_params`
 makes float32, and float64 parameters give exact float64 algebra.  Feature
-rows stay float64 and are cast one forward block or mini-batch at a time.
+rows are stored as float32, so only augmented float64 batches, or any rows
+at float64 parameters, are cast, one forward block or mini-batch at a time.
 
 A :class:`ModelParams` is read-only; :func:`train`, the one SGD loop of
 server, bootstrap and clients, owns a private copy of the parameters and a
@@ -157,8 +158,9 @@ def _features(params: ModelParams, X, rows=slice(None)) -> np.ndarray:
     """Rows ``rows`` of ``X``, an (n, width) matrix of the network's input
     width, in the parameters' dtype.
 
-    The cast copies float64 rows for float32 parameters, so a pass over many
-    rows takes them a block at a time.
+    Rows already in that dtype are not copied; others (an augmented float64
+    batch, or stored float32 rows at float64 parameters) are, so a pass over
+    many rows takes them a block at a time.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != params.n_inputs:
@@ -172,8 +174,9 @@ def _features(params: ModelParams, X, rows=slice(None)) -> np.ndarray:
 def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Class-probability rows for a (n, width) feature matrix.
 
-    The rows go through the network, and are cast to the parameters' dtype,
-    ``FORWARD_BLOCK_ROWS`` at a time; the probabilities have that dtype.
+    The rows go through the network, cast to the parameters' dtype where
+    they differ from it, ``FORWARD_BLOCK_ROWS`` at a time; the probabilities
+    have that dtype.
     """
     X = np.asarray(features)
     _features(params, X, slice(0))  # checks the width, even of an empty matrix

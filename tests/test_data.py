@@ -14,6 +14,8 @@ from fedseal import (
     DataConfig,
     augment_strong,
     augment_weak,
+    forward_batch,
+    gradient,
     ingest_csv,
     ingest_idx,
     load_split,
@@ -29,6 +31,7 @@ from fedseal.data import _apply_op, _carve, _cos_sin_deg, _rotate
 
 from conftest import (
     ForcedRng,
+    make_params,
     ref_contrast,
     ref_crop,
     ref_cutout,
@@ -71,9 +74,18 @@ def test_ingest_idx_exact_pixels(tmp_path):
     images_path, labels_path = write_idx_pair(tmp_path, pixels, [7, 0, 3])
     features, labels = ingest_idx(images_path, labels_path)
     assert labels.tolist() == [7, 0, 3]
-    assert features.shape == (3, 4)
+    assert features.shape == (3, 4) and features.dtype == np.float32
     for x, img in zip(features, pixels):
-        np.testing.assert_array_equal(x, img.ravel() / 255.0)
+        np.testing.assert_array_equal(x, np.float32(img.ravel() / 255.0))
+
+
+def test_ingest_idx_gives_every_pixel_over_255_rounded_once_to_float32(tmp_path):
+    # float32 division by 255 is correctly rounded, and for each of the 256
+    # pixel values it equals rounding the float64 quotient to float32.
+    pixels = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+    features, _ = ingest_idx(*write_idx_pair(tmp_path, pixels, [0]))
+    assert features.dtype == np.float32
+    np.testing.assert_array_equal(features[0], (np.arange(256) / 255.0).astype(np.float32))
 
 
 def test_ingest_idx_gzip_transparent(tmp_path):
@@ -86,7 +98,7 @@ def test_ingest_idx_gzip_transparent(tmp_path):
             gz.write(raw.read())
     features, labels = ingest_idx(f"{images_path}.gz", f"{labels_path}.gz")
     assert labels.tolist() == [4]
-    np.testing.assert_array_equal(features[0], pixels[0].ravel() / 255.0)
+    np.testing.assert_array_equal(features[0], np.float32(pixels[0].ravel() / 255.0))
 
 
 def test_ingest_idx_zero_count(tmp_path):
@@ -155,7 +167,11 @@ def test_csv_round_trip_is_identity(tmp_path):
     write_csv(features, labels, path)
     back_features, back_labels = ingest_csv(path)
     np.testing.assert_array_equal(back_labels, labels)
-    np.testing.assert_array_equal(back_features, features)
+    # Features are stored as float32, which a second round trip keeps exactly.
+    assert back_features.dtype == np.float32
+    np.testing.assert_array_equal(back_features, features.astype(np.float32))
+    write_csv(back_features, back_labels, path)
+    np.testing.assert_array_equal(ingest_csv(path)[0], back_features)
 
 
 def test_ingest_csv_non_numeric_cell_names_line(tmp_path):
@@ -683,7 +699,7 @@ def test_synthetic_blobs_match_per_row_draws():
     centers = ref.uniform(0.2, 0.8, size=(4, 5))
     for i in range(600):
         expected = np.clip(centers[i % 4] + ref.normal(0.0, 0.3, size=5), 0.0, 1.0)
-        np.testing.assert_array_equal(features[i], expected)
+        np.testing.assert_array_equal(features[i], expected.astype(np.float32))
         assert labels[i] == i % 4
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -830,8 +846,88 @@ def test_synthetic_load_split_peaks_near_the_bytes_it_returns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    held = split_bytes(split)
+    assert peak <= 1.1 * held, peak / held
+
+
+def split_bytes(split) -> int:
+    """Bytes of every feature and label array a split holds."""
     labeled = (split.server_train, split.server_val, split.test)
     held = sum(coll.X.nbytes + coll.y.nbytes for coll in labeled)
-    held += sum(shard.nbytes + split.hidden_labels(k).nbytes
-                for k, shard in enumerate(split.client_train))
-    assert peak <= 1.1 * held, peak / held
+    return held + sum(shard.nbytes + split.hidden_labels(k).nbytes
+                      for k, shard in enumerate(split.client_train))
+
+
+def write_idx_files(tmp_path, rng, n_rows: dict, shape, n_classes: int) -> dict:
+    """Random-pixel IDX pairs, one per part, as DataConfig path keys."""
+    paths = {}
+    for part, n in n_rows.items():
+        (tmp_path / part).mkdir()
+        images, labels = write_idx_pair(tmp_path / part, rng.integers(0, 256, size=(n, *shape)),
+                                        (np.arange(n) % n_classes).tolist())
+        paths.update({f"{part}_images": str(images), f"{part}_labels": str(labels)})
+    return dict(paths, image_height=shape[0], image_width=shape[1])
+
+
+def test_idx_load_split_peaks_near_its_files_float32_pools_and_split(tmp_path):
+    # Fashion-MNIST-shaped images, fewer of them.  Each file's pixels become
+    # one float32 pool with no float64 copy, so the peak is about the file
+    # bytes, four bytes a pixel of pool and the split gathered from them;
+    # converting as astype(float64) / 255.0 alone would hold 17 bytes a pixel.
+    n_rows = {"train": 2000, "test": 300}
+    paths = write_idx_files(tmp_path, stream(28, "idx-peak"), n_rows, (28, 28), 10)
+    cfg = DataConfig(kind="idx", per_client=100, server_train_n=100, server_val_n=50,
+                     test_n=100, **paths)
+    tracemalloc.start()
+    try:
+        split = load_split(cfg, n_clients=10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 5 * sum(n_rows.values()) * 28 * 28 + split_bytes(split)
+    assert peak <= 1.1 * bound, peak / bound
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "csv", "idx"])
+def test_load_split_stores_every_collection_and_shard_as_read_only_float32(tmp_path, kind):
+    sizes = dict(per_client=40, server_train_n=20, server_val_n=20, test_n=5)
+    if kind == "synthetic":
+        cfg = DataConfig(n_classes=4, n_features=6, **sizes)
+    else:
+        paths = write_idx_files(tmp_path, stream(25, "dtype-pool"), {"train": 400, "test": 30},
+                                (2, 3), 4)
+        if kind == "csv":
+            csv = {}
+            for part in ("train", "test"):
+                X, y = ingest_idx(paths[f"{part}_images"], paths[f"{part}_labels"])
+                csv[f"{part}_csv"] = str(tmp_path / f"{part}.csv")
+                write_csv(X, y, csv[f"{part}_csv"])
+            paths = csv
+        cfg = DataConfig(kind=kind, **sizes, **paths)
+    split = load_split(cfg, n_clients=2, seed=3)
+    for X in (split.server_train.X, split.server_val.X, split.test.X, *split.client_train):
+        assert X.dtype == np.float32 and not X.flags.writeable
+
+
+@pytest.mark.parametrize("source", ["synthetic", "idx"])
+def test_network_sees_the_same_bytes_in_stored_float32_rows_as_in_their_float64_source(
+        tmp_path, source):
+    # At float32 parameters the network casts float64 rows to float32 as they
+    # enter it, so storing them as float32 moves no bit of an un-augmented
+    # forward pass or gradient.
+    n, width = 600, 28 * 28
+    if source == "synthetic":
+        stored, labels = synthetic_blobs(n, 10, width, stream(26, "blobs"), spread=0.3)
+        ref = stream(26, "blobs")
+        centers = ref.uniform(0.2, 0.8, size=(10, width))
+        rows = np.clip(centers[labels] + ref.normal(0.0, 0.3, size=(n, width)), 0.0, 1.0)
+    else:
+        pixels, labels = stream(26, "pixels").integers(0, 256, size=(n, 28, 28)), [3] * n
+        stored, _ = ingest_idx(*write_idx_pair(tmp_path, pixels, labels))
+        rows = pixels.reshape(n, width) / 255.0
+    assert stored.dtype == np.float32 and rows.dtype == np.float64
+    params = make_params((width, 128, 64, 10), seed=27)
+    assert forward_batch(params, stored).tobytes() == forward_batch(params, rows).tobytes()
+    batch = slice(100, 164)
+    assert (gradient(params, stored[batch], labels[batch]).tobytes()
+            == gradient(params, rows[batch], labels[batch]).tobytes())

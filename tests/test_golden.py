@@ -2,7 +2,8 @@
 
 A change that keeps the random draw order and the arithmetic must reproduce
 these digests exactly; a change that alters either on purpose updates them
-and says so.  The runs train in float32, the dtype of ``init_params``.
+and says so.  The runs train in float32, the dtype of ``init_params``, on
+float32 feature rows.
 """
 
 import hashlib
@@ -24,29 +25,29 @@ BUNDLED_SYNTHETIC = REPO_ROOT / "configs" / "synthetic_small.ini"
 
 # algorithm -> (MD5 of rounds.csv, MD5 of the final global parameter bytes)
 GOLDEN = {
-    "fedseal": ("1f6d328932b2cca40723c7bb877a07b2", "364a2857d28ee18b28d8b7c7219c805a"),
-    "server_sl": ("45cc9c4f91901e51c706ff488eb26ff4", "fc6926c7992c239a2f567f7e2b144cc9"),
-    "fedavg_sl": ("aa488216a62077ea8b8d97b8cc3d0d37", "71a0dac14bdd48e1eb482ee8260c0281"),
+    "fedseal": ("a773a5654fe3e01648aad3ca8c1fdc46", "b763627c82e9473dc88d14cc3f1392ef"),
+    "server_sl": ("9e98229ebd55d8e6ddab2dc7e94f7f5f", "7f2b4400ac5764b97e8ac47fe3de1523"),
+    "fedavg_sl": ("e7fc7116b575f5dff7679a17d1b0b543", "8fa46eedf3040e8690206b12384e5372"),
     "fedavg_fixmatch": (
-        "719f1c7e607fde53134b7f9171e64872",
-        "dcca22e12b5fb93bfe5241ca2629cfe7",
+        "57f9d1baece84f9a0dd5aa6882e0f47d",
+        "c5a460dfd6b2ee073fc92333f25d6304",
     ),
-    "fedseal_no_ensemble": ("022ed57a152d3bdecb590658b4d29e03", "71cbea6354e9a6ace0de4d87d0a2556b"),
+    "fedseal_no_ensemble": ("ad203a7b0a54cf9110ba101afaa7fe36", "103984418e99f00677e72539cfe00f86"),
 }
 
 
 # synthetic_small.ini as 8 x 8 images (fedseal), so that weak and strong
 # augmentation both take the image path.
-GOLDEN_IMAGES = ("31567aebb2bf8132bbd75ef8c4b01cdd", "5c359cef849c3746a7ed3361597a1791")
+GOLDEN_IMAGES = ("7b258771ea22a7061054c6d682e0f4aa", "3673b9dd6d73f5225ab04e51d6b76863")
 
 
 # synthetic_small.ini with 2000-row shards and a 3000-row test set, for 6
 # rounds: every whole-collection forward pass spans many 256-row blocks.
 GOLDEN_LARGE = {
-    "fedseal": ("91e56169370ddd6ede91ad315e9dd352", "e2f4a3cc02864bc71b88976390247de6"),
+    "fedseal": ("73a7c247052e540f986d9d6372717805", "9ad7e4214266f56e6972a8fc29dc76d1"),
     "fedavg_fixmatch": (
-        "27cbc46ca6d73cf1301de2303b541d5b",
-        "29e489293acc97df0b557ff4a40b8cc7",
+        "07a9fe9aaff03bc2ce3515bd7f523139",
+        "52c3cefb7eb01a78845dd33a7e097849",
     ),
 }
 
@@ -80,7 +81,7 @@ def test_collections_larger_than_one_forward_block_match_golden_digests(algorith
 # synthetic_small.ini (fedseal) with 3 of its 5 clients sampled each round:
 # clients that sit a round out still fold every broadcast model into their
 # self-ensembles, and only this golden runs that path.
-GOLDEN_PARTIAL = ("6525494dfdc9fb5a8ad47e710170e912", "578f2a3b7bb5d7afada7da0471d96761")
+GOLDEN_PARTIAL = ("e16f35a7171482de4a08a5aa7c11aac9", "cde2509febcd412e0188957ae042ebf7")
 
 
 def test_partial_participation_matches_golden_digests(tmp_path):
@@ -89,12 +90,12 @@ def test_partial_participation_matches_golden_digests(tmp_path):
 
 
 # load_split output, one MD5 per case over every collection's X and y bytes
-# and every client shard's X and hidden-label bytes.
+# and every client shard's X and hidden-label bytes; X is float32.
 GOLDEN_SPLITS = {
-    "synthetic_iid": "79b848eca4513930f63bb2bf5f207249",
-    "synthetic_dirichlet": "8057b23dd085eb5e6f27e93c812f3761",
-    "csv": "5c62306e0465502099fe412349646e98",
-    "idx": "30a512494ed9628c321e5066cda41359",
+    "synthetic_iid": "5ee58d1acee1f9c3a48dce5bbc52c02f",
+    "synthetic_dirichlet": "00fb0218414c7b8e9796925f3b9cb205",
+    "csv": "d03a821681ecbc5fc9d717de38c4905b",
+    "idx": "0dde345c56f2ead9beb678ab92f54560",
 }
 
 
