@@ -114,6 +114,58 @@ MUTANTS = (
      "self.X = _frozen(np.asarray(X, dtype=np.float32))",
      "self.X = _frozen(np.asarray(X, dtype=np.float64))",
      "tests/test_data.py::test_load_split_stores_every_collection_and_shard_as_read_only_float32[synthetic]"),
+    ("server.py",
+     "taus = np.ones(n_classes)",
+     "taus = np.zeros(n_classes)",
+     "tests/test_server.py::test_thresholds_absent_class_falls_back_to_one"),
+    ("server.py",
+     "return np.clip(taus, 0.0, 1.0)",
+     "return taus",
+     "tests/test_server.py::test_thresholds_clamped_to_one"),
+    ("server.py",
+     "if model.shapes != first.shapes:",
+     "if False:",
+     "tests/test_server.py::test_aggregate_layout_mismatch"),
+    ("client.py",
+     "return labels, top >= np.asarray(taus)[labels]",
+     "return labels, top > np.asarray(taus)[labels]",
+     "tests/test_client.py::test_pseudo_label_argmax_and_confidence"),
+    ("client.py",
+     "min(1.0, round_index / cfg.lambda_ramp_rounds)",
+     "round_index / cfg.lambda_ramp_rounds",
+     "tests/test_client.py::test_lambda_saturates"),
+    ("client.py",
+     "if probs.shape != avg.shape:",
+     "if False:",
+     "tests/test_client.py::test_update_rejects_changed_instance_set"),
+    ("cli.py",
+     'return format(value, ".10g")',
+     "return str(round(value, 6))",
+     "tests/test_golden.py::test_bundled_synthetic_config_matches_golden_digests[fedseal]"),
+    ("cli.py",
+     '"seed": cfg.seed,',
+     '"seed": 0,',
+     "tests/test_cli.py::test_run_overrides_change_the_run"),
+    ("cli.py",
+     "key=lambda rec: (rec.test_accuracy, -rec.round)",
+     "key=lambda rec: (rec.test_accuracy, rec.round)",
+     "tests/test_cli.py::test_summary_best_round_is_the_earliest_of_tied_rounds"),
+    ("config.py",
+     "return repr(value)",
+     "return str(round(value, 6))",
+     "tests/test_cli.py::test_round_trip_keeps_every_bit_of_a_float"),
+    ("experiment.py",
+     "state.server_lr *= cfg.server.lr_decay",
+     "state.server_lr *= cfg.client.lr_decay",
+     "tests/test_experiment.py::test_three_round_trace_matches_hand_stepped_transcript"),
+    ("experiment.py",
+     "state.client_lr *= cfg.client.lr_decay",
+     "state.client_lr *= cfg.server.lr_decay",
+     "tests/test_experiment.py::test_three_round_trace_matches_hand_stepped_transcript"),
+    ("rng.py",
+     'return int.from_bytes(digest[:8], "little")',
+     'return int.from_bytes(digest[:8], "big")',
+     "tests/test_golden.py::test_load_split_matches_golden_digests[synthetic_iid]"),
 )
 
 # The ledger's own test fails on every mutant (its text no longer occurs), so it is left out.

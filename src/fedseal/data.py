@@ -364,55 +364,15 @@ def _shift(imgs: np.ndarray, dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return windows[np.arange(k), p + dy, p + dx]
 
 
-# Cephes sindg.c: sin on [0, 45] degrees is z + z * zz * P(zz), cos is
-# 1 - zz * Q(zz), for z in radians.  P leads with a 0 so one Horner loop runs both.
-_PI180 = 1.74532925199432957692e-2
-_SINCOF = (0.0, 1.58962301572218447952e-10, -2.50507477628503540135e-8,
-           2.75573136213856773549e-6, -1.98412698295895384658e-4,
-           8.33333333332211858862e-3, -1.66666666666666307295e-1)
-_COSCOF = (1.13678171382044553091e-11, -2.08758833757683644217e-9,
-           2.75573155429816611547e-7, -2.48015872936186303776e-5,
-           1.38888888888806666760e-3, -4.16666666666666348141e-2,
-           4.99999999999999999798e-1)
-
-
-def _cos_sin_deg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of x degrees, bit for bit as Cephes ``cosdg`` and ``sindg``.
-
-    Those are ``scipy.special.cosdg``/``sindg``; this port keeps scipy out of
-    a run.  |x| is reduced to an octant, where both polynomials are
-    evaluated, then the octant picks and signs them.  Exact for |x| <= 1e14,
-    beyond which Cephes returns 0.
-    """
-    ax = np.abs(x)
-    y = np.floor(ax / 45.0)
-    j = (y - np.ldexp(np.floor(np.ldexp(y, -4)), 4)).astype(np.int64)  # y mod 16
-    odd = j & 1  # map zeros to the origin
-    j += odd
-    y += odd
-    j &= 7
-    flip = j > 3  # reflect in the x axis
-    j -= 4 * flip
-    z = (ax - y * 45.0) * _PI180
-    zz = z * z
-    p = q = 0.0
-    for a, b in zip(_SINCOF, _COSCOF):
-        p, q = p * zz + a, q * zz + b
-    sin_z, cos_z = z + z * (zz * p), 1.0 - zz * q
-    swap = (j == 1) | (j == 2)
-    cos = np.where(swap, sin_z, cos_z)
-    sin = np.where(swap, cos_z, sin_z)
-    return np.where(flip ^ (j > 1), -cos, cos), np.where(flip ^ (x < 0), -sin, sin)
-
-
 def _rotate(imgs: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Row r turned by angles[r] degrees about its centre, bilinear, 0 outside.
 
-    As ``ndimage.rotate(reshape=False, order=1, mode="constant")`` computes
-    it, with its cos and sin from :func:`_cos_sin_deg`, the Cephes port.
+    As ``ndimage.rotate(reshape=False, order=1, mode="constant")`` computes it,
+    up to float64 rounding.
     """
     k, h, w = imgs.shape
-    c, s = (v[:, None, None] for v in _cos_sin_deg(angles))
+    radians = np.deg2rad(angles)[:, None, None]
+    c, s = np.cos(radians), np.sin(radians)
     cy, cx = (h - 1) / 2, (w - 1) / 2
     i, j = np.arange(h)[:, None], np.arange(w)
     y = (cy - (c * cy + s * cx)) + i * c + j * s
@@ -714,7 +674,7 @@ def _carve(labels, cfg: DataConfig, n_clients: int, seed: int, test_n: int,
 # Synthetic data
 # ---------------------------------------------------------------------------
 
-_BLOB_CHUNK = 256
+_BLOB_CHUNK = 128
 
 
 def _blob_rows(centers: np.ndarray, labels: np.ndarray, rng: np.random.Generator,

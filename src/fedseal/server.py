@@ -44,7 +44,7 @@ def aggregate(local_models: list[nn.ModelParams]) -> nn.ModelParams:
         raise ValueError("cannot aggregate an empty model list")
     first = local_models[0]
     for model in local_models[1:]:
-        if model.shapes != first.shapes or model.values.size != first.values.size:
+        if model.shapes != first.shapes:
             raise ValueError("local models disagree on parameter layout")
     total = np.zeros_like(first.values)
     for model in local_models:

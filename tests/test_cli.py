@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedseal import (
     ConfigError,
@@ -20,7 +22,7 @@ from fedseal import (
     run_experiment,
     serialize_config,
 )
-from fedseal.cli import emit_metrics, run
+from fedseal.cli import _write_summary, emit_metrics, run
 from fedseal.config import _derive_schema
 from fedseal.experiment import ALGORITHMS, RoundRecord
 
@@ -108,6 +110,20 @@ def test_round_trip_serialize_then_parse(tmp_path):
     path.write_text(text)
     assert parse_config(path) == cfg
     assert config_hash(parse_config(path)) == config_hash(cfg)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lambda_max=st.floats(min_value=0.0, allow_infinity=False),
+       spread=st.floats(min_value=0.0, allow_infinity=False))
+@example(lambda_max=0.1234567, spread=1e-7)
+@example(lambda_max=1234567.5, spread=5e-324)
+def test_round_trip_keeps_every_bit_of_a_float(lambda_max, spread):
+    # Floats with more than 6 significant digits come back exactly, so a
+    # manifest's config_text and config_hash name the run that was made.
+    cfg = parse_config_text(FAST_CONFIG)
+    cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, spread=spread),
+                              client=dataclasses.replace(cfg.client, lambda_max=lambda_max))
+    assert parse_config_text(serialize_config(cfg)) == cfg
 
 
 # A valid, non-default value for every config key; kind = idx lets every
@@ -422,6 +438,15 @@ def test_emit_absent_rate_is_empty_cell_not_zero(tmp_path):
 def test_emit_requires_records(tmp_path):
     with pytest.raises(ValueError, match="no round records"):
         emit_metrics([], tmp_path)
+
+
+def test_summary_best_round_is_the_earliest_of_tied_rounds(tmp_path):
+    records = [dataclasses.replace(_record(t), test_accuracy=acc)
+               for t, acc in enumerate((0.5, 0.8, 0.7, 0.8, 0.6), start=1)]
+    _write_summary(records, parse_config_text(FAST_CONFIG), tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["best_accuracy"], summary["best_round"]) == (0.8, 2)
+    assert summary["final_accuracy"] == 0.6
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,7 @@ from fedseal import (
     write_csv,
 )
 
-from scipy import special
-
-from fedseal.data import _apply_op, _carve, _cos_sin_deg, _rotate
+from fedseal.data import _apply_op, _carve, _rotate
 
 from conftest import (
     ForcedRng,
@@ -428,22 +426,6 @@ def test_batched_vector_cutout_matches_per_row_reference():
         batched = _apply_op("cutout", x, corner, image=False)
         per_row = [ref_vector_cutout(row[0], s) for row, s in zip(x, start)]
         np.testing.assert_array_equal(batched[:, 0], per_row)
-
-
-def test_degree_trig_matches_scipy_cosdg_and_sindg_bit_for_bit():
-    rng = stream(18, "trig")
-    octants = np.arange(-720.0, 721.0, 45.0)
-    angles = np.concatenate([
-        rng.uniform(-15.0, 15.0, size=100_000),
-        rng.uniform(-1000.0, 1000.0, size=100_000),
-        octants,
-        np.nextafter(octants, np.inf),
-        np.nextafter(octants, -np.inf),
-        [0.0, -0.0],
-    ])
-    cos, sin = _cos_sin_deg(angles)
-    assert cos.tobytes() == special.cosdg(angles).tobytes()
-    assert sin.tobytes() == special.sindg(angles).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(28, 28), (5, 7), (3, 3)])

@@ -300,8 +300,11 @@ def test_clients_train_with_the_lambda_the_round_records(monkeypatch, algorithm)
 
 def test_three_round_trace_matches_hand_stepped_transcript():
     # Walk the four round steps by hand with the same streams and compare
-    # every published quantity and the final model bit for bit.
+    # every published quantity and the final model bit for bit.  The two
+    # sides decay their learning rates at different rates.
     cfg = small_config(seed=8)
+    cfg = replace(cfg, server=replace(cfg.server, lr_decay=0.5),
+                  client=replace(cfg.client, lr_decay=0.9))
     records, state = run_all_rounds(cfg)
 
     split = load_split(cfg.data, cfg.n_clients, cfg.seed)
