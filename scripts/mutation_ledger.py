@@ -39,7 +39,7 @@ MUTANTS = (
      "candidates = conf < theta",
      "tests/test_client.py::test_negative_set_candidate_at_exactly_theta"),
     ("nn.py",
-     "grad_z[p < PROB_FLOOR] = 0.0",
+     "delta[p < PROB_FLOOR] = 0.0",
      "pass",
      "tests/test_nn.py::test_gradient_of_a_clamped_row_is_zero[1-False]"),
     ("nn.py",
@@ -162,6 +162,14 @@ MUTANTS = (
      "state.client_lr *= cfg.client.lr_decay",
      "state.client_lr *= cfg.server.lr_decay",
      "tests/test_experiment.py::test_three_round_trace_matches_hand_stepped_transcript"),
+    ("nn.py",
+     "w, b = values[offset:bias], values[bias : bias + fan_out]",
+     "b, w = values[offset : offset + fan_out], values[offset + fan_out : bias + fan_out]",
+     "tests/test_nn.py::test_model_params_layers_read_each_weight_and_bias_in_w1_b1_w2_b2_order"),
+    ("nn.py",
+     "offset = bias + fan_out",
+     "offset = bias",
+     "tests/test_nn.py::test_gradient_matches_the_concatenating_reference_byte_for_byte"),
     ("rng.py",
      'return int.from_bytes(digest[:8], "little")',
      'return int.from_bytes(digest[:8], "big")',

@@ -3,7 +3,8 @@
 A dataset is a pair of arrays: an (n, width) float32 feature matrix with
 values in [0, 1] and n non-negative integer class labels.  Rows are float32
 from the moment they are generated or ingested, the dtype the network
-computes in; augmentation works on a private float64 copy of its batch.
+computes in.  Augmentation works on a private copy of its batch, float64
+except where weak image augmentation, which only moves pixels, keeps float32.
 :func:`load_split` carves one labeled pool into the four parts a run needs,
 held by a :class:`DatasetSplit` and each gathered once: the server train,
 server validation and test sets are each a labeled :class:`Collection`, and
@@ -345,9 +346,9 @@ def partition(
 # ---------------------------------------------------------------------------
 
 
-def _stack(X, image_shape) -> np.ndarray:
-    """(n, h, w) float64 copy of an (n, width) batch; a vector row is 1 x width."""
-    X = np.array(X, dtype=np.float64)
+def _stack(X, image_shape, dtype=np.float64) -> np.ndarray:
+    """(n, h, w) copy of an (n, width) batch in ``dtype``; a vector row is 1 x width."""
+    X = np.array(X, dtype=dtype)
     h, w = (1, X.shape[-1]) if image_shape is None else image_shape
     if X.ndim != 2 or X.shape[1] != h * w:
         raise ValueError(f"augmentation expects an (n, {h * w}) batch, got shape {X.shape}")
@@ -358,7 +359,7 @@ def _shift(imgs: np.ndarray, dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """out[r, i, j] = imgs[r, i + dy[r], j + dx[r]], and 0 where that is outside."""
     k, h, w = imgs.shape
     p = int(max(np.abs(dy).max(initial=0), np.abs(dx).max(initial=0)))
-    padded = np.zeros((k, h + 2 * p, w + 2 * p))
+    padded = np.zeros((k, h + 2 * p, w + 2 * p), dtype=imgs.dtype)
     padded[:, p : p + h, p : p + w] = imgs
     windows = sliding_window_view(padded, (h, w), axis=(1, 2))
     return windows[np.arange(k), p + dy, p + dx]
@@ -439,9 +440,11 @@ def augment_weak(X: np.ndarray, rng, image_shape: tuple[int, int] | None = None)
     """Mild transform of an (n, width) batch: flip + crop for images, light noise otherwise.
 
     Images draw a flip mask, ``rng.random(n)``, then the crop offsets;
-    vectors draw one (n, width) block of N(0, 0.05) noise.
+    vectors draw one (n, width) block of N(0, 0.05) noise.  Flip and crop
+    only move pixels, so an image batch keeps its float dtype.
     """
-    imgs = _stack(X, image_shape)
+    X = np.asarray(X)
+    imgs = _stack(X, image_shape, np.result_type(X.dtype, np.float32))
     n, h, w = imgs.shape
     if image_shape is None:
         imgs = imgs + rng.normal(0.0, 0.05, size=imgs.shape)

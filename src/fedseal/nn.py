@@ -3,7 +3,9 @@
 The network is a plain MLP (tanh hidden layers, softmax head) over flat
 feature vectors.  Parameters live in one flat vector plus layer shape
 metadata, so a whole model can be averaged, diffed and shipped around as one
-array.  The network computes in that vector's dtype: :func:`init_params`
+array; only :func:`_layer_views` knows how the layers pack into it, and the
+model, :func:`init_params` and :func:`gradient` read and write through its
+views.  The network computes in that vector's dtype: :func:`init_params`
 makes float32, and float64 parameters give exact float64 algebra.  Feature
 rows are stored as float32, so only augmented float64 batches, or any rows
 at float64 parameters, are cast, one forward block or mini-batch at a time.
@@ -20,7 +22,7 @@ is indifferent to what is inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,14 +42,15 @@ class ModelParams:
     """Flat float32 or float64 parameter vector plus per-layer (fan_in, fan_out) shapes.
 
     The network computes in the vector's dtype; any other dtype is coerced
-    to float64.  Bias length per layer equals fan_out; packing order is W1,
-    b1, W2, b2, ...
+    to float64.  ``layers`` holds the per-layer (W, b) views of the vector,
+    sliced once, here.
     ``values`` is a read-only view of the array given, not a copy, so hand
     over an array that nothing writes afterwards.
     """
 
     values: np.ndarray
     shapes: tuple[tuple[int, int], ...]
+    layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values)
@@ -62,6 +65,7 @@ class ModelParams:
         values.flags.writeable = False
         self.values = values
         self.shapes = tuple((int(i), int(o)) for i, o in self.shapes)
+        self.layers = _layer_views(values, self.shapes)
 
     @property
     def n_inputs(self) -> int:
@@ -108,31 +112,28 @@ def param_count(shapes) -> int:
     return int(sum(i * o + o for i, o in shapes))
 
 
+def _layer_views(values: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (W, b) views of a flat vector packed W1, b1, W2, b2, ...; b has fan_out."""
+    layers, offset = [], 0
+    for fan_in, fan_out in shapes:
+        bias = offset + fan_in * fan_out
+        w, b = values[offset:bias], values[bias : bias + fan_out]
+        layers.append((w.reshape(fan_in, fan_out), b))
+        offset = bias + fan_out
+    return layers
+
+
 def init_params(dims, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weights, zero biases, drawn in layer order from ``rng``.
 
-    The draws are float64 and are then cast, so the parameters are float32.
+    The float64 draws are cast as they are written into a zeroed float32 vector.
     """
     shapes = shapes_for(dims)
-    chunks = []
-    for fan_in, fan_out in shapes:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        chunks.append(rng.uniform(-limit, limit, size=fan_in * fan_out))
-        chunks.append(np.zeros(fan_out))
-    return ModelParams(values=np.concatenate(chunks).astype(np.float32), shapes=shapes)
-
-
-def unflatten(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (W, b) views into the flat vector."""
-    layers = []
-    offset = 0
-    for fan_in, fan_out in params.shapes:
-        w = params.values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = params.values[offset : offset + fan_out]
-        offset += fan_out
-        layers.append((w, b))
-    return layers
+    values = np.zeros(param_count(shapes), dtype=np.float32)
+    for w, _ in _layer_views(values, shapes):
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return ModelParams(values=values, shapes=shapes)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -143,15 +144,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _forward_cached(params: ModelParams, x: np.ndarray):
     """Probs plus the per-layer inputs needed for backprop."""
-    layers = unflatten(params)
-    inputs = [x]
-    a = x
-    for w, b in layers[:-1]:
+    inputs, a = [x], x
+    for w, b in params.layers[:-1]:
         a = np.tanh(a @ w + b)
         inputs.append(a)
-    w, b = layers[-1]
-    probs = _softmax(a @ w + b)
-    return probs, inputs, layers
+    w, b = params.layers[-1]
+    return _softmax(a @ w + b), inputs
 
 
 def _features(params: ModelParams, X, rows=slice(None)) -> np.ndarray:
@@ -221,10 +219,10 @@ def batch_loss(params: ModelParams, X, labels, negative=False) -> float:
 def gradient(params: ModelParams, X, labels, negative=False) -> np.ndarray:
     """Analytic gradient of ``batch_loss`` with respect to the flat vector.
 
-    The gradient has the parameters' dtype.
+    The gradient has the parameters' dtype; each layer writes into its views.
     """
     X, labels = _batch_arrays(params, X, labels)
-    probs, inputs, layers = _forward_cached(params, X)
+    probs, inputs = _forward_cached(params, X)
     rows = np.arange(len(labels))
     p = probs[rows, labels]
 
@@ -233,27 +231,24 @@ def gradient(params: ModelParams, X, labels, negative=False) -> np.ndarray:
     if negative:
         q = 1.0 - p
         scale = np.where(q < PROB_FLOOR, 0.0, p / np.maximum(q, PROB_FLOOR))
-        grad_z = -scale[:, None] * probs
-        grad_z[rows, labels] += scale
-    else:
-        # p - onehot.
-        grad_z = probs.copy()
-        grad_z[rows, labels] -= 1.0
-        grad_z[p < PROB_FLOOR] = 0.0
+        delta = -scale[:, None] * probs
+        delta[rows, labels] += scale
+    else:  # p - onehot, in place: nothing reads probs again
+        delta = probs
+        delta[rows, labels] -= 1.0
+        delta[p < PROB_FLOOR] = 0.0
     # Scale by 1/n rather than divide by n: runs are pinned to these bytes.
-    grad_z *= 1.0 / len(labels)
+    delta *= 1.0 / len(labels)
 
-    grads = []
-    delta = grad_z
-    for idx in range(len(layers) - 1, -1, -1):
-        w, _ = layers[idx]
-        a_in = inputs[idx]
-        grads.append(delta.sum(axis=0))  # bias
-        grads.append((a_in.T @ delta).ravel())  # weights
+    grad = np.empty_like(params.values)
+    grads = _layer_views(grad, params.shapes)
+    for idx in reversed(range(len(grads))):
+        (grad_w, grad_b), a_in = grads[idx], inputs[idx]
+        np.sum(delta, axis=0, out=grad_b)
+        np.matmul(a_in.T, delta, out=grad_w)
         if idx > 0:
-            delta = (delta @ w.T) * (1.0 - a_in * a_in)
-    grads.reverse()
-    return np.concatenate(grads)
+            delta = (delta @ params.layers[idx][0].T) * (1.0 - a_in * a_in)
+    return grad
 
 
 def sgd_step(values, velocity, grad, cfg: SGDConfig, scratch) -> None:

@@ -51,6 +51,69 @@ def float64_params(monkeypatch):
     monkeypatch.setattr(nn, "init_params", init_float64)
 
 
+# ---------------------------------------------------------------------------
+# The network's earlier parameter packing, kept as a reference: each layer's
+# chunk drawn or computed on its own, then the chunks concatenated in W1, b1,
+# W2, b2, ... order.
+# ---------------------------------------------------------------------------
+
+
+def reference_init_params(dims, rng) -> ModelParams:
+    """init_params as a chunk list: float64 draws, concatenated, cast once."""
+    shapes = nn.shapes_for(dims)
+    chunks = []
+    for fan_in, fan_out in shapes:
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        chunks.append(rng.uniform(-limit, limit, size=fan_in * fan_out))
+        chunks.append(np.zeros(fan_out))
+    return ModelParams(values=np.concatenate(chunks).astype(np.float32), shapes=shapes)
+
+
+def reference_gradient(params: ModelParams, X, labels, negative=False) -> np.ndarray:
+    """gradient with its own offset slicing, and the per-layer gradients
+    appended last layer first, reversed and concatenated."""
+    layers, offset = [], 0
+    for fan_in, fan_out in params.shapes:
+        w = params.values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        layers.append((w, params.values[offset : offset + fan_out]))
+        offset += fan_out
+    X = np.asarray(X).astype(params.values.dtype, copy=False)
+    labels = np.asarray(labels, dtype=np.int64)
+    inputs = [X]
+    a = X
+    for idx, (w, b) in enumerate(layers):
+        z = a @ w + b
+        if idx < len(layers) - 1:
+            a = np.tanh(z)
+            inputs.append(a)
+    exps = np.exp(z - z.max(axis=-1, keepdims=True))
+    probs = exps / exps.sum(axis=-1, keepdims=True)
+    rows = np.arange(len(labels))
+    p = probs[rows, labels]
+    if negative:
+        q = 1.0 - p
+        scale = np.where(q < nn.PROB_FLOOR, 0.0, p / np.maximum(q, nn.PROB_FLOOR))
+        grad_z = -scale[:, None] * probs
+        grad_z[rows, labels] += scale
+    else:
+        grad_z = probs.copy()
+        grad_z[rows, labels] -= 1.0
+        grad_z[p < nn.PROB_FLOOR] = 0.0
+    grad_z *= 1.0 / len(labels)
+    grads = []
+    delta = grad_z
+    for idx in range(len(layers) - 1, -1, -1):
+        w, _ = layers[idx]
+        a_in = inputs[idx]
+        grads.append(delta.sum(axis=0))  # bias
+        grads.append((a_in.T @ delta).ravel())  # weights
+        if idx > 0:
+            delta = (delta @ w.T) * (1.0 - a_in * a_in)
+    grads.reverse()
+    return np.concatenate(grads)
+
+
 def random_batch(params: ModelParams, n: int, seed: int, negative: bool = False):
     """Random (X, labels, negative) batch of one loss kind."""
     rng = stream(seed, "test-batch")

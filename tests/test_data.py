@@ -483,6 +483,22 @@ def test_image_augmentation_follows_the_batch_draw_order(shape):
         assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
 
 
+@pytest.mark.parametrize("shape", [(28, 28), (5, 7), (8, 8), (2, 2), (1, 5), (1, 1)])
+def test_weak_image_augmentation_of_float32_rows_stays_float32_with_the_float64_values(shape):
+    # Flip and crop only move pixels and clip is exact, so a float32 batch
+    # comes back float32 with the values, and the generator state, of the
+    # same batch augmented as float64.  Rows outside [0, 1] exercise clip.
+    h, w = shape
+    for seed in range(100):
+        X = stream(seed, "img32-rows", h, w).uniform(-0.3, 1.3, (32, h * w)).astype(np.float32)
+        rng32, rng64 = stream(seed, "img32-weak"), stream(seed, "img32-weak")
+        out = augment_weak(X, rng32, image_shape=shape)
+        expected = augment_weak(X.astype(np.float64), rng64, image_shape=shape)
+        assert out.dtype == np.float32 and expected.dtype == np.float64
+        assert out.astype(np.float64).tobytes() == expected.tobytes()
+        assert rng32.bit_generator.state == rng64.bit_generator.state
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (1, 5)])
 def test_strong_augmentation_of_images_smaller_than_a_shift(shape):
     # Translating by up to 3 px used to raise "could not broadcast" on images

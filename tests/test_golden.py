@@ -1,4 +1,5 @@
-"""Golden determinism: pinned artifacts for the bundled synthetic config.
+"""Golden determinism: pinned artifacts for the bundled synthetic config,
+and the README's final-parameter digests of the perfbench workloads.
 
 A change that keeps the random draw order and the arithmetic must reproduce
 these digests exactly; a change that alters either on purpose updates them
@@ -7,7 +8,10 @@ float32 feature rows.
 """
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -135,3 +139,56 @@ def split_config(case: str, tmp_path) -> DataConfig:
 def test_load_split_matches_golden_digests(case, tmp_path):
     split = load_split(split_config(case, tmp_path), n_clients=6, seed=5)
     assert split_digest(split) == GOLDEN_SPLITS[case]
+
+
+# The README's paper-shaped digests: MD5 of the final global parameters of
+# each perfbench workload file, seed 1, 3 rounds, at one BLAS thread.
+# paper_iid is the only test run that trains the 784-wide network through
+# nn.train.
+GOLDEN_PAPER_SHAPED = {
+    "paper_iid": "3342cbb6ae080811f55335fc34e8b68f",
+    "narrow_tabular": "591ca203dd4f4aea902d3cfc4b8b2788",
+}
+
+PAPER_SHAPED_SCRIPT = """\
+import hashlib
+import sys
+
+from fedseal import parse_config, run_round, start
+from fedseal.config import with_overrides
+
+for path in sys.argv[1:]:
+    cfg = with_overrides(parse_config(path), seed=1, rounds=3)
+    state = start(cfg)
+    for t in range(1, cfg.rounds + 1):
+        state, _ = run_round(state, t)
+    print(hashlib.md5(state.global_params.values.tobytes()).hexdigest())
+"""
+
+
+def _readme_blas() -> str | None:
+    """Why numpy's BLAS is not the README's OpenBLAS 0.3.31 build, or None if it is."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        return f"numpy {np.__version__} does not report its BLAS build"
+    name, version = blas.get("name") or "", blas.get("version") or ""
+    if "openblas" not in name or not version.startswith("0.3.31"):
+        return f"numpy's BLAS is {name} {version}, not the OpenBLAS 0.3.31 the README names"
+    return None
+
+
+def test_paper_shaped_workloads_match_the_readme_digests():
+    reason = _readme_blas()
+    if reason:
+        pytest.skip(reason)
+    paths = [str(REPO_ROOT / "perfbench" / "workloads" / f"{name}.ini")
+             for name in GOLDEN_PAPER_SHAPED]
+    # BLAS reads its thread count when numpy loads, hence a fresh interpreter.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PAPER_SHAPED_SCRIPT, *paths], cwd=REPO_ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == list(GOLDEN_PAPER_SHAPED.values())

@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedseal import (
     ModelParams,
@@ -18,9 +20,17 @@ from fedseal import (
     sgd_step,
     stream,
 )
-from fedseal.nn import SGDConfig, _forward_cached, param_count, shapes_for, train, unflatten
+from fedseal.nn import SGDConfig, _forward_cached, param_count, shapes_for, train
 
-from conftest import fd_batch_gradient, make_params, random_batch, reference_loss, rel_error
+from conftest import (
+    fd_batch_gradient,
+    make_params,
+    random_batch,
+    reference_gradient,
+    reference_init_params,
+    reference_loss,
+    rel_error,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +275,41 @@ def test_gradient_rejects_bad_labels_and_width():
         gradient(params, np.zeros((2, 3)), [0, 1])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dims=st.lists(st.integers(1, 9), min_size=2, max_size=4), n=st.integers(1, 64),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       row_dtype=st.sampled_from([np.float32, np.float64]),
+       negative=st.booleans(), seed=st.integers(0, 2**16))
+def test_gradient_matches_the_concatenating_reference_byte_for_byte(
+    dims, n, dtype, row_dtype, negative, seed
+):
+    # Chains of 1 to 3 layers; random weights and biases, so that no bias
+    # gradient is zero by construction.
+    shapes = shapes_for(dims)
+    rng = stream(seed, "packing")
+    params = ModelParams(rng.normal(0.0, 1.0, param_count(shapes)).astype(dtype), shapes)
+    X = rng.random((n, dims[0])).astype(row_dtype)
+    labels = rng.integers(0, dims[-1], n)
+    grad = gradient(params, X, labels, negative=negative)
+    expected = reference_gradient(params, X, labels, negative=negative)
+    assert grad.dtype == expected.dtype == dtype
+    assert grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(784, 128, 64, 10), (32, 128, 64, 10)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("negative", [False, True])
+def test_paper_shaped_gradient_matches_the_concatenating_reference(dims, dtype, negative):
+    # The wide GEMMs of the paper's network, at the mini-batch size and at one row.
+    params = make_params(dims, seed=5, dtype=dtype)
+    rng = stream(5, "paper-batch")
+    for n in (64, 1):
+        X = rng.random((n, dims[0]), dtype=np.float32)
+        labels = rng.integers(0, dims[-1], n)
+        expected = reference_gradient(params, X, labels, negative=negative)
+        assert gradient(params, X, labels, negative=negative).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # sgd_step
 # ---------------------------------------------------------------------------
@@ -410,8 +455,15 @@ def test_float32_params_compute_and_return_float32():
     model = init_params((4, 6, 3), stream(21, "init"))
     assert model.values.dtype == np.float32
     X = stream(21, "x").random((60, 4))
-    assert forward_batch(model, X).dtype == np.float32
-    assert gradient(model, X[:5], [0, 1, 2, 0, 1]).dtype == np.float32
+    probs = forward_batch(model, X)
+    assert probs.dtype == np.float32
+    grad = gradient(model, X[:5], [0, 1, 2, 0, 1])
+    assert grad.dtype == np.float32
+    # Float32 bytes, not float64 results cast on the way out: the float64
+    # rows are cast before they meet the weights.
+    X32 = X.astype(np.float32)
+    assert probs.tobytes() == _forward_cached(model, X32)[0].tobytes()
+    assert grad.tobytes() == reference_gradient(model, X32[:5], [0, 1, 2, 0, 1]).tobytes()
     assert _train(model, seed=21).values.dtype == np.float32
 
 
@@ -442,10 +494,34 @@ def test_model_params_hold_a_read_only_view_not_a_copy():
 def test_init_params_glorot_bounds_and_zero_bias():
     params = init_params((30, 20, 10), stream(2, "init"))
     assert params.values.dtype == np.float32
-    for (fan_in, fan_out), (w, b) in zip(params.shapes, unflatten(params)):
+    for (fan_in, fan_out), (w, b) in zip(params.shapes, params.layers):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         assert np.all(np.abs(w) <= limit)
         np.testing.assert_array_equal(b, np.zeros(fan_out))
+
+
+@pytest.mark.parametrize("dims", [(784, 128, 64, 10), (32, 128, 64, 10), (3, 2), (5, 1, 4)])
+def test_init_params_matches_the_chunked_reference_byte_for_byte(dims):
+    rng, reference_rng = stream(4, "init"), stream(4, "init")
+    params, expected = init_params(dims, rng), reference_init_params(dims, reference_rng)
+    assert params.values.dtype == expected.values.dtype == np.float32
+    assert params.values.tobytes() == expected.values.tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_model_params_layers_read_each_weight_and_bias_in_w1_b1_w2_b2_order():
+    shapes = shapes_for((3, 4, 2, 5))
+    sizes = [size for i, o in shapes for size in (i * o, o)]
+    # Every entry of every W and b is a distinct value.
+    chunks = np.split(np.arange(1.0, 1.0 + sum(sizes)), np.cumsum(sizes)[:-1])
+    written = [(chunks[2 * k].reshape(shape), chunks[2 * k + 1]) for k, shape in enumerate(shapes)]
+    params = ModelParams(np.concatenate(chunks), shapes)
+    assert len(params.layers) == len(written)
+    for (w, b), (w_in, b_in) in zip(params.layers, written):
+        np.testing.assert_array_equal(w, w_in)
+        np.testing.assert_array_equal(b, b_in)
+        assert np.shares_memory(w, params.values) and np.shares_memory(b, params.values)
+        assert not w.flags.writeable and not b.flags.writeable
 
 
 def test_batch_loss_matches_elementwise_losses():
