@@ -35,11 +35,7 @@ from .experiment import ExperimentConfig, RoundRecord, run_experiment
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
+    return "" if value is None else format(value, ".10g")
 
 
 def emit_metrics(records: list[RoundRecord], out_dir) -> dict[str, Path]:

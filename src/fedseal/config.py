@@ -142,8 +142,6 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)

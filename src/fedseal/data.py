@@ -63,37 +63,19 @@ class Collection:
         return self.X.shape[0]
 
 
+@dataclass(frozen=True, eq=False)
 class DatasetSplit:
-    """Disjoint server/validation/test collections and client shards for one run."""
+    """Disjoint server/validation/test collections and client shards for one run.
 
-    def __init__(
-        self,
-        server_train: Collection,
-        server_val: Collection,
-        client_train: list[np.ndarray],
-        test: Collection,
-        hidden_labels: list[np.ndarray],
-    ):
-        self.server_train = server_train
-        self.server_val = server_val
-        self.client_train = [_frozen(np.asarray(X, dtype=np.float32)) for X in client_train]
-        self.test = test
-        self._hidden_labels = [_frozen(np.asarray(h, dtype=np.int64)) for h in hidden_labels]
-        self._validate()
+    Built only by :func:`load_split`, which freezes every shard and hidden
+    label array as it gathers them.
+    """
 
-    def _validate(self) -> None:
-        features = [coll.X for coll in (self.server_train, self.server_val, self.test)]
-        widths = sorted({X.shape[1] for X in features + self.client_train})
-        if len(widths) > 1:
-            raise ValueError(f"collections disagree on feature width: {widths}")
-        if len(self._hidden_labels) != len(self.client_train):
-            raise ValueError(
-                f"{len(self._hidden_labels)} hidden label arrays for "
-                f"{len(self.client_train)} client shards"
-            )
-        for k, (shard, hidden) in enumerate(zip(self.client_train, self._hidden_labels)):
-            if hidden.shape != (len(shard),) or (hidden < 0).any():
-                raise ValueError(f"client shard {k} needs one hidden label per row")
+    server_train: Collection
+    server_val: Collection
+    client_train: list[np.ndarray]
+    test: Collection
+    _hidden_labels: list[np.ndarray]
 
     @property
     def n_classes(self) -> int:
@@ -238,7 +220,6 @@ def ingest_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_csv(features: np.ndarray, labels: np.ndarray, path) -> None:
     """Inverse of :func:`ingest_csv`; floats written with full precision."""
-    features = np.asarray(features, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as f:
         f.write("label," + ",".join(f"f{i}" for i in range(features.shape[1])) + "\n")
         for x, label in zip(features, labels):
@@ -576,7 +557,7 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
             0.2, 0.8, size=(cfg.n_classes, cfg.n_features)
         )
         y = np.arange(cfg.server_train_n + cfg.server_val_n + cfg.test_n) % cfg.n_classes
-        shard_y = np.arange(n_clients * cfg.per_client) % cfg.n_classes
+        shard_y = np.arange(n_clients * cfg.per_client, dtype=np.int64) % cfg.n_classes
         server, val, test, shards = _carve(y, cfg, n_clients, seed, cfg.test_n, shard_y)
         parts = [
             *_blob_rows(centers, y, stream(seed, "data-core"), cfg.spread, [server, val, test]),
@@ -613,9 +594,9 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
     return DatasetSplit(
         Collection(server_X, y[server]),
         Collection(val_X, y[val]),
-        shard_X,
+        [_frozen(X) for X in shard_X],
         Collection(test_X, test_y),
-        [shard_y[rows] for rows in shards],
+        [_frozen(shard_y[rows]) for rows in shards],
     )
 
 

@@ -259,7 +259,6 @@ def sgd_step(values, velocity, grad, cfg: SGDConfig, scratch) -> None:
     allocates no parameter-sized array.  ``grad`` is not written, and must
     have the dtype of ``values``: a cast would allocate a parameter-sized copy.
     """
-    grad = np.asarray(grad)
     if grad.shape != values.shape:
         raise ValueError(
             f"gradient length {grad.size} does not match parameter length {values.size}"

@@ -261,12 +261,44 @@ def test_unknown_key_names_key_and_line(section, key):
         ("data", "server_train_n", "41"),
         # A negative seed passed validation and failed in SeedSequence at run time.
         ("experiment", "seed", "-1"),
+        ("experiment", "n_clients", "0"),
+        ("experiment", "fixmatch_threshold", "1.5"),
+        ("experiment", "parallel_clients", "0"),
+        ("experiment", "hidden_dims", "0"),
+        ("server", "batch_size", "0"),
+        ("client", "theta", "0"),
+        ("client", "theta", "1"),
+        ("client", "lambda_max", "-1"),
+        ("client", "lambda_ramp_rounds", "0"),
     ],
 )
 def test_bad_value_names_key_and_line(section, key, value):
     text = f"[experiment]\nalgorithm = fedseal\n[{section}]\n{key} = {value}\n"
     with pytest.raises(ConfigError, match=rf"line 4: (key '{key}'|{key} must)"):
         parse_config_text(text)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("[data]\nkind = parquet\n", "line 4: unknown data kind 'parquet'"),
+        ("[data]\npartition = zipf\n", "line 4: unknown partition mode 'zipf'"),
+        # No key of the message is set, so the section is blamed.
+        ("[data]\nkind = idx\n", "[data]: idx data needs train_images and train_labels paths"),
+        ("[data]\nkind = csv\n", "[data]: csv data needs a train_csv path"),
+        ("rounds 5\n", "line 3: expected 'key = value', got 'rounds 5'"),
+    ],
+    ids=["kind", "partition", "idx-paths", "csv-path", "no-equals"],
+)
+def test_bad_choice_missing_path_or_malformed_line_is_config_error(lines, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text("[experiment]\nalgorithm = fedseal\n" + lines)
+
+
+def test_hidden_dims_given_as_a_list_are_held_as_an_int_tuple():
+    cfg = parse_config_text(FAST_CONFIG)
+    listed = dataclasses.replace(cfg, hidden_dims=[10, np.int64(6)])
+    assert listed.hidden_dims == (10, 6) and listed == cfg
 
 
 def test_test_n_zero_takes_a_whole_test_file():
@@ -435,6 +467,12 @@ def test_emit_absent_rate_is_empty_cell_not_zero(tmp_path):
     assert row[-2] != ""  # pos_correct_rate present
 
 
+def test_emit_takes_its_directory_as_a_str(tmp_path):
+    out = tmp_path / "new" / "dir"
+    assert emit_metrics([_record()], str(out)) == {"rounds_csv": out / "rounds.csv"}
+    assert (out / "rounds.csv").exists()
+
+
 def test_emit_requires_records(tmp_path):
     with pytest.raises(ValueError, match="no round records"):
         emit_metrics([], tmp_path)
@@ -475,6 +513,43 @@ def test_run_missing_config_flag_returns_one(capsys):
     assert run([]) == 1
     err = capsys.readouterr().err
     assert "usage" in err and "--config" in err
+
+
+def test_run_without_output_dir_writes_under_runs_utc_stamp(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["--config", str(BUNDLED_SYNTHETIC), "--rounds", "1"]) == 0
+    (out,) = (tmp_path / "runs").iterdir()
+    assert re.fullmatch(r"\d{8}-\d{6}-\d{6}", out.name)
+    assert {p.name for p in out.iterdir()} == {"manifest.json", "rounds.csv", "summary.json"}
+
+
+def _child_env() -> dict:
+    """The environment of a child process that imports fedseal from this checkout."""
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def _module_cli(*args, cwd):
+    """``python -m fedseal.cli`` in a child process."""
+    return subprocess.run([sys.executable, "-m", "fedseal.cli", *args], cwd=cwd,
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_the_bundled_config(tmp_path):
+    out = tmp_path / "out"
+    proc = _module_cli("--config", str(BUNDLED_SYNTHETIC), "--rounds", "2",
+                       "--output-dir", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in out.iterdir()} == {"manifest.json", "rounds.csv", "summary.json"}
+    assert len((out / "rounds.csv").read_text().splitlines()) == 3
+    assert json.loads(proc.stdout) == json.loads((out / "summary.json").read_text())
+
+
+def test_module_entry_point_without_config_exits_one(tmp_path):
+    proc = _module_cli(cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "fedseal: error: --config is required" in proc.stderr
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_config_error_returns_one(tmp_path, capsys):
@@ -597,11 +672,9 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
 
 def test_a_run_imports_no_scipy():
     # numpy is the only runtime dependency; scipy is a test reference only.
-    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-c", FOOTPRINT_SCRIPT, str(BUNDLED_SYNTHETIC)],
-        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=REPO_ROOT, env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -369,6 +369,12 @@ def test_client_train_bit_deterministic():
     np.testing.assert_array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("name", ["positive", "negative"])
+def test_filtered_sets_need_one_label_per_row(name):
+    with pytest.raises(ValueError, match=f"{name} set needs one label per row"):
+        FilteredSets(**{name: (np.arange(3), np.zeros(2))})
+
+
 def test_client_train_lambda_zero_and_no_negatives_is_noop():
     data = unlabeled(8, 4, seed=15)
     model = make_params((4, 6, 3), seed=15)

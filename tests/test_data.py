@@ -3,6 +3,7 @@
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,31 @@ def test_ingest_idx_truncated_reports_offset(tmp_path):
         ingest_idx(truncated, labels_path)
 
 
+def test_ingest_idx_rejects_a_header_shorter_than_16_bytes(tmp_path):
+    short = tmp_path / "short"
+    short.write_bytes(struct.pack(">III", 0x00000803, 1, 2))
+    _, labels_path = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+    with pytest.raises(ValueError, match=f"{re.escape(str(short))}: truncated header at byte "
+                                         "offset 12"):
+        ingest_idx(short, labels_path)
+
+
+def test_ingest_idx_rejects_a_bad_label_magic(tmp_path):
+    images_path, labels_path = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+    labels_path.write_bytes(struct.pack(">II", 0x00000803, 1) + bytes([0]))
+    with pytest.raises(ValueError, match="bad label magic 0x00000803 at byte offset 0"):
+        ingest_idx(images_path, labels_path)
+
+
+def test_ingest_idx_rejects_a_label_file_of_the_wrong_length(tmp_path):
+    # The header says 3 labels, as many as there are images, but 2 follow.
+    images_path, labels_path = write_idx_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8),
+                                              [0, 1, 2])
+    labels_path.write_bytes(struct.pack(">II", 0x00000801, 3) + bytes([0, 1]))
+    with pytest.raises(ValueError, match="expected 11 bytes, got 10"):
+        ingest_idx(images_path, labels_path)
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
@@ -200,6 +226,13 @@ def test_ingest_csv_rejects_bad_values_with_line(tmp_path, row, problem):
     path = tmp_path / "d.csv"
     path.write_text(f"label,f0,f1\n0,0.5,0.5\n{row}\n")
     with pytest.raises(ValueError, match=rf"d\.csv: line 3: .*{problem}"):
+        ingest_csv(path)
+
+
+def test_ingest_csv_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty.csv: empty file, expected a header row"):
         ingest_csv(path)
 
 
@@ -268,6 +301,24 @@ def test_partition_rejects_an_unlabeled_row():
         partition(np.array([0, 1, -1, 1]), n_clients=1, mode="iid", per_client=2, rng_seed=0)
 
 
+def test_partition_rejects_zero_clients():
+    with pytest.raises(ValueError, match="n_clients must be >= 1, got 0"):
+        partition(pool_labels(100, 5), n_clients=0, mode="iid", per_client=10, rng_seed=0)
+
+
+def test_partition_iid_rejects_a_class_short_of_its_rows():
+    # 2 clients x 2 rows of each class need 4 of class 1, which has 3; the
+    # pool as a whole is large enough.
+    labels = np.array([0] * 10 + [1] * 3)
+    with pytest.raises(ValueError, match="class 1 has 3 instances, iid partition needs 4"):
+        partition(labels, n_clients=2, mode="iid", per_client=4, rng_seed=0)
+
+
+def test_partition_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown partition mode 'zipf'"):
+        partition(pool_labels(100, 5), n_clients=2, mode="zipf", per_client=10, rng_seed=0)
+
+
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -1.0])
 def test_partition_rejects_a_bad_alpha_before_drawing(alpha):
     # NaN proportions once cast to huge negative counts, and the top-up loop
@@ -281,6 +332,13 @@ def test_partition_same_seed_bit_identical():
     a = partition(labels, 3, "dirichlet", 150, rng_seed=42)
     b = partition(labels, 3, "dirichlet", 150, rng_seed=42)
     assert [s.tolist() for s in a] == [s.tolist() for s in b]
+
+
+def test_partition_takes_labels_as_a_list():
+    labels = pool_labels(600, 5, seed=9)
+    as_list = partition(labels.tolist(), 3, "iid", 150, rng_seed=42)
+    for shard, expected in zip(as_list, partition(labels, 3, "iid", 150, rng_seed=42)):
+        np.testing.assert_array_equal(shard, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +415,14 @@ def test_augmentation_streams_reproducible():
     a = augment_strong(imgs, stream(13, "aug"), image_shape=(8, 8))
     b = augment_strong(imgs, stream(13, "aug"), image_shape=(8, 8))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("augment", [augment_weak, augment_strong])
+@pytest.mark.parametrize("shape", [None, (4, 4)])
+def test_augmenters_take_a_batch_as_a_list_of_rows(augment, shape):
+    X = stream(14, "img").random((6, 16))
+    np.testing.assert_array_equal(augment(X.tolist(), stream(14, "aug"), shape),
+                                  augment(X, stream(14, "aug"), shape))
 
 
 @pytest.mark.parametrize("augment", [augment_weak, augment_strong])
@@ -608,6 +674,12 @@ def test_collection_needs_its_labels():
         Collection(np.zeros((3, 2)))
 
 
+def test_collection_needs_a_feature_matrix():
+    message = "features must be an (n, width) matrix, got shape (3,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Collection(np.zeros(3), [0, 1, 2])
+
+
 def test_collection_rejects_zero_rows():
     with pytest.raises(ValueError, match="a collection needs at least one row"):
         Collection(np.zeros((0, 2)), [])
@@ -750,10 +822,26 @@ def test_load_split_csv_subsamples_the_test_file(tmp_path):
     np.testing.assert_array_equal(split.test.y, test_y[rows])
     again = load_split(cfg, n_clients=2, seed=3)
     np.testing.assert_array_equal(again.test.X, split.test.X)
+    # test_n = 0 takes the whole file, in file order.
+    whole = load_split(replace(cfg, test_n=0), n_clients=2, seed=3)
+    np.testing.assert_array_equal(whole.test.X, test_X)
+    np.testing.assert_array_equal(whole.test.y, test_y)
 
     blank_label(tmp_path / "train.csv", line=9)
     with pytest.raises(ValueError, match=r"train\.csv: line 9: empty label"):
         load_split(cfg, n_clients=2, seed=3)
+
+
+@pytest.mark.parametrize("sizes, part", [
+    (dict(server_val_n=90, test_n=5), "validation"),
+    (dict(server_val_n=40, test_n=50), "test"),
+], ids=["validation", "test"])
+def test_load_split_rejects_a_pool_too_small_for_its_split(tmp_path, sizes, part):
+    # 100 rows: 20 go to the server, 80 are left for validation and test.
+    pool = balanced_pool(100, 4, seed=21)
+    with pytest.raises(ValueError, match=f"not enough instances left for the {part} split"):
+        csv_split(tmp_path, pool, n_clients=1, seed=0, per_client=4, server_train_n=20,
+                  **sizes)
 
 
 def blank_label(path, line: int) -> None:

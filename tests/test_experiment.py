@@ -1,6 +1,8 @@
 """Round loop, baselines, sampling, metrics, determinism, ordering."""
 
 import dataclasses
+import itertools
+import threading
 import warnings
 import weakref
 from dataclasses import replace
@@ -25,6 +27,7 @@ from fedseal import (
     client_train,
     compute_thresholds,
     evaluate,
+    experiment,
     label_correct_rates,
     lambda_at,
     load_split,
@@ -528,10 +531,21 @@ def test_fedavg_sl_reduces_to_textbook_fedavg(float64_params):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_full_run_deterministic_including_parallel_clients(algorithm):
+def test_full_run_deterministic_including_parallel_clients(algorithm, monkeypatch):
     cfg = small_config(algorithm, rounds=3)
     serial = run_experiment(cfg)
     again = run_experiment(small_config(algorithm, rounds=3))
+    if algorithm == "fedseal":
+        # The first two client trainings meet at a barrier, which a serial
+        # run breaks after its timeout: the parallel run must use the pool.
+        barrier, calls = threading.Barrier(2, timeout=10), itertools.count()
+
+        def meeting(*args, train=experiment.client_train):
+            if next(calls) < 2:
+                barrier.wait()
+            return train(*args)
+
+        monkeypatch.setattr(experiment, "client_train", meeting)
     parallel = run_experiment(small_config(algorithm, rounds=3, parallel_clients=3))
     assert serial == again
     assert serial == parallel

@@ -83,6 +83,8 @@ def test_forward_rejects_wrong_width():
     params = make_params((4, 6, 3), seed=0)
     with pytest.raises(ValueError, match="expects 4.*got 3"):
         forward_batch(params, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="expects 4.*got 3"):
+        forward_batch(params, np.zeros((0, 3)))
     # A lone row is not a batch.
     with pytest.raises(ValueError, match=r"expects 4.*got \(4,\)"):
         forward_batch(params, np.zeros(4))
@@ -273,6 +275,16 @@ def test_gradient_rejects_bad_labels_and_width():
         gradient(params, np.zeros((2, 2)), [0, 2], negative=True)
     with pytest.raises(ValueError, match="expects 2.*got 3"):
         gradient(params, np.zeros((2, 3)), [0, 1])
+    with pytest.raises(ValueError, match="1 labels for 2 rows"):
+        gradient(params, np.zeros((2, 2)), [0])
+
+
+def test_gradient_and_loss_take_a_list_of_rows():
+    params = make_params((3, 4, 2), seed=1)
+    X, labels = stream(2, "rows").random((5, 3)), [0, 1, 1, 0, 1]
+    np.testing.assert_array_equal(gradient(params, X.tolist(), labels),
+                                  gradient(params, X, labels))
+    assert batch_loss(params, X.tolist(), labels) == batch_loss(params, X, labels)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -378,8 +390,8 @@ def test_sgd_step_allocates_no_parameter_sized_array():
 
 def test_sgd_step_length_mismatch():
     params = make_params((2, 3, 2), seed=12)
-    with pytest.raises(ValueError, match="does not match"):
-        _step(params, np.zeros(3))
+    with pytest.raises(ValueError, match="gradient length 3 does not match parameter length 17"):
+        _step(params, np.zeros(3, dtype=params.values.dtype))
 
 
 def test_sgd_step_rejects_a_gradient_of_another_dtype():
@@ -481,6 +493,17 @@ def test_model_params_keep_float32_and_float64_and_coerce_the_rest():
 def test_model_params_length_validation():
     with pytest.raises(ValueError, match="length"):
         ModelParams(np.zeros(5), shapes_for((2, 3)))
+
+
+def test_model_params_take_shapes_as_lists_and_hold_int_tuples():
+    params = ModelParams(np.zeros(13), [[2, 3], [np.int64(3), 1]])
+    assert params.shapes == ((2, 3), (3, 1))
+    assert all(type(n) is int for shape in params.shapes for n in shape)
+
+
+def test_shapes_for_needs_an_input_and_an_output_dim():
+    with pytest.raises(ValueError, match=r"need at least input and output dims, got \(5,\)"):
+        shapes_for((5,))
 
 
 def test_model_params_hold_a_read_only_view_not_a_copy():
