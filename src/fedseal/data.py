@@ -17,6 +17,7 @@ the label-oracle baseline.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -99,16 +100,27 @@ class DatasetSplit:
 # ---------------------------------------------------------------------------
 
 
-def _read_be32(buf: bytes, offset: int, path: str) -> int:
-    if offset + 4 > len(buf):
-        raise ValueError(f"{path}: truncated header at byte offset {offset}")
-    return struct.unpack_from(">I", buf, offset)[0]
+def _read_idx(path, magic: int, kind: str) -> np.ndarray:
+    """The uint8 array of one IDX file, shaped by the dims in its header.
 
-
-def _read_binary(path) -> bytes:
+    The header is ``magic``, whose low byte is the rank, then one big-endian
+    uint32 per dim; the file must end exactly where the dims say.
+    """
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rb") as f:
-        return f.read()
+        buf = f.read()
+    header = 4 * (1 + (magic & 0xFF))
+    if len(buf) < header:
+        raise ValueError(f"{path}: truncated header at byte offset {len(buf) // 4 * 4}")
+    got, *dims = struct.unpack_from(f">{header // 4}I", buf)
+    if got != magic:
+        raise ValueError(f"{path}: bad {kind} magic 0x{got:08x} at byte offset 0, "
+                         f"expected 0x{magic:08x}")
+    expected = header + math.prod(dims)  # Python ints: no header can overflow it
+    if len(buf) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes, got {len(buf)} "
+                         f"(mismatch from byte offset {min(expected, len(buf))})")
+    return np.frombuffer(buf, dtype=np.uint8, offset=header).reshape(dims)
 
 
 def ingest_idx(images_path, labels_path, image_shape=None) -> tuple[np.ndarray, np.ndarray]:
@@ -120,50 +132,18 @@ def ingest_idx(images_path, labels_path, image_shape=None) -> tuple[np.ndarray, 
     transparently.  Given an ``image_shape`` (height, width), an images file
     whose header declares any other shape is rejected.
     """
-    img_buf = _read_binary(images_path)
-    lbl_buf = _read_binary(labels_path)
-
-    magic = _read_be32(img_buf, 0, str(images_path))
-    if magic != IDX_IMAGE_MAGIC:
-        raise ValueError(
-            f"{images_path}: bad image magic 0x{magic:08x} at byte offset 0, "
-            f"expected 0x{IDX_IMAGE_MAGIC:08x}"
-        )
-    count = _read_be32(img_buf, 4, str(images_path))
-    rows = _read_be32(img_buf, 8, str(images_path))
-    cols = _read_be32(img_buf, 12, str(images_path))
+    images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
+    count, rows, cols = images.shape
     if image_shape is not None and (rows, cols) != tuple(image_shape):
         raise ValueError(f"{images_path}: images are {rows} x {cols}, but image_height x "
                          f"image_width is {image_shape[0]} x {image_shape[1]}")
-    expected = 16 + count * rows * cols
-    if len(img_buf) != expected:
-        raise ValueError(
-            f"{images_path}: expected {expected} bytes, got {len(img_buf)} "
-            f"(mismatch from byte offset {min(expected, len(img_buf))})"
-        )
-
-    lbl_magic = _read_be32(lbl_buf, 0, str(labels_path))
-    if lbl_magic != IDX_LABEL_MAGIC:
-        raise ValueError(
-            f"{labels_path}: bad label magic 0x{lbl_magic:08x} at byte offset 0, "
-            f"expected 0x{IDX_LABEL_MAGIC:08x}"
-        )
-    lbl_count = _read_be32(lbl_buf, 4, str(labels_path))
-    if len(lbl_buf) != 8 + lbl_count:
-        raise ValueError(
-            f"{labels_path}: expected {8 + lbl_count} bytes, got {len(lbl_buf)} "
-            f"(mismatch from byte offset {min(8 + lbl_count, len(lbl_buf))})"
-        )
-    if lbl_count != count:
-        raise ValueError(
-            f"{labels_path}: {lbl_count} labels but {images_path} has {count} images"
-        )
-
-    pixels = np.frombuffer(img_buf, dtype=np.uint8, offset=16)
-    images = pixels.reshape(count, rows * cols).astype(np.float32)
-    images /= np.float32(255)
-    labels = np.frombuffer(lbl_buf, dtype=np.uint8, offset=8).astype(np.int64)
-    return images, labels
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
+    if len(labels) != count:
+        raise ValueError(f"{labels_path}: {len(labels)} labels but {images_path} has "
+                         f"{count} images")
+    features = images.reshape(count, rows * cols).astype(np.float32)
+    features /= np.float32(255)
+    return features, labels.astype(np.int64)
 
 
 def ingest_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +158,7 @@ def ingest_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if not lines:
         raise ValueError(f"{path}: empty file, expected a header row")
     header = lines[0].split(",")
-    if header[0] != "label" or any(
+    if len(header) < 2 or header[0] != "label" or any(
         name != f"f{i}" for i, name in enumerate(header[1:])
     ):
         raise ValueError(f"{path}: line 1: expected header 'label,f0,f1,...'")
@@ -346,14 +326,27 @@ def _shift(imgs: np.ndarray, dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return windows[np.arange(k), p + dy, p + dx]
 
 
-def _rotate(imgs: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Row r turned by angles[r] degrees about its centre, bilinear, 0 outside.
+# Each op turns a (k, h, w) stack of k rows, a vector row being 1 x width,
+# with one draw from ``rng`` that holds the parameters of all k rows.
+
+
+def _flip(imgs: np.ndarray, rng) -> np.ndarray:
+    return imgs[:, :, ::-1]
+
+
+def _crop(imgs: np.ndarray, rng) -> np.ndarray:
+    """A same-size crop of each image zero-padded by 2 px."""
+    return _shift(imgs, *(rng.integers(0, 5, size=(len(imgs), 2)) - 2).T)
+
+
+def _rotate(imgs: np.ndarray, rng) -> np.ndarray:
+    """Each row turned by U(-15, 15) degrees about its centre, bilinear, 0 outside.
 
     As ``ndimage.rotate(reshape=False, order=1, mode="constant")`` computes it,
     up to float64 rounding.
     """
     k, h, w = imgs.shape
-    radians = np.deg2rad(angles)[:, None, None]
+    radians = np.deg2rad(rng.uniform(-15.0, 15.0, size=k))[:, None, None]
     c, s = np.cos(radians), np.sin(radians)
     cy, cx = (h - 1) / 2, (w - 1) / 2
     i, j = np.arange(h)[:, None], np.arange(w)
@@ -370,51 +363,30 @@ def _rotate(imgs: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return np.where(inside, (1 - fy) * top + fy * bottom, 0.0)
 
 
-_IMAGE_OPS = ("flip", "crop", "rotate", "translate", "cutout", "contrast", "noise")
-_VECTOR_OPS = ("noise", "cutout", "contrast")
+def _translate(imgs: np.ndarray, rng) -> np.ndarray:
+    return _shift(imgs, *(-rng.integers(-3, 4, size=(len(imgs), 2))).T)
 
 
-def _cutout_box(h: int, w: int, image: bool) -> tuple[int, int]:
-    # Half the side each way masks ~25% of an image; a vector loses a quarter.
-    return (max(1, h // 2), max(1, w // 2)) if image else (1, max(1, w // 4))
+def _cutout(imgs: np.ndarray, rng, image: bool = True) -> np.ndarray:
+    """Set a box of each row to 0.5: half the side each way masks ~25% of an
+    image; a vector loses a quarter, its box corners having row 0."""
+    k, h, w = imgs.shape
+    mh, mw = (max(1, h // 2), max(1, w // 2)) if image else (1, max(1, w // 4))
+    corner = rng.integers(0, [h - mh + 1, w - mw + 1], size=(k, 2))
+    ys, xs = np.arange(h)[:, None] - corner[:, :1, None], np.arange(w) - corner[:, 1:, None]
+    return np.where((ys >= 0) & (ys < mh) & (xs >= 0) & (xs < mw), 0.5, imgs)
 
 
-def _draw_params(op: str, k: int, h: int, w: int, rng, image: bool = True):
-    """Parameters of ``op`` for k rows of h x w, one draw for all k rows.
-
-    A vector row is 1 x width: its noise is (k, 1, w), its cutout corners
-    have row 0, and the cutout box is the one :func:`_cutout_box` gives it.
-    """
-    if op == "crop":  # a same-size crop of the image zero-padded by 2 px
-        return rng.integers(0, 5, size=(k, 2)) - 2
-    if op == "translate":
-        return -rng.integers(-3, 4, size=(k, 2))
-    if op == "rotate":
-        return rng.uniform(-15.0, 15.0, size=k)
-    if op == "cutout":
-        mh, mw = _cutout_box(h, w, image)
-        return rng.integers(0, [h - mh + 1, w - mw + 1], size=(k, 2))
-    if op == "contrast":
-        return 1.0 + rng.uniform(-0.4, 0.4, size=k)
-    return rng.normal(0.0, 0.1, size=(k, h, w)) if op == "noise" else None
+def _contrast(imgs: np.ndarray, rng) -> np.ndarray:
+    return 0.5 + (1.0 + rng.uniform(-0.4, 0.4, size=len(imgs)))[:, None, None] * (imgs - 0.5)
 
 
-def _apply_op(op: str, imgs: np.ndarray, params, image: bool = True) -> np.ndarray:
-    """``op`` on a (k, h, w) stack with one parameter per row, as _draw_params gives them."""
-    _, h, w = imgs.shape
-    if op == "flip":
-        return imgs[:, :, ::-1]
-    if op in ("crop", "translate"):  # params: (dy, dx) shifts
-        return _shift(imgs, *params.T)
-    if op == "rotate":
-        return _rotate(imgs, params)
-    if op == "cutout":  # params: (top, left) corners
-        mh, mw = _cutout_box(h, w, image)
-        ys, xs = np.arange(h)[:, None] - params[:, :1, None], np.arange(w) - params[:, 1:, None]
-        return np.where((ys >= 0) & (ys < mh) & (xs >= 0) & (xs < mw), 0.5, imgs)
-    if op == "contrast":
-        return 0.5 + params[:, None, None] * (imgs - 0.5)
-    return imgs + params
+def _noise(imgs: np.ndarray, rng) -> np.ndarray:
+    return imgs + rng.normal(0.0, 0.1, size=imgs.shape)
+
+
+_IMAGE_OPS = (_flip, _crop, _rotate, _translate, _cutout, _contrast, _noise)
+_VECTOR_OPS = (_noise, partial(_cutout, image=False), _contrast)
 
 
 def augment_weak(X: np.ndarray, rng, image_shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -432,7 +404,7 @@ def augment_weak(X: np.ndarray, rng, image_shape: tuple[int, int] | None = None)
     else:
         flip = rng.random(n) < 0.5
         imgs[flip] = imgs[flip, :, ::-1]
-        imgs = _apply_op("crop", imgs, _draw_params("crop", n, h, w, rng))
+        imgs = _crop(imgs, rng)
     return np.clip(imgs.reshape(n, h * w), 0.0, 1.0)
 
 
@@ -444,20 +416,18 @@ def augment_strong(X: np.ndarray, rng, image_shape: tuple[int, int] | None = Non
     Without an image shape the geometric ops drop out and the pool is noise,
     contiguous-segment cutout and contrast jitter.  Pixels shifted in from
     outside the image are 0.  Both pools draw the same way: the (n, 2) op
-    codes, then for each slot and each op in pool order one draw holding the
-    parameters of every row that picked it (see :func:`_draw_params`).
+    codes, then for each slot and each op in pool order one draw, made by
+    the op function, holding the parameters of every row that picked it.
     """
     imgs = _stack(X, image_shape)
     n, h, w = imgs.shape
-    image = image_shape is not None
-    pool = _IMAGE_OPS if image else _VECTOR_OPS
+    pool = _VECTOR_OPS if image_shape is None else _IMAGE_OPS
     ops = rng.integers(0, len(pool), size=(n, 2))
     for slot in range(2):
         for code, op in enumerate(pool):
             rows = np.flatnonzero(ops[:, slot] == code)
             if rows.size:
-                params = _draw_params(op, rows.size, h, w, rng, image)
-                imgs[rows] = _apply_op(op, imgs[rows], params, image)
+                imgs[rows] = op(imgs[rows], rng)
     return np.clip(imgs.reshape(n, h * w), 0.0, 1.0)
 
 
@@ -509,8 +479,10 @@ class DataConfig:
             raise ValueError(f"dirichlet_alpha must be > 0, got {self.dirichlet_alpha}")
         if not self.spread >= 0:
             raise ValueError(f"spread must be >= 0, got {self.spread}")
-        if self.kind == "idx" and not (self.train_images and self.train_labels):
-            raise ValueError("idx data needs train_images and train_labels paths")
+        missing = " and ".join(key for key in ("train_images", "train_labels")
+                               if not getattr(self, key))
+        if self.kind == "idx" and missing:
+            raise ValueError(f"idx data needs a path for {missing}")
         if bool(self.test_images) != bool(self.test_labels):
             given, missing = (("test_images", "test_labels") if self.test_images
                               else ("test_labels", "test_images"))

@@ -283,8 +283,10 @@ def test_bad_value_names_key_and_line(section, key, value):
     [
         ("[data]\nkind = parquet\n", "line 4: unknown data kind 'parquet'"),
         ("[data]\npartition = zipf\n", "line 4: unknown partition mode 'zipf'"),
-        # No key of the message is set, so the section is blamed.
-        ("[data]\nkind = idx\n", "[data]: idx data needs train_images and train_labels paths"),
+        # The message names only the missing path, which has no line, so the
+        # section is blamed and not the valid train_images line.
+        ("[data]\nkind = idx\ntrain_images = images.gz\n",
+         "[data]: idx data needs a path for train_labels"),
         ("[data]\nkind = csv\n", "[data]: csv data needs a train_csv path"),
         ("rounds 5\n", "line 3: expected 'key = value', got 'rounds 5'"),
     ],
@@ -653,15 +655,14 @@ from fedseal import data
 from fedseal.config import with_overrides
 
 rotated = []
-rotate = data._rotate
 
 
-def counting_rotate(imgs, angles):
-    rotated.append(len(angles))
-    return rotate(imgs, angles)
+def counting_rotate(imgs, rng):
+    rotated.append(len(imgs))
+    return data._rotate(imgs, rng)
 
 
-data._rotate = counting_rotate
+data._IMAGE_OPS = tuple(counting_rotate if op is data._rotate else op for op in data._IMAGE_OPS)
 cfg = with_overrides(fedseal.parse_config(sys.argv[1]), rounds=2)
 cfg = replace(cfg, data=replace(cfg.data, n_features=64, image_height=8, image_width=8))
 fedseal.run_experiment(cfg)

@@ -26,7 +26,16 @@ from fedseal import (
     write_csv,
 )
 
-from fedseal.data import _apply_op, _carve, _rotate
+from fedseal.data import (
+    _carve,
+    _contrast,
+    _crop,
+    _cutout,
+    _flip,
+    _noise,
+    _rotate,
+    _translate,
+)
 
 from conftest import (
     ForcedRng,
@@ -126,6 +135,11 @@ def test_ingest_idx_bad_magic_reports_offset(tmp_path):
     _, labels_path = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
     with pytest.raises(ValueError, match="byte offset 0"):
         ingest_idx(bad, labels_path)
+    # A labels file given as the images file: 8 labels fill a 16-byte header.
+    _, labels_path = write_idx_pair(tmp_path, np.zeros((8, 1, 1), dtype=np.uint8), [0] * 8)
+    with pytest.raises(ValueError, match=f"{re.escape(str(labels_path))}: bad image magic "
+                                         "0x00000801 at byte offset 0"):
+        ingest_idx(labels_path, labels_path)
 
 
 def test_ingest_idx_truncated_reports_offset(tmp_path):
@@ -136,6 +150,12 @@ def test_ingest_idx_truncated_reports_offset(tmp_path):
     _, labels_path = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
     with pytest.raises(ValueError, match="byte offset"):
         ingest_idx(truncated, labels_path)
+    # 2**22 * 2**22 * 2**20 is 2**64, 0 in int64 arithmetic, which would let
+    # a bare 16-byte header pass as a file of the right length.
+    truncated.write_bytes(struct.pack(">IIII", 0x00000803, 2**22, 2**22, 2**20))
+    with pytest.raises(ValueError, match=f"expected {2**64 + 16} bytes, got 16 "
+                                         r"\(mismatch from byte offset 16\)"):
+        ingest_idx(truncated, labels_path)
 
 
 def test_ingest_idx_rejects_a_header_shorter_than_16_bytes(tmp_path):
@@ -145,6 +165,12 @@ def test_ingest_idx_rejects_a_header_shorter_than_16_bytes(tmp_path):
     with pytest.raises(ValueError, match=f"{re.escape(str(short))}: truncated header at byte "
                                          "offset 12"):
         ingest_idx(short, labels_path)
+    # A labels file shorter than its own 8-byte header.
+    images_path, _ = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+    short.write_bytes(struct.pack(">IH", 0x00000801, 1))
+    with pytest.raises(ValueError, match=f"{re.escape(str(short))}: truncated header at byte "
+                                         "offset 4"):
+        ingest_idx(images_path, short)
 
 
 def test_ingest_idx_rejects_a_bad_label_magic(tmp_path):
@@ -240,6 +266,10 @@ def test_ingest_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("f0,f1\n0.5,0.5\n")
     with pytest.raises(ValueError, match="line 1"):
+        ingest_csv(path)
+    # No feature column: a label-only file once trained a 0-input network.
+    path.write_text("label\n" + "".join(f"{i % 3}\n" for i in range(400)))
+    with pytest.raises(ValueError, match="d.csv: line 1: expected header 'label,f0,f1,...'"):
         ingest_csv(path)
 
 
@@ -459,39 +489,42 @@ def test_augmenters_keep_shape_range_and_input_of_any_batch(augment, n, shape, v
 
 @pytest.mark.parametrize("shape", [(28, 28), (5, 7), (3, 3), (1, 5), (2, 2), (1, 1)])
 def test_batched_ops_match_per_row_references(shape):
-    # Every op except rotation, fed the same parameters as its per-row
-    # reference, gives the same bytes.
+    # Every op except rotation gives the bytes of its per-row reference fed
+    # the parameters drawn from a twin generator, and leaves its generator
+    # in the twin's state.
     h, w = shape
     k = 40
-    rng = stream(15, "ops", h, w)
-    imgs = rng.uniform(-0.3, 1.3, size=(k, h, w))
-    crop = rng.integers(0, 5, size=(k, 2))
-    shift = rng.integers(-3, 4, size=(k, 2))
-    corner = rng.integers(0, [h - max(1, h // 2) + 1, w - max(1, w // 2) + 1], size=(k, 2))
-    scale = 1.0 + rng.uniform(-0.4, 0.4, size=k)
-    noise = rng.normal(0.0, 0.1, size=(k, h, w))
+    imgs = stream(15, "ops", h, w).uniform(-0.3, 1.3, size=(k, h, w))
+    corners = [h - max(1, h // 2) + 1, w - max(1, w // 2) + 1]
     cases = [
-        ("flip", None, [ref_flip(img) for img in imgs]),
-        ("crop", crop - 2, [ref_crop(img, *p) for img, p in zip(imgs, crop)]),
-        ("translate", -shift, [ref_translate(img, *p) for img, p in zip(imgs, shift)]),
-        ("cutout", corner, [ref_cutout(img, *p) for img, p in zip(imgs, corner)]),
-        ("contrast", scale, [ref_contrast(img, c) for img, c in zip(imgs, scale)]),
-        ("noise", noise, [ref_noise(img, e) for img, e in zip(imgs, noise)]),
+        (_flip, lambda rng: [ref_flip(img) for img in imgs]),
+        (_crop, lambda rng: [ref_crop(img, *p)
+                             for img, p in zip(imgs, rng.integers(0, 5, size=(k, 2)))]),
+        (_translate, lambda rng: [ref_translate(img, *p)
+                                  for img, p in zip(imgs, rng.integers(-3, 4, size=(k, 2)))]),
+        (_cutout, lambda rng: [ref_cutout(img, *p)
+                               for img, p in zip(imgs, rng.integers(0, corners, size=(k, 2)))]),
+        (_contrast, lambda rng: [ref_contrast(img, c)
+                                 for img, c in zip(imgs, 1.0 + rng.uniform(-0.4, 0.4, size=k))]),
+        (_noise, lambda rng: [ref_noise(img, e)
+                              for img, e in zip(imgs, rng.normal(0.0, 0.1, size=(k, h, w)))]),
     ]
-    for op, params, per_row in cases:
-        batched = _apply_op(op, imgs, params)
-        assert batched.tobytes() == np.array(per_row).tobytes()
+    for op, per_row in cases:
+        rng_op, rng_ref = stream(15, "op-draws", h, w), stream(15, "op-draws", h, w)
+        assert op(imgs, rng_op).tobytes() == np.array(per_row(rng_ref)).tobytes()
+        assert rng_op.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_batched_vector_cutout_matches_per_row_reference():
-    rng = stream(16, "vcut")
     for width in (1, 3, 4, 17, 32):
-        x = rng.random((30, 1, width))
-        start = rng.integers(0, width - max(1, width // 4) + 1, size=30)
-        corner = np.stack([np.zeros(30, dtype=np.int64), start], axis=1)
-        batched = _apply_op("cutout", x, corner, image=False)
-        per_row = [ref_vector_cutout(row[0], s) for row, s in zip(x, start)]
-        np.testing.assert_array_equal(batched[:, 0], per_row)
+        x = stream(16, "vcut", width).random((30, 1, width))
+        rng_op, rng_ref = stream(16, "vcut-draws", width), stream(16, "vcut-draws", width)
+        batched = _cutout(x, rng_op, image=False)
+        corner = rng_ref.integers(0, [1, width - max(1, width // 4) + 1], size=(30, 2))
+        assert (corner[:, 0] == 0).all()
+        per_row = [ref_vector_cutout(row[0], s) for row, s in zip(x, corner[:, 1])]
+        assert batched[:, 0].tobytes() == np.array(per_row).tobytes()
+        assert rng_op.bit_generator.state == rng_ref.bit_generator.state
 
 
 @pytest.mark.parametrize("shape", [(28, 28), (5, 7), (3, 3)])
@@ -499,7 +532,7 @@ def test_rotation_matches_ndimage_rotate(shape):
     rng = stream(17, "rotate", *shape)
     angles = np.concatenate([[0.0, 15.0, -15.0], rng.uniform(-15.0, 15.0, size=47)])
     imgs = rng.uniform(-0.3, 1.3, size=(angles.size, *shape))
-    rotated = _rotate(imgs, angles)
+    rotated = _rotate(imgs, ForcedRng(uniforms=[angles]))
     for img, angle, out in zip(imgs, angles, rotated):
         np.testing.assert_allclose(out, ref_rotate(img, angle), rtol=0, atol=1e-12)
     # A zero angle moves nothing.
