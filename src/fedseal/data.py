@@ -1,10 +1,10 @@
 """Datasets: ingestion, client partitioning, augmentation.
 
-A dataset is a pair of arrays: an (n, width) float32 feature matrix with
-values in [0, 1] and n non-negative integer class labels.  Rows are float32
-from the moment they are generated or ingested, the dtype the network
-computes in.  Augmentation works on a private copy of its batch, float64
-except where weak image augmentation, which only moves pixels, keeps float32.
+A dataset is a pair of arrays: an (n, width) feature matrix of values in
+[0, 1], stored as uint8 pixels (value pixel / 255) for images and as float32
+otherwise, and n non-negative integer class labels.  Pixels become float32 a
+block at a time, where they enter the network or augmentation.  Augmentation
+works on a private float64 copy of its batch, or float32 for weak images.
 :func:`load_split` carves one labeled pool into the four parts a run needs,
 held by a :class:`DatasetSplit` and each gathered once: the server train,
 server validation and test sets are each a labeled :class:`Collection`, and
@@ -41,15 +41,16 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class Collection:
-    """Row-aligned (n, width) float32 features and labels of one labeled collection.
+    """Row-aligned (n, width) features and labels of one labeled collection.
 
     There is at least one row and every label is non-negative, so consumers
-    need not check either.  Both arrays are read-only views; features of
-    another dtype are cast to float32 once, here.
+    need not check either.  Both arrays are read-only views; uint8 pixels
+    stay uint8, and features of any other dtype are cast to float32 once, here.
     """
 
     def __init__(self, X, y):
-        self.X = _frozen(np.asarray(X, dtype=np.float32))
+        X = np.asarray(X)
+        self.X = _frozen(X if X.dtype == np.uint8 else X.astype(np.float32, copy=False))
         self.y = _frozen(np.asarray(y, dtype=np.int64))
         if self.X.ndim != 2:
             raise ValueError(f"features must be an (n, width) matrix, got shape {self.X.shape}")
@@ -126,8 +127,7 @@ def _read_idx(path, magic: int, kind: str) -> np.ndarray:
 def ingest_idx(images_path, labels_path, image_shape=None) -> tuple[np.ndarray, np.ndarray]:
     """Load an IDX image/label file pair (big-endian, standard magics).
 
-    Returns (features, labels): pixels divided by 255 in float32, which is
-    ``float32(pixel / 255.0)`` for every uint8 value, and flattened row-major,
+    Returns (features, labels): the uint8 pixels as read, flattened row-major,
     one row per image.  Paths ending in ``.gz`` are decompressed
     transparently.  Given an ``image_shape`` (height, width), an images file
     whose header declares any other shape is rejected.
@@ -141,9 +141,7 @@ def ingest_idx(images_path, labels_path, image_shape=None) -> tuple[np.ndarray, 
     if len(labels) != count:
         raise ValueError(f"{labels_path}: {len(labels)} labels but {images_path} has "
                          f"{count} images")
-    features = images.reshape(count, rows * cols).astype(np.float32)
-    features /= np.float32(255)
-    return features, labels.astype(np.int64)
+    return images.reshape(count, rows * cols), labels.astype(np.int64)
 
 
 def ingest_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -307,9 +305,18 @@ def partition(
 # ---------------------------------------------------------------------------
 
 
+def _float_rows(X: np.ndarray) -> np.ndarray:
+    """uint8 pixel rows as new float32 rows float32(pixel / 255.0); others as they are."""
+    if X.dtype != np.uint8:
+        return X
+    rows = X.astype(np.float32)
+    rows /= np.float32(255)
+    return rows
+
+
 def _stack(X, image_shape, dtype=np.float64) -> np.ndarray:
     """(n, h, w) copy of an (n, width) batch in ``dtype``; a vector row is 1 x width."""
-    X = np.array(X, dtype=dtype)
+    X = np.array(_float_rows(np.asarray(X)), dtype=dtype)
     h, w = (1, X.shape[-1]) if image_shape is None else image_shape
     if X.ndim != 2 or X.shape[1] != h * w:
         raise ValueError(f"augmentation expects an (n, {h * w}) batch, got shape {X.shape}")
@@ -394,7 +401,7 @@ def augment_weak(X: np.ndarray, rng, image_shape: tuple[int, int] | None = None)
 
     Images draw a flip mask, ``rng.random(n)``, then the crop offsets;
     vectors draw one (n, width) block of N(0, 0.05) noise.  Flip and crop
-    only move pixels, so an image batch keeps its float dtype.
+    only move pixels, so an image batch keeps its float dtype (pixels: float32).
     """
     X = np.asarray(X)
     imgs = _stack(X, image_shape, np.result_type(X.dtype, np.float32))
@@ -531,10 +538,9 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
         y = np.arange(cfg.server_train_n + cfg.server_val_n + cfg.test_n) % cfg.n_classes
         shard_y = np.arange(n_clients * cfg.per_client, dtype=np.int64) % cfg.n_classes
         server, val, test, shards = _carve(y, cfg, n_clients, seed, cfg.test_n, shard_y)
-        parts = [
-            *_blob_rows(centers, y, stream(seed, "data-core"), cfg.spread, [server, val, test]),
-            *_blob_rows(centers, shard_y, stream(seed, "data-clients"), cfg.spread, shards),
-        ]
+        blobs = partial(_blob_rows, centers, spread=cfg.spread, pixels=bool(cfg.image_shape))
+        parts = [*blobs(y, stream(seed, "data-core"), parts=[server, val, test]),
+                 *blobs(shard_y, stream(seed, "data-clients"), parts=shards)]
     else:
         if cfg.kind == "idx":
             ingest = partial(ingest_idx, image_shape=cfg.image_shape)
@@ -630,31 +636,33 @@ def _carve(labels, cfg: DataConfig, n_clients: int, seed: int, test_n: int,
 # Synthetic data
 # ---------------------------------------------------------------------------
 
-_BLOB_CHUNK = 128
+_BLOB_CHUNK = 2**14
 
 
 def _blob_rows(centers: np.ndarray, labels: np.ndarray, rng: np.random.Generator,
-               spread: float, parts: list[np.ndarray]) -> list[np.ndarray]:
+               spread: float, parts: list[np.ndarray], pixels: bool = False) -> list[np.ndarray]:
     """The feature rows at each of ``parts``' positions in a Gaussian-blob pool.
 
-    Row i of the pool has features clip(centers[labels[i]] + N(0, spread)),
-    drawn from ``rng`` in row order and computed in float64.  The pool is
-    generated chunk by chunk and only the requested rows are kept, scattered
-    as float32 into one array that is returned as one view per part, so the
-    whole pool is never held in memory beside them.
+    Row i of the pool is x = clip(centers[labels[i]] + N(0, spread)), drawn
+    from ``rng`` in row order in float64, kept as float32 or as the uint8
+    ``pixels`` rint(255 x).  The pool is drawn in whole rows, about
+    ``_BLOB_CHUNK`` values at a time, and only the requested rows are
+    scattered into one array, returned as one view per part, so the whole
+    pool is never held in memory beside them.
     """
     n, width = len(labels), centers.shape[1]
     sizes = [len(positions) for positions in parts]
-    out = np.empty((sum(sizes), width), dtype=np.float32)
+    out = np.empty((sum(sizes), width), dtype=np.uint8 if pixels else np.float32)
     dest = np.full(n, -1)
     dest[np.concatenate(parts)] = np.arange(len(out))
-    for lo in range(0, n, _BLOB_CHUNK):
-        hi = min(lo + _BLOB_CHUNK, n)
+    step = max(1, _BLOB_CHUNK // width)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         block = rng.normal(0.0, spread, size=(hi - lo, width))
         block += centers[labels[lo:hi]]
         np.clip(block, 0.0, 1.0, out=block)
         kept = dest[lo:hi] >= 0
-        out[dest[lo:hi][kept]] = block[kept]
+        out[dest[lo:hi][kept]] = np.rint(255 * block[kept]) if pixels else block[kept]
     return np.split(out, np.cumsum(sizes)[:-1])
 
 

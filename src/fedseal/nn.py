@@ -6,9 +6,9 @@ metadata, so a whole model can be averaged, diffed and shipped around as one
 array; only :func:`_layer_views` knows how the layers pack into it, and the
 model, :func:`init_params` and :func:`gradient` read and write through its
 views.  The network computes in that vector's dtype: :func:`init_params`
-makes float32, and float64 parameters give exact float64 algebra.  Feature
-rows are stored as float32, so only augmented float64 batches, or any rows
-at float64 parameters, are cast, one forward block or mini-batch at a time.
+makes float32, and float64 parameters give exact float64 algebra.  Rows of
+another dtype (uint8 pixels, augmented float64 batches, any rows at float64
+parameters) are converted one forward block or mini-batch at a time.
 
 A :class:`ModelParams` is read-only; :func:`train`, the one SGD loop of
 server, bootstrap and clients, owns a private copy of the parameters and a
@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .data import _float_rows
 
 # Probabilities are clamped away from 0 and 1 before any log; keeps both
 # loss functions finite on overconfident models.
@@ -156,9 +158,9 @@ def _features(params: ModelParams, X, rows=slice(None)) -> np.ndarray:
     """Rows ``rows`` of ``X``, an (n, width) matrix of the network's input
     width, in the parameters' dtype.
 
-    Rows already in that dtype are not copied; others (an augmented float64
-    batch, or stored float32 rows at float64 parameters) are, so a pass over
-    many rows takes them a block at a time.
+    Rows already in that dtype are not copied; others (uint8 pixels, through
+    ``data._float_rows``, an augmented float64 batch, or float32 rows at
+    float64 parameters) are, so a pass over many rows takes them a block at a time.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != params.n_inputs:
@@ -166,7 +168,7 @@ def _features(params: ModelParams, X, rows=slice(None)) -> np.ndarray:
         raise ValueError(
             f"feature width mismatch: network expects {params.n_inputs}, got {got}"
         )
-    return X[rows].astype(params.values.dtype, copy=False)
+    return _float_rows(X[rows]).astype(params.values.dtype, copy=False)
 
 
 def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:

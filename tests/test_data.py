@@ -26,12 +26,15 @@ from fedseal import (
     write_csv,
 )
 
+from fedseal import data
 from fedseal.data import (
+    _blob_rows,
     _carve,
     _contrast,
     _crop,
     _cutout,
     _flip,
+    _float_rows,
     _noise,
     _rotate,
     _translate,
@@ -82,18 +85,17 @@ def test_ingest_idx_exact_pixels(tmp_path):
     images_path, labels_path = write_idx_pair(tmp_path, pixels, [7, 0, 3])
     features, labels = ingest_idx(images_path, labels_path)
     assert labels.tolist() == [7, 0, 3]
-    assert features.shape == (3, 4) and features.dtype == np.float32
-    for x, img in zip(features, pixels):
-        np.testing.assert_array_equal(x, np.float32(img.ravel() / 255.0))
+    assert features.shape == (3, 4) and features.dtype == np.uint8
+    np.testing.assert_array_equal(features, pixels.reshape(3, 4))
 
 
-def test_ingest_idx_gives_every_pixel_over_255_rounded_once_to_float32(tmp_path):
+def test_float_rows_gives_every_pixel_over_255_rounded_once_to_float32():
     # float32 division by 255 is correctly rounded, and for each of the 256
     # pixel values it equals rounding the float64 quotient to float32.
-    pixels = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
-    features, _ = ingest_idx(*write_idx_pair(tmp_path, pixels, [0]))
-    assert features.dtype == np.float32
-    np.testing.assert_array_equal(features[0], (np.arange(256) / 255.0).astype(np.float32))
+    pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    rows = _float_rows(pixels)
+    assert rows.dtype == np.float32 and not np.shares_memory(rows, pixels)
+    np.testing.assert_array_equal(rows.ravel(), (np.arange(256) / 255.0).astype(np.float32))
 
 
 def test_ingest_idx_gzip_transparent(tmp_path):
@@ -106,7 +108,7 @@ def test_ingest_idx_gzip_transparent(tmp_path):
             gz.write(raw.read())
     features, labels = ingest_idx(f"{images_path}.gz", f"{labels_path}.gz")
     assert labels.tolist() == [4]
-    np.testing.assert_array_equal(features[0], np.float32(pixels[0].ravel() / 255.0))
+    np.testing.assert_array_equal(features[0], pixels[0].ravel())
 
 
 def test_ingest_idx_zero_count(tmp_path):
@@ -713,6 +715,15 @@ def test_collection_needs_a_feature_matrix():
         Collection(np.zeros(3), [0, 1, 2])
 
 
+def test_collection_takes_rows_as_a_list_and_keeps_uint8_pixels():
+    rows = Collection([[0.25, 1.0], [0.5, 0.0]], [1, 0])
+    assert rows.X.dtype == np.float32
+    assert rows.X.tolist() == [[0.25, 1.0], [0.5, 0.0]]
+    pixels = np.array([[3, 255], [0, 7]], dtype=np.uint8)
+    stored = Collection(pixels, [1, 0]).X
+    assert stored.dtype == np.uint8 and np.shares_memory(stored, pixels)
+
+
 def test_collection_rejects_zero_rows():
     with pytest.raises(ValueError, match="a collection needs at least one row"):
         Collection(np.zeros((0, 2)), [])
@@ -794,17 +805,44 @@ def test_synthetic_blobs_balanced_and_bounded():
     assert features.min() >= 0.0 and features.max() <= 1.0
 
 
-def test_synthetic_blobs_match_per_row_draws():
+# Pool values per chunk: the default (one chunk for these pools), 14 rows of
+# 5 and 11 rows of 6 with a short last chunk, and one row.
+BLOB_CHUNKS = (data._BLOB_CHUNK, 70, 1)
+
+
+def test_synthetic_blobs_match_per_row_draws(monkeypatch):
     # Chunked generation must reproduce one draw per row, in row order.
-    rng = stream(18, "blobs")
-    features, labels = synthetic_blobs(600, 4, 5, rng, spread=0.3)
+    for chunk in BLOB_CHUNKS:
+        monkeypatch.setattr(data, "_BLOB_CHUNK", chunk)
+        rng = stream(18, "blobs")
+        features, labels = synthetic_blobs(600, 4, 5, rng, spread=0.3)
+        ref = stream(18, "blobs")
+        centers = ref.uniform(0.2, 0.8, size=(4, 5))
+        for i in range(600):
+            expected = np.clip(centers[i % 4] + ref.normal(0.0, 0.3, size=5), 0.0, 1.0)
+            np.testing.assert_array_equal(features[i], expected.astype(np.float32))
+            assert labels[i] == i % 4
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_synthetic_image_pixels_round_the_per_row_float64_draws(monkeypatch):
+    # As pixels, each row is rint(255 x) of the float64 row x that the vector
+    # path stores as float32, from the same draws in the same order.
     ref = stream(18, "blobs")
-    centers = ref.uniform(0.2, 0.8, size=(4, 5))
-    for i in range(600):
-        expected = np.clip(centers[i % 4] + ref.normal(0.0, 0.3, size=5), 0.0, 1.0)
-        np.testing.assert_array_equal(features[i], expected.astype(np.float32))
-        assert labels[i] == i % 4
-    assert rng.bit_generator.state == ref.bit_generator.state
+    centers = ref.uniform(0.2, 0.8, size=(4, 6))
+    expected = np.array([np.rint(255 * np.clip(centers[i % 4] + ref.normal(0.0, 0.3, size=6),
+                                               0.0, 1.0)) for i in range(300)])
+    assert {0, 255} <= set(expected.ravel())  # clipped pixels, both ends
+    parts = [np.arange(0, 300, 3), np.arange(1, 300, 3)]
+    for chunk in BLOB_CHUNKS:
+        monkeypatch.setattr(data, "_BLOB_CHUNK", chunk)
+        rng = stream(18, "blobs")
+        rng.uniform(0.2, 0.8, size=(4, 6))
+        kept = _blob_rows(centers, np.arange(300) % 4, rng, 0.3, parts, pixels=True)
+        for part, rows in zip(kept, parts):
+            assert part.dtype == np.uint8
+            np.testing.assert_array_equal(part, expected[rows])
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_load_split_rejects_image_shape_that_does_not_fit_the_file(tmp_path):
@@ -988,11 +1026,11 @@ def write_idx_files(tmp_path, rng, n_rows: dict, shape, n_classes: int) -> dict:
     return dict(paths, image_height=shape[0], image_width=shape[1])
 
 
-def test_idx_load_split_peaks_near_its_files_float32_pools_and_split(tmp_path):
-    # Fashion-MNIST-shaped images, fewer of them.  Each file's pixels become
-    # one float32 pool with no float64 copy, so the peak is about the file
-    # bytes, four bytes a pixel of pool and the split gathered from them;
-    # converting as astype(float64) / 255.0 alone would hold 17 bytes a pixel.
+def test_idx_load_split_peaks_near_its_files_and_split(tmp_path):
+    # Fashion-MNIST-shaped images, fewer of them.  Each file's pixels stay the
+    # uint8 bytes read, so the peak is about the file bytes, one a pixel of
+    # pool, and the split gathered from them; a float32 pool alone would add
+    # four bytes a pixel.
     n_rows = {"train": 2000, "test": 300}
     paths = write_idx_files(tmp_path, stream(28, "idx-peak"), n_rows, (28, 28), 10)
     cfg = DataConfig(kind="idx", per_client=100, server_train_n=100, server_val_n=50,
@@ -1003,15 +1041,21 @@ def test_idx_load_split_peaks_near_its_files_float32_pools_and_split(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 5 * sum(n_rows.values()) * 28 * 28 + split_bytes(split)
+    bound = sum(n_rows.values()) * 28 * 28 + split_bytes(split)
     assert peak <= 1.1 * bound, peak / bound
 
 
-@pytest.mark.parametrize("kind", ["synthetic", "csv", "idx"])
-def test_load_split_stores_every_collection_and_shard_as_read_only_float32(tmp_path, kind):
+# Pixels stay uint8; any other feature is stored as float32.
+STORED_DTYPE = {"synthetic": np.float32, "synthetic_images": np.uint8, "csv": np.float32,
+                "idx": np.uint8}
+
+
+@pytest.mark.parametrize("kind", sorted(STORED_DTYPE))
+def test_load_split_stores_every_collection_and_shard_read_only_in_its_dtype(tmp_path, kind):
     sizes = dict(per_client=40, server_train_n=20, server_val_n=20, test_n=5)
-    if kind == "synthetic":
-        cfg = DataConfig(n_classes=4, n_features=6, **sizes)
+    if kind.startswith("synthetic"):
+        shape = dict(image_height=2, image_width=3) if kind == "synthetic_images" else {}
+        cfg = DataConfig(n_classes=4, n_features=6, **sizes, **shape)
     else:
         paths = write_idx_files(tmp_path, stream(25, "dtype-pool"), {"train": 400, "test": 30},
                                 (2, 3), 4)
@@ -1020,20 +1064,22 @@ def test_load_split_stores_every_collection_and_shard_as_read_only_float32(tmp_p
             for part in ("train", "test"):
                 X, y = ingest_idx(paths[f"{part}_images"], paths[f"{part}_labels"])
                 csv[f"{part}_csv"] = str(tmp_path / f"{part}.csv")
-                write_csv(X, y, csv[f"{part}_csv"])
+                write_csv(X / 255.0, y, csv[f"{part}_csv"])
             paths = csv
         cfg = DataConfig(kind=kind, **sizes, **paths)
     split = load_split(cfg, n_clients=2, seed=3)
     for X in (split.server_train.X, split.server_val.X, split.test.X, *split.client_train):
-        assert X.dtype == np.float32 and not X.flags.writeable
+        assert X.dtype == STORED_DTYPE[kind] and not X.flags.writeable
 
 
 @pytest.mark.parametrize("source", ["synthetic", "idx"])
-def test_network_sees_the_same_bytes_in_stored_float32_rows_as_in_their_float64_source(
+def test_network_sees_the_same_bytes_in_stored_rows_as_in_their_float64_source(
         tmp_path, source):
     # At float32 parameters the network casts float64 rows to float32 as they
     # enter it, so storing them as float32 moves no bit of an un-augmented
-    # forward pass or gradient.
+    # forward pass or gradient.  IDX pixels are stored as uint8 and become,
+    # a block at a time, the float32 rows pixel / 255 once stored in their
+    # place, so they also augment to those rows' bytes.
     n, width = 600, 28 * 28
     if source == "synthetic":
         stored, labels = synthetic_blobs(n, 10, width, stream(26, "blobs"), spread=0.3)
@@ -1044,9 +1090,17 @@ def test_network_sees_the_same_bytes_in_stored_float32_rows_as_in_their_float64_
         pixels, labels = stream(26, "pixels").integers(0, 256, size=(n, 28, 28)), [3] * n
         stored, _ = ingest_idx(*write_idx_pair(tmp_path, pixels, labels))
         rows = pixels.reshape(n, width) / 255.0
-    assert stored.dtype == np.float32 and rows.dtype == np.float64
+    assert stored.dtype == STORED_DTYPE[source] and rows.dtype == np.float64
     params = make_params((width, 128, 64, 10), seed=27)
-    assert forward_batch(params, stored).tobytes() == forward_batch(params, rows).tobytes()
     batch = slice(100, 164)
-    assert (gradient(params, stored[batch], labels[batch]).tobytes()
-            == gradient(params, rows[batch], labels[batch]).tobytes())
+    for same in (rows, rows.astype(np.float32)):
+        assert forward_batch(params, stored).tobytes() == forward_batch(params, same).tobytes()
+        assert (gradient(params, stored[batch], labels[batch]).tobytes()
+                == gradient(params, same[batch], labels[batch]).tobytes())
+    if source == "idx":
+        replaced = rows.astype(np.float32)
+        for augment in (augment_weak, augment_strong):
+            rng_stored, rng_replaced = stream(26, "aug"), stream(26, "aug")
+            assert (augment(stored[batch], rng_stored, (28, 28)).tobytes()
+                    == augment(replaced[batch], rng_replaced, (28, 28)).tobytes())
+            assert rng_stored.bit_generator.state == rng_replaced.bit_generator.state

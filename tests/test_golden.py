@@ -4,7 +4,7 @@ and the README's final-parameter digests of the perfbench workloads.
 A change that keeps the random draw order and the arithmetic must reproduce
 these digests exactly; a change that alters either on purpose updates them
 and says so.  The runs train in float32, the dtype of ``init_params``, on
-float32 feature rows.
+feature rows stored as float32, or as uint8 pixels for images.
 """
 
 import hashlib
@@ -42,7 +42,7 @@ GOLDEN = {
 
 # synthetic_small.ini as 8 x 8 images (fedseal), so that weak and strong
 # augmentation both take the image path.
-GOLDEN_IMAGES = ("7b258771ea22a7061054c6d682e0f4aa", "3673b9dd6d73f5225ab04e51d6b76863")
+GOLDEN_IMAGES = ("745013615bffa1bbb3e0ed7181cf6628", "d59f825329adb9f326330541b663d850")
 
 
 # synthetic_small.ini with 2000-row shards and a 3000-row test set, for 6
@@ -94,12 +94,13 @@ def test_partial_participation_matches_golden_digests(tmp_path):
 
 
 # load_split output, one MD5 per case over every collection's X and y bytes
-# and every client shard's X and hidden-label bytes; X is float32.
+# and every client shard's X and hidden-label bytes; X is float32, or uint8
+# pixels for idx.
 GOLDEN_SPLITS = {
     "synthetic_iid": "5ee58d1acee1f9c3a48dce5bbc52c02f",
     "synthetic_dirichlet": "00fb0218414c7b8e9796925f3b9cb205",
     "csv": "d03a821681ecbc5fc9d717de38c4905b",
-    "idx": "0dde345c56f2ead9beb678ab92f54560",
+    "idx": "a03eafb029c6045b124dd9dc6775bba1",
 }
 
 
@@ -141,12 +142,23 @@ def test_load_split_matches_golden_digests(case, tmp_path):
     assert split_digest(split) == GOLDEN_SPLITS[case]
 
 
+# synthetic_small.ini (fedseal) on the 8 x 8 IDX pool that split_config("idx")
+# writes: the run golden of pixels read from a file.
+GOLDEN_IDX = ("c26d06efdb3cbdc7af2de4450c3c1701", "470d6fc973120484fec6f34e0a8b0f4c")
+
+
+def test_idx_run_matches_golden_digests(tmp_path):
+    cfg = parse_config(BUNDLED_SYNTHETIC)
+    cfg = replace(cfg, data=split_config("idx", tmp_path))
+    assert digests(cfg, tmp_path) == GOLDEN_IDX
+
+
 # The README's paper-shaped digests: MD5 of the final global parameters of
 # each perfbench workload file, seed 1, 3 rounds, at one BLAS thread.
 # paper_iid is the only test run that trains the 784-wide network through
 # nn.train.
 GOLDEN_PAPER_SHAPED = {
-    "paper_iid": "3342cbb6ae080811f55335fc34e8b68f",
+    "paper_iid": "a8f31085855483881a40db94e2cfd196",
     "narrow_tabular": "591ca203dd4f4aea902d3cfc4b8b2788",
 }
 

@@ -20,7 +20,7 @@ from fedseal import (
     sgd_step,
     stream,
 )
-from fedseal.nn import SGDConfig, _forward_cached, param_count, shapes_for, train
+from fedseal.nn import SGDConfig, _features, _forward_cached, param_count, shapes_for, train
 
 from conftest import (
     fd_batch_gradient,
@@ -477,6 +477,17 @@ def test_float32_params_compute_and_return_float32():
     assert probs.tobytes() == _forward_cached(model, X32)[0].tobytes()
     assert grad.tobytes() == reference_gradient(model, X32[:5], [0, 1, 2, 0, 1]).tobytes()
     assert _train(model, seed=21).values.dtype == np.float32
+
+
+def test_float32_rows_reach_the_network_uncopied_and_uint8_pixels_converted():
+    model = init_params((4, 6, 3), stream(22, "init"))
+    X = stream(22, "x").random((10, 4)).astype(np.float32)
+    for rows in (slice(None), slice(2, 7)):
+        assert np.shares_memory(_features(model, X, rows), X)
+    pixels = stream(22, "pixels").integers(0, 256, size=(10, 4)).astype(np.uint8)
+    rows = _features(model, pixels, slice(2, 7))
+    assert rows.dtype == np.float32
+    assert rows.tobytes() == (pixels[2:7] / 255.0).astype(np.float32).tobytes()
 
 
 def test_model_params_keep_float32_and_float64_and_coerce_the_rest():
