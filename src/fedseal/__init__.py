@@ -52,6 +52,6 @@ from .nn import (
     sgd_step,
 )
 from .rng import stream
-from .server import ServerConfig, aggregate, bootstrap, compute_thresholds, server_train
+from .server import ServerConfig, Uploads, aggregate, bootstrap, compute_thresholds, server_train
 
 __version__ = "0.1.0"

@@ -105,23 +105,33 @@ def _read_idx(path, magic: int, kind: str) -> np.ndarray:
     """The uint8 array of one IDX file, shaped by the dims in its header.
 
     The header is ``magic``, whose low byte is the rank, then one big-endian
-    uint32 per dim; the file must end exactly where the dims say.
+    uint32 per dim; the file must end exactly where the dims say.  The body
+    is read into the array 1 MiB at a time, so even a gzipped file is held once.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
+    header, chunk = 4 * (1 + (magic & 0xFF)), 1 << 20
     with opener(path, "rb") as f:
-        buf = f.read()
-    header = 4 * (1 + (magic & 0xFF))
-    if len(buf) < header:
-        raise ValueError(f"{path}: truncated header at byte offset {len(buf) // 4 * 4}")
-    got, *dims = struct.unpack_from(f">{header // 4}I", buf)
-    if got != magic:
-        raise ValueError(f"{path}: bad {kind} magic 0x{got:08x} at byte offset 0, "
-                         f"expected 0x{magic:08x}")
-    expected = header + math.prod(dims)  # Python ints: no header can overflow it
-    if len(buf) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, got {len(buf)} "
-                         f"(mismatch from byte offset {min(expected, len(buf))})")
-    return np.frombuffer(buf, dtype=np.uint8, offset=header).reshape(dims)
+        buf = f.read(header)
+        if len(buf) < header:
+            raise ValueError(f"{path}: truncated header at byte offset {len(buf) // 4 * 4}")
+        got, *dims = struct.unpack(f">{header // 4}I", buf)
+        if got != magic:
+            raise ValueError(f"{path}: bad {kind} magic 0x{got:08x} at byte offset 0, "
+                             f"expected 0x{magic:08x}")
+        expected = header + math.prod(dims)  # Python ints: no header can overflow it
+        try:
+            pixels = np.empty(expected - header, dtype=np.uint8)
+        except (ValueError, MemoryError):  # no memory holds it: count the bytes there are
+            pixels = np.empty(0, dtype=np.uint8)
+        view, size = memoryview(pixels), header
+        while n := f.readinto(view[size - header : size - header + chunk]):
+            size += n
+        while buf := f.read(chunk):
+            size += len(buf)
+    if size != expected:
+        raise ValueError(f"{path}: expected {expected} bytes, got {size} "
+                         f"(mismatch from byte offset {min(expected, size)})")
+    return pixels.reshape(dims)
 
 
 def ingest_idx(images_path, labels_path, image_shape=None) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +326,9 @@ def _float_rows(X: np.ndarray) -> np.ndarray:
 
 def _stack(X, image_shape, dtype=np.float64) -> np.ndarray:
     """(n, h, w) copy of an (n, width) batch in ``dtype``; a vector row is 1 x width."""
-    X = np.array(_float_rows(np.asarray(X)), dtype=dtype)
+    X = np.asarray(X)
+    rows = _float_rows(X)  # uint8 pixels come back as new rows: no second copy
+    X = rows.astype(dtype, copy=rows is X)
     h, w = (1, X.shape[-1]) if image_shape is None else image_shape
     if X.ndim != 2 or X.shape[1] != h * w:
         raise ValueError(f"augmentation expects an (n, {h * w}) batch, got shape {X.shape}")

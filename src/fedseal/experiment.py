@@ -40,7 +40,7 @@ from .data import (
     load_split,
 )
 from .rng import stream
-from .server import ServerConfig, aggregate, bootstrap, compute_thresholds, server_train
+from .server import ServerConfig, Uploads, aggregate, bootstrap, compute_thresholds, server_train
 
 
 @dataclass(frozen=True)
@@ -129,18 +129,19 @@ class ExperimentState:
 
     Beside the fixed config, split and augmenters, a round reads and advances
     exactly these: ``global_params``, the last round's model; ``uploads``,
-    the sampled clients' local models awaiting aggregation; ``ensembles``,
-    one (n_k, M) self-ensemble matrix per client (None until the first
-    broadcast, and always None for algorithms without one); and the decayed
-    ``server_lr`` and ``client_lr``.  These, with the round index, are what
-    a checkpoint of a run must hold.
+    the sampled clients' local models awaiting aggregation, folded as they
+    arrived into a first model, a sum of deltas and a count (``Uploads``);
+    ``ensembles``, one (n_k, M) self-ensemble matrix per client (None until
+    the first broadcast, and always None for algorithms without one); and
+    the decayed ``server_lr`` and ``client_lr``.  These, with the round
+    index, are what a checkpoint of a run must hold.
     """
 
     def __init__(self, cfg: ExperimentConfig, split: DatasetSplit, global_params):
         self.cfg = cfg
         self.split = split
         self.global_params = global_params
-        self.uploads: list = []
+        self.uploads = Uploads()
         self.ensembles: list[np.ndarray | None] = [None] * cfg.n_clients
         self.server_lr = cfg.server.learning_rate
         self.client_lr = cfg.client.learning_rate
@@ -206,6 +207,16 @@ def _train_client(state: ExperimentState, k: int, round_index: int, w_t, taus, c
     return local, sets
 
 
+def _fold(uploads: Uploads, results) -> list[FilteredSets]:
+    """Fold (local model, filtered sets) results into ``uploads`` in order; return the sets."""
+    sets = []
+    for local, client_sets in results:
+        uploads.add(local)
+        sets.append(client_sets)
+        del local  # folded: not held while the next result is awaited
+    return sets
+
+
 def run_round(state: ExperimentState, round_index: int):
     """Execute one full round; returns (state, RoundRecord)."""
     cfg = state.cfg
@@ -213,7 +224,7 @@ def run_round(state: ExperimentState, round_index: int):
 
     # Step 1: aggregate previous uploads (if any), then server training.
     w_bar = aggregate(state.uploads) if state.uploads else state.global_params
-    state.uploads = []  # averaged: free them before this round's clients train
+    state.uploads = Uploads()  # spent: this round's clients fold into a new one
     server_cfg = replace(cfg.server, learning_rate=state.server_lr)
     w_t = server_train(
         w_bar,
@@ -222,6 +233,9 @@ def run_round(state: ExperimentState, round_index: int):
         stream(cfg.seed, "server", round_index),
         state.weak_augment,
     )
+    # Neither w_bar nor the last round's model outlives server training.
+    del w_bar
+    state.global_params = w_t
     taus = compute_thresholds(w_t, state.split.server_val)
     client_taus = taus  # the record keeps the server's thresholds
     if recipe.fixed_threshold:
@@ -232,7 +246,7 @@ def run_round(state: ExperimentState, round_index: int):
         lam = lambda_at(round_index, ccfg) if recipe.ramp else 1.0
 
     # Steps 2-4: broadcast, client training, upload.
-    results: list = []
+    sets: list[FilteredSets] = []
     sampled: list[int] = []
     if recipe.labels is not None:
         sampled = sample_clients(cfg.n_clients, cfg.clients_per_round, round_index, cfg.seed)
@@ -244,11 +258,9 @@ def run_round(state: ExperimentState, round_index: int):
         if cfg.parallel_clients > 1 and len(sampled) > 1:
             workers = min(cfg.parallel_clients, len(sampled))
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(task, sampled))
+                sets = _fold(state.uploads, pool.map(task, sampled))
         else:
-            results = [task(k) for k in sampled]
-    uploads = [local for local, _ in results]
-    sets = [s for _, s in results]
+            sets = _fold(state.uploads, map(task, sampled))
 
     # Metrics.
     pos_rate, neg_rate = label_correct_rates(
@@ -265,9 +277,7 @@ def run_round(state: ExperimentState, round_index: int):
         lambda_weight=lam,
     )
 
-    # Advance state: new global, fresh uploads, decayed learning rates.
-    state.global_params = w_t
-    state.uploads = uploads
+    # Advance state: decayed learning rates.
     state.server_lr *= cfg.server.lr_decay
     state.client_lr *= cfg.client.lr_decay
     return state, record

@@ -1,9 +1,10 @@
 """Server-side round work: aggregation, supervised training, thresholds.
 
-Each round the server averages the uploaded local models, refines the
-average on its labeled data, and publishes a per-class confidence threshold
-measured on its validation set.  Before round 1 the same :func:`nn.train`
-loop bootstraps the initial model from the labeled data alone.
+Each round the server averages the uploaded local models, folded as they
+arrive (:class:`Uploads`), refines the average on its labeled data, and
+publishes a per-class confidence threshold measured on its validation set.
+Before round 1 the same :func:`nn.train` loop bootstraps the initial model
+from the labeled data alone.
 """
 
 from __future__ import annotations
@@ -31,27 +32,43 @@ class ServerConfig(nn.SGDConfig):
             )
 
 
-def aggregate(local_models: list[nn.ModelParams]) -> nn.ModelParams:
-    """Coordinate-wise, unweighted mean of the uploaded local models.
-
-    Computed as first + mean(deltas), which is exactly idempotent on
-    identical inputs: averaging K copies of a model returns that model bit
-    for bit.  The deltas are summed in place into one array, in upload
-    order, then divided by K: the same bytes as a stacked ``mean(axis=0)``
-    without holding K deltas at once.
+class Uploads:
+    """A round's local models, folded as they arrive into the first model, the
+    in-place sum of every model's delta from it, in upload order, and the count:
+    all a checkpoint keeps of them.  ``Uploads(models)`` folds an iterable.
     """
-    if not local_models:
-        raise ValueError("cannot aggregate an empty model list")
-    first = local_models[0]
-    for model in local_models[1:]:
-        if model.shapes != first.shapes:
+
+    def __init__(self, models=()):
+        self.first, self.total, self.count = None, None, 0
+        for model in models:
+            self.add(model)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def add(self, model: nn.ModelParams) -> None:
+        if self.first is None:
+            self.first, self.total = model, np.zeros_like(model.values)
+        elif model.shapes != self.first.shapes:
             raise ValueError("local models disagree on parameter layout")
-    total = np.zeros_like(first.values)
-    for model in local_models:
-        total += model.values - first.values
-    total /= len(local_models)
-    total += first.values
-    return first.with_values(total)
+        self.total += model.values - self.first.values
+        self.count += 1
+
+
+def aggregate(uploads: Uploads) -> nn.ModelParams:
+    """Coordinate-wise, unweighted mean of the folded uploads.
+
+    Computed as first + sum(deltas) / K, which is exactly idempotent on
+    identical inputs: averaging K copies of a model returns that model bit
+    for bit, and the same bytes as a stacked ``mean(axis=0)`` of the deltas.
+    The fold's sum becomes the mean in place, so the fold is spent.
+    """
+    if not uploads:
+        raise ValueError("cannot aggregate an empty model list")
+    total = uploads.total
+    total /= uploads.count
+    total += uploads.first.values
+    return uploads.first.with_values(total)
 
 
 def server_train(

@@ -22,6 +22,7 @@ from fedseal import (
     DataConfig,
     ExperimentConfig,
     ServerConfig,
+    Uploads,
     aggregate,
     batch_loss,
     build_negative_set,
@@ -95,7 +96,7 @@ def test_criterion_1_oracle_equivalences():
         count = int(rng.integers(2, 7))
         models = [make_params((3, 4, 3), seed=1000 * seed + j, dtype=np.float64)
                   for j in range(count)]
-        averaged = aggregate(models).values
+        averaged = aggregate(Uploads(models)).values
         stacked = np.stack([m.values for m in models])
         for j in range(stacked.shape[1]):
             assert abs(averaged[j] - stacked[:, j].sum() / count) <= 1e-12 * max(

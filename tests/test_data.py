@@ -1,5 +1,6 @@
 """Data layer: IDX/CSV ingestion, partitioning, augmentation, splits."""
 
+import gzip
 import re
 import struct
 import tracemalloc
@@ -37,6 +38,7 @@ from fedseal.data import (
     _float_rows,
     _noise,
     _rotate,
+    _stack,
     _translate,
 )
 
@@ -98,15 +100,17 @@ def test_float_rows_gives_every_pixel_over_255_rounded_once_to_float32():
     np.testing.assert_array_equal(rows.ravel(), (np.arange(256) / 255.0).astype(np.float32))
 
 
-def test_ingest_idx_gzip_transparent(tmp_path):
-    import gzip
+def gzip_file(path) -> str:
+    """Write ``path`` + ".gz", the gzipped bytes of ``path``, and return its name."""
+    with open(path, "rb") as raw, gzip.open(f"{path}.gz", "wb") as gz:
+        gz.write(raw.read())
+    return f"{path}.gz"
 
+
+def test_ingest_idx_gzip_transparent(tmp_path):
     pixels = np.array([[[5, 10], [15, 20]]], dtype=np.uint8)
     images_path, labels_path = write_idx_pair(tmp_path, pixels, [4])
-    for path in (images_path, labels_path):
-        with open(path, "rb") as raw, gzip.open(f"{path}.gz", "wb") as gz:
-            gz.write(raw.read())
-    features, labels = ingest_idx(f"{images_path}.gz", f"{labels_path}.gz")
+    features, labels = ingest_idx(gzip_file(images_path), gzip_file(labels_path))
     assert labels.tolist() == [4]
     np.testing.assert_array_equal(features[0], pixels[0].ravel())
 
@@ -158,6 +162,20 @@ def test_ingest_idx_truncated_reports_offset(tmp_path):
     with pytest.raises(ValueError, match=f"expected {2**64 + 16} bytes, got 16 "
                                          r"\(mismatch from byte offset 16\)"):
         ingest_idx(truncated, labels_path)
+
+
+@pytest.mark.parametrize("gz", [False, True], ids=["raw", "gz"])
+def test_ingest_idx_counts_the_bytes_past_the_declared_end(tmp_path, gz):
+    # 2.5 MiB past the 8 declared pixel bytes: more than one bounded read.
+    images_path, labels_path = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8),
+                                              [0, 1])
+    with open(images_path, "ab") as f:
+        f.write(bytes(5 << 19))
+    if gz:
+        images_path = gzip_file(images_path)
+    with pytest.raises(ValueError, match=f"expected 24 bytes, got {24 + (5 << 19)} "
+                                         r"\(mismatch from byte offset 24\)"):
+        ingest_idx(images_path, labels_path)
 
 
 def test_ingest_idx_rejects_a_header_shorter_than_16_bytes(tmp_path):
@@ -455,6 +473,34 @@ def test_augmenters_take_a_batch_as_a_list_of_rows(augment, shape):
     X = stream(14, "img").random((6, 16))
     np.testing.assert_array_equal(augment(X.tolist(), stream(14, "aug"), shape),
                                   augment(X, stream(14, "aug"), shape))
+
+
+@pytest.mark.parametrize("augment", [augment_weak, augment_strong])
+@pytest.mark.parametrize("shape", [None, (4, 4)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
+def test_augmenters_never_write_their_batch(augment, shape, dtype):
+    # Pixels augment as the float32 rows they stand for.
+    X = (stream(15, "img").random((40, 16)) * 255).astype(dtype)
+    given = X.copy()
+    out = augment(X, stream(15, "aug"), shape)
+    np.testing.assert_array_equal(X, given)
+    if dtype == np.uint8:
+        rows = _float_rows(X)
+        assert out.tobytes() == augment(rows, stream(15, "aug"), shape).tobytes()
+
+
+def test_stack_copies_uint8_pixels_once():
+    # _float_rows already returns new float32 rows; copying them again would
+    # double the peak.
+    X = stream(16, "img").integers(0, 256, size=(64, 784)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        imgs = _stack(X, (28, 28), np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert imgs.dtype == np.float32 and not np.shares_memory(imgs, X)
+    assert peak < 1.5 * imgs.nbytes, peak / imgs.nbytes
 
 
 @pytest.mark.parametrize("augment", [augment_weak, augment_strong])
@@ -1026,13 +1072,18 @@ def write_idx_files(tmp_path, rng, n_rows: dict, shape, n_classes: int) -> dict:
     return dict(paths, image_height=shape[0], image_width=shape[1])
 
 
-def test_idx_load_split_peaks_near_its_files_and_split(tmp_path):
+@pytest.mark.parametrize("gz", [False, True], ids=["raw", "gz"])
+def test_idx_load_split_peaks_near_its_files_and_split(tmp_path, gz):
     # Fashion-MNIST-shaped images, fewer of them.  Each file's pixels stay the
     # uint8 bytes read, so the peak is about the file bytes, one a pixel of
     # pool, and the split gathered from them; a float32 pool alone would add
-    # four bytes a pixel.
+    # four bytes a pixel, and a gzipped file decompressed whole before it is
+    # copied out would add one.
     n_rows = {"train": 2000, "test": 300}
     paths = write_idx_files(tmp_path, stream(28, "idx-peak"), n_rows, (28, 28), 10)
+    if gz:
+        paths.update({key: gzip_file(path) for key, path in paths.items()
+                      if key.endswith(("_images", "_labels"))})
     cfg = DataConfig(kind="idx", per_client=100, server_train_n=100, server_val_n=50,
                      test_n=100, **paths)
     tracemalloc.start()

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import threading
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -20,6 +21,7 @@ from fedseal import (
     ExperimentConfig,
     FilteredSets,
     ServerConfig,
+    Uploads,
     aggregate,
     bootstrap,
     build_negative_set,
@@ -41,7 +43,7 @@ from fedseal import (
 )
 from fedseal.data import augment_strong, augment_weak
 from fedseal.experiment import run_round
-from fedseal.nn import ModelParams, forward_batch, shapes_for
+from fedseal.nn import ModelParams, forward_batch, param_count, shapes_for
 
 from conftest import labeled_rows, make_params, run_all_rounds
 
@@ -320,7 +322,7 @@ def test_three_round_trace_matches_hand_stepped_transcript():
     server_lr, client_lr = cfg.server.learning_rate, cfg.client.learning_rate
 
     for t in range(1, cfg.rounds + 1):
-        w_bar = aggregate(uploads) if uploads else w
+        w_bar = aggregate(Uploads(uploads)) if uploads else w
         w_t = server_train(
             w_bar, split.server_train, replace(cfg.server, learning_rate=server_lr),
             stream(cfg.seed, "server", t), weak,
@@ -360,16 +362,20 @@ def _same_sets(a: FilteredSets, b: FilteredSets) -> bool:
 
 
 def test_uploads_are_freed_once_aggregated(monkeypatch):
-    # Round t's uploads are dead once round t + 1 has averaged them: none is
-    # alive when round t + 1's first client trains.
+    # Each upload is folded as it arrives: when a sampled client starts
+    # training, of the local models before it in its round only the first is
+    # alive, held as the fold's first model, and none of the last round's,
+    # which the round averaged before its server training.
     round_now = [0]
-    uploads = {}  # round -> weakrefs to its uploads
-    alive = {}  # round -> liveness of the previous round's uploads at its first training
+    uploads = {}  # round -> weakrefs to its uploads, in training order
+    seen = []  # (round, previous round's uploads alive, this round's uploads alive)
 
     def recording_client_train(*args):
         t = round_now[0]
-        if t - 1 in uploads and t not in alive:
-            alive[t] = [ref() is not None for ref in uploads[t - 1]]
+        seen.append((t, [ref() is not None for ref in uploads.get(t - 1, [])],
+                     [ref() is not None for ref in uploads.get(t, [])]))
+        if uploads.get(t):
+            assert uploads[t][0]() is state.uploads.first
         local = client_train(*args)
         uploads.setdefault(t, []).append(weakref.ref(local))
         return local
@@ -380,8 +386,63 @@ def test_uploads_are_freed_once_aggregated(monkeypatch):
     for t in range(1, cfg.rounds + 1):
         round_now[0] = t
         state, _ = run_round(state, t)
-    assert [len(uploads[t]) for t in (1, 2, 3)] == [cfg.clients_per_round] * 3
-    assert alive == {2: [False] * cfg.clients_per_round, 3: [False] * cfg.clients_per_round}
+    n = cfg.clients_per_round
+    assert [len(uploads[t]) for t in (1, 2, 3)] == [n] * 3
+    # Before round t's client i trains: of round t's uploads 0..i-1 only the first is alive.
+    assert seen == [(t, [False] * (n if t > 1 else 0), [j == 0 for j in range(i)])
+                    for t in (1, 2, 3) for i in range(n)]
+
+
+def test_server_training_releases_w_bar_and_the_last_global_model(monkeypatch):
+    # Once server training has returned, neither the average it started from
+    # nor the last round's model (the bootstrap model in round 1) is alive
+    # while the clients train.
+    refs = {}  # round -> weakrefs to that round's w_bar and last global model
+    seen = []  # (round, liveness of each) at every client training
+
+    def recording_aggregate(uploads, aggregate=experiment.aggregate):
+        w_bar = aggregate(uploads)
+        refs[round_now].append(weakref.ref(w_bar))
+        return w_bar
+
+    def recording_client_train(*args):
+        seen.append((round_now, [ref() is not None for ref in refs[round_now]]))
+        return client_train(*args)
+
+    monkeypatch.setattr(experiment, "aggregate", recording_aggregate)
+    monkeypatch.setattr(experiment, "client_train", recording_client_train)
+    cfg = small_config(rounds=3)
+    state = start(cfg)
+    for round_now in range(1, cfg.rounds + 1):
+        refs[round_now] = [weakref.ref(state.global_params)]
+        state, _ = run_round(state, round_now)
+    n = cfg.clients_per_round
+    assert seen == [(1, [False])] * n + [(2, [False, False])] * n + [(3, [False, False])] * n
+
+
+def test_round_peak_does_not_grow_with_the_clients_sampled():
+    # The paper's 784-128-64-10 model over 28 x 28 images, with few rows.
+    # Holding every upload until the next round averages them would add a
+    # parameter vector to a round's traced peak for each client sampled.
+    def round_peak(clients_per_round: int) -> int:
+        cfg = ExperimentConfig(
+            n_clients=8, clients_per_round=clients_per_round, rounds=2, seed=5,
+            server=ServerConfig(epochs=1, batch_size=16, bootstrap_epochs=1),
+            client=ClientConfig(epochs=1, batch_size=16),
+            data=DataConfig(n_classes=10, n_features=784, image_height=28, image_width=28,
+                            per_client=30, server_train_n=40, server_val_n=20, test_n=40),
+        )
+        state, _ = run_round(start(cfg), 1)
+        tracemalloc.start()
+        try:
+            run_round(state, 2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    vector = param_count(shapes_for((784, 128, 64, 10))) * np.dtype(np.float32).itemsize
+    grown = round_peak(8) - round_peak(2)
+    assert grown < vector, grown / vector
 
 
 def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch, float64_params):

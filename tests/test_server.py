@@ -7,6 +7,7 @@ from fedseal import (
     Collection,
     ModelParams,
     ServerConfig,
+    Uploads,
     aggregate,
     batch_loss,
     bootstrap,
@@ -41,18 +42,17 @@ def params_from(values) -> ModelParams:
 
 def test_aggregate_single_model_unchanged():
     model = make_params((3, 4, 2), seed=0)
-    np.testing.assert_array_equal(aggregate([model]).values, model.values)
+    np.testing.assert_array_equal(aggregate(Uploads([model])).values, model.values)
 
 
 def test_aggregate_two_models():
-    avg = aggregate([params_from([0.0, 2.0]), params_from([2.0, 0.0])])
+    avg = aggregate(Uploads([params_from([0.0, 2.0]), params_from([2.0, 0.0])]))
     np.testing.assert_array_equal(avg.values, [1.0, 1.0])
 
 
 def test_aggregate_matches_per_coordinate_mean():
-    rng = stream(1, "agg")
     models = [make_params((4, 5, 3), seed=s, dtype=np.float64) for s in range(5)]
-    averaged = aggregate(models)
+    averaged = aggregate(Uploads(models))
     for j in range(models[0].values.size):
         coordinate_mean = sum(m.values[j] for m in models) / 5
         assert averaged.values[j] == pytest.approx(coordinate_mean, rel=1e-12)
@@ -60,35 +60,46 @@ def test_aggregate_matches_per_coordinate_mean():
 
 def test_aggregate_empty_is_error():
     with pytest.raises(ValueError, match="empty"):
-        aggregate([])
+        aggregate(Uploads())
+    with pytest.raises(ValueError, match="empty"):
+        aggregate(Uploads([]))
 
 
 def test_aggregate_layout_mismatch():
+    # The fold rejects a model of another layout as it arrives, not at the average.
+    uploads = Uploads([make_params((2, 3, 2), seed=0)])
     with pytest.raises(ValueError, match="layout"):
-        aggregate([make_params((2, 3, 2), seed=0), make_params((2, 4, 2), seed=0)])
+        uploads.add(make_params((2, 4, 2), seed=0))
+    assert len(uploads) == 1
 
 
 def test_aggregate_idempotent_on_identical_inputs_exactly():
     model = make_params((5, 6, 4), seed=2)
     for copies in (2, 3, 7, 10):
-        out = aggregate([model] * copies)
+        out = aggregate(Uploads([model] * copies))
         assert np.array_equal(out.values, model.values)
 
 
 @pytest.mark.parametrize("dims", [(784, 128, 64, 10), (32, 128, 64, 10)])
 def test_aggregate_matches_stacked_mean_oracle_bit_for_bit(dims):
     # Both benchmark workloads' model shapes, and every upload count up to
-    # their ten clients.
+    # their ten clients, folded one add at a time as a round folds them and
+    # from a list.
     models = [make_params(dims, seed=s) for s in range(10)]
     for k in range(1, 11):
-        out = aggregate(models[:k])
-        assert out.values.tobytes() == reference_aggregate(models[:k]).tobytes(), k
+        uploads = Uploads()
+        for model in models[:k]:
+            uploads.add(model)
+        assert len(uploads) == k
+        expected = reference_aggregate(models[:k]).tobytes()
+        assert aggregate(uploads).values.tobytes() == expected, k
+        assert aggregate(Uploads(models[:k])).values.tobytes() == expected, k
 
 
 def test_aggregate_permutation_invariant():
     models = [make_params((3, 4, 2), seed=s, dtype=np.float64) for s in range(6)]
-    forward_order = aggregate(models)
-    reversed_order = aggregate(models[::-1])
+    forward_order = aggregate(Uploads(models))
+    reversed_order = aggregate(Uploads(models[::-1]))
     np.testing.assert_allclose(
         forward_order.values, reversed_order.values, rtol=1e-12, atol=1e-15
     )
