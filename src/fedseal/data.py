@@ -9,9 +9,9 @@ works on a private float64 copy of its batch, or float32 for weak images.
 held by a :class:`DatasetSplit` and each gathered once: the server train,
 server validation and test sets are each a labeled :class:`Collection`, and
 each client shard is a plain read-only (n_k, width) feature matrix.  A shard's
-true labels are kept in an array aligned with it, reachable only through
-:meth:`DatasetSplit.hidden_labels`, which exists for correctness metrics and
-the label-oracle baseline.
+true labels are kept in a read-only int64 array aligned with it, reachable
+only through :meth:`DatasetSplit.hidden_labels`, which exists for correctness
+metrics and the label-oracle baseline.
 """
 
 from __future__ import annotations
@@ -536,7 +536,9 @@ def load_split(cfg: DataConfig, n_clients: int, seed: int) -> DatasetSplit:
     """Materialize the configured dataset and carve the run split.
 
     The split is carved from labels alone (see :func:`_carve`); then the
-    feature rows of each collection are gathered once.
+    feature rows of each collection are gathered once.  Given a test file,
+    the test set is ``test_n`` of its rows drawn at random, or the whole
+    file in file order when ``test_n`` is 0 or covers it.
     """
     test_file = None
     if cfg.kind == "synthetic":

@@ -14,10 +14,6 @@ A :class:`ModelParams` is read-only; :func:`train`, the one SGD loop of
 server, bootstrap and clients, owns a private copy of the parameters and a
 velocity, which :func:`sgd_step` updates in place, and returns the copy as a
 new ``ModelParams`` when the loop ends.
-
-Alternate backbones only need to reproduce the call signatures of
-``init_params`` / ``forward_batch`` / ``gradient``; the rest of the package
-is indifferent to what is inside.
 """
 
 from __future__ import annotations
@@ -83,7 +79,11 @@ class ModelParams:
 
 @dataclass
 class SGDConfig:
-    """Mini-batch momentum-SGD schedule; ``learning_rate`` is the current round's."""
+    """Mini-batch momentum-SGD schedule; ``learning_rate`` is the current round's.
+
+    The server's and the clients' schedules (``ServerConfig``,
+    ``ClientConfig``) are this class plus their own keys.
+    """
 
     epochs: int = 1
     batch_size: int = 32

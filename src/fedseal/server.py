@@ -82,7 +82,9 @@ def server_train(
 
     ``data`` is a labeled collection, one weight-1 :func:`nn.train` term
     whose batches each pass through ``augment_fn(batch, rng)`` (weak
-    augmentation).  The input model is not modified.
+    augmentation).  The input model is not modified.  Besides the server's
+    round step, this trains :func:`bootstrap`'s first model and the
+    ``fedavg_sl`` client, whose labels are its shard's true ones.
     """
     term = (np.arange(len(data)), data.y, 1.0, False, augment_fn)
     return nn.train(global_model, cfg, rng, data.X, [term])

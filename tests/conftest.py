@@ -1,13 +1,38 @@
-"""Shared test helpers: finite differences, forced RNGs, tiny datasets,
-reference oracles."""
+"""Shared test helpers: finite differences, forced RNGs, tiny datasets, IDX
+files, child processes, reference oracles."""
 
 from __future__ import annotations
+
+import os
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from fedseal import Collection, ModelParams, batch_loss, init_params, nn, run_round, start, stream
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+BUNDLED_SYNTHETIC = REPO_ROOT / "configs" / "synthetic_small.ini"
+
+
+def write_idx(path, array) -> None:
+    """Write ``array`` as a valid IDX file of uint8 data, what ``data._read_idx`` reads.
+
+    The header is the magic ``0x0800 | ndim`` and then each dim, as big-endian
+    uint32s; the body is the array's values cast to uint8, in row-major order.
+    """
+    array = np.asarray(array).astype(np.uint8)
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{1 + array.ndim}I", 0x0800 | array.ndim, *array.shape))
+        f.write(array.tobytes())
+
+
+def child_env(**extra) -> dict:
+    """The environment of a child process that imports fedseal from this checkout."""
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **extra)
 
 
 def fd_gradient(params: ModelParams, loss_fn, h: float = 1e-4) -> np.ndarray:

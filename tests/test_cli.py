@@ -2,11 +2,9 @@
 
 import dataclasses
 import json
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +24,7 @@ from fedseal.cli import _write_summary, emit_metrics, run
 from fedseal.config import _derive_schema
 from fedseal.experiment import ALGORITHMS, RoundRecord
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-BUNDLED_SYNTHETIC = REPO_ROOT / "configs" / "synthetic_small.ini"
+from conftest import BUNDLED_SYNTHETIC, REPO_ROOT, child_env
 
 FAST_CONFIG = """\
 [experiment]
@@ -87,6 +84,16 @@ def test_readme_config_block_is_the_defaults():
     assert cfg == ExperimentConfig()
     # [server] and [client] share the SGD schedule keys, not the epochs default.
     assert (cfg.server.epochs, cfg.client.epochs) == (5, 1)
+
+
+def test_readme_layout_names_every_module_once():
+    # A bare ``name.py`` in the Layout block is a module of src/fedseal; any
+    # other file is written with its directory.
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"(?<![\w/.])(\w+\.py)\b", block)
+    modules = sorted(path.name for path in (REPO_ROOT / "src" / "fedseal").glob("*.py"))
+    assert sorted(named) == modules
 
 
 def test_readme_algorithm_table_lists_every_recipe():
@@ -525,16 +532,10 @@ def test_run_without_output_dir_writes_under_runs_utc_stamp(tmp_path, monkeypatc
     assert {p.name for p in out.iterdir()} == {"manifest.json", "rounds.csv", "summary.json"}
 
 
-def _child_env() -> dict:
-    """The environment of a child process that imports fedseal from this checkout."""
-    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-
-
 def _module_cli(*args, cwd):
     """``python -m fedseal.cli`` in a child process."""
     return subprocess.run([sys.executable, "-m", "fedseal.cli", *args], cwd=cwd,
-                          env=_child_env(), capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True, timeout=120)
 
 
 def test_module_entry_point_runs_the_bundled_config(tmp_path):
@@ -675,7 +676,7 @@ def test_a_run_imports_no_scipy():
     # numpy is the only runtime dependency; scipy is a test reference only.
     proc = subprocess.run(
         [sys.executable, "-c", FOOTPRINT_SCRIPT, str(BUNDLED_SYNTHETIC)],
-        cwd=REPO_ROOT, env=_child_env(), capture_output=True, text=True, timeout=120,
+        cwd=REPO_ROOT, env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -57,6 +57,7 @@ from conftest import (
     reference_strong_vectors,
     reference_weak_images,
     reference_weak_vector,
+    write_idx,
 )
 
 
@@ -66,16 +67,11 @@ from conftest import (
 
 
 def write_idx_pair(tmp_path, pixels: np.ndarray, labels: list[int]):
-    """Hand-assemble an IDX image/label pair from raw bytes."""
-    n, rows, cols = pixels.shape
+    """An IDX image file of (n, rows, cols) ``pixels`` and its label file."""
     images_path = tmp_path / "images-idx3-ubyte"
     labels_path = tmp_path / "labels-idx1-ubyte"
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", 0x00000803, n, rows, cols))
-        f.write(pixels.astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", 0x00000801, len(labels)))
-        f.write(bytes(labels))
+    write_idx(images_path, pixels)
+    write_idx(labels_path, labels)
     return images_path, labels_path
 
 
@@ -126,9 +122,7 @@ def test_ingest_idx_count_mismatch(tmp_path):
     pixels = np.zeros((3, 2, 2), dtype=np.uint8)
     images_path, labels_path = write_idx_pair(tmp_path, pixels, [1, 2, 0])
     short_labels = tmp_path / "short-labels"
-    with open(short_labels, "wb") as f:
-        f.write(struct.pack(">II", 0x00000801, 2))
-        f.write(bytes([1, 2]))
+    write_idx(short_labels, [1, 2])
     with pytest.raises(ValueError, match="2 labels but .* 3 images"):
         ingest_idx(images_path, short_labels)
 
@@ -266,6 +260,8 @@ def test_ingest_csv_ragged_row_names_line(tmp_path):
         ("1,0.5,7.0", r"outside \[0, 1\]"),
         ("1,-0.1,0.5", r"outside \[0, 1\]"),
         ("-2,0.5,0.5", "negative label"),
+        ("1.5,0.5,0.5", "non-integer label"),
+        ("x,0.5,0.5", "non-integer label"),
     ],
 )
 def test_ingest_csv_rejects_bad_values_with_line(tmp_path, row, problem):

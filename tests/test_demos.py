@@ -1,13 +1,12 @@
 """The bundled demos run to completion."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
+from conftest import REPO_ROOT, child_env
+
 # 05 needs the Fashion-MNIST files, which are not bundled.
 DEMOS = sorted(path.name for path in (REPO_ROOT / "demos").glob("0[1-4]_*.py"))
 
@@ -18,11 +17,9 @@ def test_the_four_offline_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
-    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, str(REPO_ROOT / "demos" / demo)],
-        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=REPO_ROOT, env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

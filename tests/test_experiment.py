@@ -8,7 +8,6 @@ import warnings
 import weakref
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,13 +40,19 @@ from fedseal import (
     stream,
     update_ensemble,
 )
+from fedseal.config import with_overrides
 from fedseal.data import augment_strong, augment_weak
 from fedseal.experiment import run_round
 from fedseal.nn import ModelParams, forward_batch, param_count, shapes_for
 
-from conftest import labeled_rows, make_params, run_all_rounds
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
+from conftest import (
+    BUNDLED_SYNTHETIC,
+    REPO_ROOT,
+    labeled_rows,
+    make_params,
+    run_all_rounds,
+    write_idx,
+)
 
 
 def small_config(algorithm="fedseal", seed=3, rounds=3, **overrides) -> ExperimentConfig:
@@ -210,7 +215,7 @@ def test_start_matches_benchmark_set_up(monkeypatch):
     monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
     import bench
 
-    cfg = parse_config(REPO_ROOT / "configs" / "synthetic_small.ini")
+    cfg = parse_config(BUNDLED_SYNTHETIC)
     ours, theirs = start(cfg), bench.set_up(cfg)
     assert ours.global_params.values.tobytes() == theirs.global_params.values.tobytes()
     assert ours.global_params.shapes == theirs.global_params.shapes
@@ -622,8 +627,6 @@ def test_theta_warning_when_above_class_count_inverse():
 def test_full_round_loop_on_idx_image_data(tmp_path):
     # End to end through the image path: IDX ingestion, split carving, and
     # image-mode weak/strong augmentation inside both training loops.
-    import struct
-
     rng = stream(7, "idx-e2e")
     # Class = position of a bright horizontal band: survives flips (the
     # patterns are left-right symmetric) and +-2px crops, unlike per-pixel
@@ -636,12 +639,8 @@ def test_full_round_loop_on_idx_image_data(tmp_path):
     def write_pair(prefix, n):
         labels = np.arange(n) % 3
         pixels = np.clip(centers[labels] + rng.normal(0, 0.05, (n, 64)), 0, 1)
-        with open(tmp_path / f"{prefix}-images", "wb") as f:
-            f.write(struct.pack(">IIII", 0x803, n, 8, 8))
-            f.write((pixels * 255).astype(np.uint8).tobytes())
-        with open(tmp_path / f"{prefix}-labels", "wb") as f:
-            f.write(struct.pack(">II", 0x801, n))
-            f.write(labels.astype(np.uint8).tobytes())
+        write_idx(tmp_path / f"{prefix}-images", (pixels * 255).reshape(n, 8, 8))
+        write_idx(tmp_path / f"{prefix}-labels", labels)
 
     write_pair("train", 240)
     write_pair("test", 60)
@@ -674,19 +673,10 @@ def test_full_round_loop_on_idx_image_data(tmp_path):
 
 
 def ordering_config(algorithm, seed) -> ExperimentConfig:
-    return ExperimentConfig(
-        algorithm=algorithm, n_clients=5, clients_per_round=5, rounds=40, seed=seed,
-        hidden_dims=(24, 12),
-        server=ServerConfig(epochs=3, batch_size=20, learning_rate=0.15, bootstrap_epochs=30),
-        client=ClientConfig(
-            epochs=1, batch_size=32, learning_rate=0.15, theta=0.05,
-            lambda_ramp_rounds=10,
-        ),
-        data=DataConfig(
-            kind="synthetic", n_classes=5, n_features=16, spread=0.25,
-            per_client=100, server_train_n=20, server_val_n=30, test_n=250,
-        ),
-    )
+    """``synthetic_small.ini`` for 40 rounds, with 20 labeled server rows."""
+    cfg = with_overrides(parse_config(BUNDLED_SYNTHETIC), seed=seed, rounds=40,
+                         algorithm=algorithm)
+    return replace(cfg, data=replace(cfg.data, server_train_n=20))
 
 
 def test_ordering_and_rate_claims_on_synthetic_data():

@@ -8,24 +8,18 @@ feature rows stored as float32, or as uint8 pixels for images.
 """
 
 import hashlib
-import os
-import struct
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedseal import DataConfig, load_split, parse_config, stream, synthetic_blobs, write_csv
-from fedseal.cli import emit_metrics
+from fedseal.cli import _numeric_environment, emit_metrics
 from fedseal.config import with_overrides
 
-from conftest import run_all_rounds
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-BUNDLED_SYNTHETIC = REPO_ROOT / "configs" / "synthetic_small.ini"
+from conftest import BUNDLED_SYNTHETIC, REPO_ROOT, child_env, run_all_rounds, write_idx
 
 # algorithm -> (MD5 of rounds.csv, MD5 of the final global parameter bytes)
 GOLDEN = {
@@ -128,9 +122,8 @@ def split_config(case: str, tmp_path) -> DataConfig:
         write_csv(X[500:], y[500:], tmp_path / "test.csv")
         return DataConfig(kind="csv", train_csv=str(tmp_path / "train.csv"),
                           test_csv=str(tmp_path / "test.csv"), test_n=30, **sizes)
-    pixels, labels = np.rint(X * 255).astype(np.uint8), y.astype(np.uint8)
-    (tmp_path / "images").write_bytes(struct.pack(">IIII", 0x803, 600, 8, 8) + pixels.tobytes())
-    (tmp_path / "labels").write_bytes(struct.pack(">II", 0x801, 600) + labels.tobytes())
+    write_idx(tmp_path / "images", np.rint(X * 255).reshape(600, 8, 8))
+    write_idx(tmp_path / "labels", y)
     return DataConfig(kind="idx", train_images=str(tmp_path / "images"),
                       train_labels=str(tmp_path / "labels"), image_height=8, image_width=8,
                       test_n=50, **sizes)
@@ -180,13 +173,11 @@ for path in sys.argv[1:]:
 
 def _readme_blas() -> str | None:
     """Why numpy's BLAS is not the README's OpenBLAS 0.3.31 build, or None if it is."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
-        return f"numpy {np.__version__} does not report its BLAS build"
-    name, version = blas.get("name") or "", blas.get("version") or ""
+    env = _numeric_environment()
+    name, version = env["blas_name"] or "", env["blas_version"] or ""
     if "openblas" not in name or not version.startswith("0.3.31"):
-        return f"numpy's BLAS is {name} {version}, not the OpenBLAS 0.3.31 the README names"
+        return (f"numpy {env['numpy_version']}'s BLAS is {name or 'unreported'} {version}, "
+                "not the OpenBLAS 0.3.31 the README names")
     return None
 
 
@@ -197,9 +188,7 @@ def test_paper_shaped_workloads_match_the_readme_digests():
     paths = [str(REPO_ROOT / "perfbench" / "workloads" / f"{name}.ini")
              for name in GOLDEN_PAPER_SHAPED]
     # BLAS reads its thread count when numpy loads, hence a fresh interpreter.
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(REPO_ROOT / "src"),
-                                                        os.environ.get("PYTHONPATH")])))
+    env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", PAPER_SHAPED_SCRIPT, *paths], cwd=REPO_ROOT,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
