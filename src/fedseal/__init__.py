@@ -29,7 +29,6 @@ from .data import (
     load_split,
     partition,
     synthetic_blobs,
-    write_csv,
 )
 from .experiment import (
     ALGORITHMS,

@@ -206,14 +206,6 @@ def ingest_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return features, labels
 
 
-def write_csv(features: np.ndarray, labels: np.ndarray, path) -> None:
-    """Inverse of :func:`ingest_csv`; floats written with full precision."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("label," + ",".join(f"f{i}" for i in range(features.shape[1])) + "\n")
-        for x, label in zip(features, labels):
-            f.write(f"{int(label)}," + ",".join(repr(float(v)) for v in x) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Partitioning
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Shared test helpers: finite differences, forced RNGs, tiny datasets, IDX
-files, child processes, reference oracles."""
+and CSV files, child processes, reference oracles."""
 
 from __future__ import annotations
 
@@ -27,6 +27,18 @@ def write_idx(path, array) -> None:
     with open(path, "wb") as f:
         f.write(struct.pack(f">{1 + array.ndim}I", 0x0800 | array.ndim, *array.shape))
         f.write(array.tobytes())
+
+
+def write_csv(features, labels, path) -> None:
+    """Write rows as a CSV that ``data.ingest_csv`` reads back exactly.
+
+    The header is ``label,f0,f1,...``; each row is its integer label and then
+    its features, each written with ``repr(float(v))`` so no bit is lost.
+    """
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("label," + ",".join(f"f{i}" for i in range(features.shape[1])) + "\n")
+        for x, label in zip(features, labels):
+            f.write(f"{int(label)}," + ",".join(repr(float(v)) for v in x) + "\n")
 
 
 def child_env(**extra) -> dict:

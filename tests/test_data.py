@@ -24,7 +24,6 @@ from fedseal import (
     partition,
     stream,
     synthetic_blobs,
-    write_csv,
 )
 
 from fedseal import data
@@ -57,6 +56,7 @@ from conftest import (
     reference_strong_vectors,
     reference_weak_images,
     reference_weak_vector,
+    write_csv,
     write_idx,
 )
 

@@ -15,11 +15,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedseal import DataConfig, load_split, parse_config, stream, synthetic_blobs, write_csv
+from fedseal import DataConfig, load_split, parse_config, stream, synthetic_blobs
 from fedseal.cli import _numeric_environment, emit_metrics
 from fedseal.config import with_overrides
 
-from conftest import BUNDLED_SYNTHETIC, REPO_ROOT, child_env, run_all_rounds, write_idx
+from conftest import BUNDLED_SYNTHETIC, REPO_ROOT, child_env, run_all_rounds, write_csv, write_idx
 
 # algorithm -> (MD5 of rounds.csv, MD5 of the final global parameter bytes)
 GOLDEN = {

@@ -1,6 +1,9 @@
-"""The mutation ledger stays in step with src/: every mutant still applies."""
+"""The mutation ledger stays in step with src/: its sweep is deterministic and
+every hand-kept row still matches exactly one site."""
 
 import importlib.util
+import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,11 +14,85 @@ _spec = importlib.util.spec_from_file_location(
 ledger = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ledger)
 
+FIXTURE = b'''"""Docstring."""
+total: int = 0
+for i in range(3):
+    total += i
+else:
+    del i
+while total:
+    total -= 1
+if total > 1:
+    print(total)
+elif total:
+    raise ValueError
+else:
+    raise OSError
+with open(__file__) as f:
+    f.read()
+    f.close()
+try:
+    x = 1
+    x += 1
+except OSError:
+    pass
+'''
 
-@pytest.mark.parametrize("file, text, replacement, killer", ledger.MUTANTS,
-                         ids=[row[3].split("::")[1] for row in ledger.MUTANTS])
+
+def test_sweep_of_a_fixture_yields_every_kind_at_its_site():
+    mutants = ledger.sweep(FIXTURE)
+    assert mutants == ledger.sweep(FIXTURE)
+    assert {(line, kind, text) for line, kind, text, _ in mutants} == {
+        (2, "statement", "total: int = 0"),
+        (4, "statement", "total += i"),
+        (6, "statement", "del i"),
+        (8, "statement", "total -= 1"),
+        (10, "statement", "print(total)"),
+        (16, "statement", "f.read()"),
+        (17, "statement", "f.close()"),
+        (19, "statement", "x = 1"),
+        (20, "statement", "x += 1"),
+        (9, "True", "total > 1"), (9, "False", "total > 1"),
+        (11, "True", "total"), (11, "False", "total"),
+        (12, "body", "raise ValueError"),
+        (14, "body", "raise OSError"),
+        (16, "body", "f.read()\n    f.close()"),
+        (19, "body", "x = 1\n    x += 1"),
+        (3, "loop", "for i in range(3):\n    total += i\nelse:\n    del i"),
+        (7, "loop", "while total:\n    total -= 1"),
+    }
+    # Left out: the docstring; the ``elif`` as an ``else`` body; each
+    # one-statement body, which is the same mutant as its statement; and the
+    # ``pass`` body, which is no mutant at all.
+    assert len({mutated for *_, mutated in mutants} | {FIXTURE}) == len(mutants) + 1
+    for *_, mutated in mutants:
+        compile(mutated, "fixture", "exec")
+
+
+@pytest.mark.parametrize("path", sorted((REPO_ROOT / "src" / "fedseal").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_sweep_of_each_module_is_deterministic(path):
+    source = path.read_bytes()
+    assert ledger.sweep(source) == ledger.sweep(source)
+
+
+@pytest.mark.parametrize("file, kind, text", ledger.KEPT, ids=[row[2][:40] for row in ledger.KEPT])
+def test_each_kept_survivor_matches_one_site_and_gives_a_reason(file, kind, text):
+    sites = Counter((k, t) for _, k, t, _ in ledger.sweep((ledger.SRC / file).read_bytes()))
+    assert sites[kind, text] == 1
+    assert ledger.KEPT[file, kind, text]
+
+
+@pytest.mark.parametrize("file, text, replacement, killer", ledger.OPERATORS,
+                         ids=[row[3].split("::")[1] for row in ledger.OPERATORS])
 def test_each_mutant_text_occurs_once_and_names_a_test(file, text, replacement, killer):
     assert (ledger.SRC / file).read_text().count(text) == 1
     assert replacement != text
     test_file, name = killer.split("::")
     assert f"def {name.split('[')[0]}(" in (REPO_ROOT / test_file).read_text()
+
+
+def test_committed_ledger_has_no_survivor_outside_kept():
+    records = json.loads((REPO_ROOT / "MUTANTS.json").read_text())
+    survivors = [(r["file"], r["kind"], r["text"]) for r in records if r["outcome"] == "survived"]
+    assert [s for s in survivors if s not in ledger.KEPT] == []
