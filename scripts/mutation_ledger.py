@@ -24,7 +24,8 @@ out is a killed hang.  The unmutated tree goes through again after the last
 mutant.  The exit status is 1 when an unmutated run fails, a survivor is not
 in ``KEPT``, a ``KEPT`` mutant is killed, or an operator mutant's killing
 test passes.  ``tests/test_mutation_ledger.py`` checks that every ``KEPT`` and
-``OPERATORS`` row still matches exactly one site.
+``OPERATORS`` row still matches exactly one site, and that each guard mutant
+in its ``SWEPT`` table is still generated and recorded killed.
 """
 
 from __future__ import annotations
