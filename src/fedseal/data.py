@@ -107,27 +107,32 @@ def _read_idx(path, magic: int, kind: str) -> np.ndarray:
     The header is ``magic``, whose low byte is the rank, then one big-endian
     uint32 per dim; the file must end exactly where the dims say.  The body
     is read into the array 1 MiB at a time, so even a gzipped file is held once.
+    A ``.gz`` file that is cut short, fails its CRC or is not gzipped fails
+    with its path.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     header, chunk = 4 * (1 + (magic & 0xFF)), 1 << 20
-    with opener(path, "rb") as f:
-        buf = f.read(header)
-        if len(buf) < header:
-            raise ValueError(f"{path}: truncated header at byte offset {len(buf) // 4 * 4}")
-        got, *dims = struct.unpack(f">{header // 4}I", buf)
-        if got != magic:
-            raise ValueError(f"{path}: bad {kind} magic 0x{got:08x} at byte offset 0, "
-                             f"expected 0x{magic:08x}")
-        expected = header + math.prod(dims)  # Python ints: no header can overflow it
-        try:
-            pixels = np.empty(expected - header, dtype=np.uint8)
-        except (ValueError, MemoryError):  # no memory holds it: count the bytes there are
-            pixels = np.empty(0, dtype=np.uint8)
-        view, size = memoryview(pixels), header
-        while n := f.readinto(view[size - header : size - header + chunk]):
-            size += n
-        while buf := f.read(chunk):
-            size += len(buf)
+    try:
+        with opener(path, "rb") as f:
+            buf = f.read(header)
+            if len(buf) < header:
+                raise ValueError(f"{path}: truncated header at byte offset {len(buf) // 4 * 4}")
+            got, *dims = struct.unpack(f">{header // 4}I", buf)
+            if got != magic:
+                raise ValueError(f"{path}: bad {kind} magic 0x{got:08x} at byte offset 0, "
+                                 f"expected 0x{magic:08x}")
+            expected = header + math.prod(dims)  # Python ints: no header can overflow it
+            try:
+                pixels = np.empty(expected - header, dtype=np.uint8)
+            except (ValueError, MemoryError):  # no memory holds it: count the bytes there are
+                pixels = np.empty(0, dtype=np.uint8)
+            view, size = memoryview(pixels), header
+            while n := f.readinto(view[size - header : size - header + chunk]):
+                size += n
+            while buf := f.read(chunk):
+                size += len(buf)
+    except (EOFError, gzip.BadGzipFile) as err:  # a cut, corrupt or unzipped .gz file
+        raise ValueError(f"{path}: {err}") from None
     if size != expected:
         raise ValueError(f"{path}: expected {expected} bytes, got {size} "
                          f"(mismatch from byte offset {min(expected, size)})")

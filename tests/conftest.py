@@ -5,13 +5,18 @@ from __future__ import annotations
 
 import os
 import struct
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from fedseal import Collection, ModelParams, batch_loss, init_params, nn, run_round, start, stream
+from fedseal import (
+    Collection, ModelParams, RoundRecord, batch_loss, init_params, nn, run_round, start, stream,
+)
+from fedseal.experiment import RECIPES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BUNDLED_SYNTHETIC = REPO_ROOT / "configs" / "synthetic_small.ini"
@@ -106,9 +111,9 @@ def reference_init_params(dims, rng) -> ModelParams:
     return ModelParams(values=np.concatenate(chunks).astype(np.float32), shapes=shapes)
 
 
-def reference_gradient(params: ModelParams, X, labels, negative=False) -> np.ndarray:
-    """gradient with its own offset slicing, and the per-layer gradients
-    appended last layer first, reversed and concatenated."""
+def reference_forward(params: ModelParams, X):
+    """(per-layer (W, b), per-layer inputs, class probabilities) of rows ``X``,
+    with the layers sliced at their own offsets."""
     layers, offset = [], 0
     for fan_in, fan_out in params.shapes:
         w = params.values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
@@ -116,16 +121,21 @@ def reference_gradient(params: ModelParams, X, labels, negative=False) -> np.nda
         layers.append((w, params.values[offset : offset + fan_out]))
         offset += fan_out
     X = np.asarray(X).astype(params.values.dtype, copy=False)
-    labels = np.asarray(labels, dtype=np.int64)
-    inputs = [X]
-    a = X
+    inputs, a = [X], X
     for idx, (w, b) in enumerate(layers):
         z = a @ w + b
         if idx < len(layers) - 1:
             a = np.tanh(z)
             inputs.append(a)
     exps = np.exp(z - z.max(axis=-1, keepdims=True))
-    probs = exps / exps.sum(axis=-1, keepdims=True)
+    return layers, inputs, exps / exps.sum(axis=-1, keepdims=True)
+
+
+def reference_gradient(params: ModelParams, X, labels, negative=False) -> np.ndarray:
+    """gradient from :func:`reference_forward`, with the per-layer gradients
+    appended last layer first, reversed and concatenated."""
+    layers, inputs, probs = reference_forward(params, X)
+    labels = np.asarray(labels, dtype=np.int64)
     rows = np.arange(len(labels))
     p = probs[rows, labels]
     if negative:
@@ -208,6 +218,113 @@ def reference_negative_set(conf: np.ndarray, taus, theta: float, rng) -> list[tu
     return out
 
 
+def _reference_train(model: ModelParams, cfg, rng, X, terms) -> ModelParams:
+    """nn.train as a plain loop over ``(rows, labels, weight, negative, augment)``
+    terms: a term with no rows or weight draws nothing; each epoch draws one
+    permutation per term, then each batch sums every term's weighted slice
+    gradient and takes one momentum step."""
+    terms = [term for term in terms if len(term[0]) and term[2] != 0.0]
+    values, velocity = model.values.copy(), np.zeros(model.values.size)
+    for _ in range(cfg.epochs if terms else 0):
+        orders = [rng.permutation(len(rows)) for rows, *_ in terms]
+        for lo in range(0, max(len(rows) for rows, *_ in terms), cfg.batch_size):
+            grad = np.zeros_like(values)
+            for (rows, labels, weight, negative, augment), order in zip(terms, orders):
+                batch = order[lo : lo + cfg.batch_size]
+                if len(batch):
+                    x = X[rows[batch]] if augment is None else augment(X[rows[batch]], rng)
+                    grad += weight * reference_gradient(
+                        model.with_values(values), x, labels[batch], negative)
+            velocity = cfg.momentum * velocity + grad
+            values = values - cfg.learning_rate * velocity
+    return model.with_values(values)
+
+
+def _pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, labels) arrays of a list of (row, label) pairs."""
+    return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+
+
+def reference_round(state, rounds: int):
+    """``rounds`` rounds of README's four steps from ``state`` (vector data), as
+    plain loops over the references with the same ``rng.stream`` keys.
+
+    ``state`` is only read.  Returns the RoundRecords, and what ``run_round``
+    leaves in its state: ``global_params``, ``ensembles`` (each the plain mean
+    of every broadcast model's outputs on a shard), ``upload_mean`` (of the
+    last round's uploads, None without any), ``server_lr`` and ``client_lr``.
+    """
+    cfg, split = state.cfg, state.split
+    assert cfg.data.image_shape is None, "the references here augment vectors only"
+    recipe = RECIPES[cfg.algorithm]
+
+    def probs(model, X):
+        return reference_forward(model, X)[2]
+
+    def weak(X, rng):
+        return np.array([reference_weak_vector(x, rng) for x in X])
+
+    w, uploads, broadcast, records = state.global_params, [], [], []
+    server_lr, client_lr = state.server_lr, state.client_lr
+    ensembles = [None] * cfg.n_clients
+    for t in range(1, rounds + 1):
+        # 1. Server: aggregate, weakly augmented SGD, per-class thresholds.
+        if uploads:
+            w = w.with_values(reference_aggregate(uploads))
+        server_cfg = replace(cfg.server, learning_rate=server_lr)
+        labeled, val = split.server_train, split.server_val
+        w = _reference_train(w, server_cfg, stream(cfg.seed, "server", t), labeled.X,
+                             [(np.arange(len(labeled.y)), labeled.y, 1.0, False, weak)])
+        conf = probs(w, val.X)
+        taus = [min(1.0, conf[conf.argmax(axis=1) == m, m].sum() / (val.y == m).sum())
+                if (val.y == m).any() else 1.0 for m in range(w.n_classes)]
+        # 2. Broadcast: every client's ensemble takes the new model.
+        broadcast.append(w)
+        if recipe.labels == "ensemble":
+            ensembles = [np.mean([probs(b, shard) for b in broadcast], axis=0)
+                         for shard in split.client_train]
+        # 3. The sampled clients filter and train; 4. they upload.
+        ramp = cfg.client.lambda_max * min(1.0, t / cfg.client.lambda_ramp_rounds)
+        lam = (ramp if recipe.ramp else 1.0) if recipe.labels in ("ensemble", "model") else None
+        client_cfg = replace(cfg.client, learning_rate=client_lr)
+        client_taus = [cfg.fixmatch_threshold] * w.n_classes if recipe.fixed_threshold else taus
+        sampled = [] if recipe.labels is None else sorted(stream(cfg.seed, "sample", t).choice(
+            cfg.n_clients, size=cfg.clients_per_round, replace=False))
+        uploads, sets = [], []
+        for k in sampled:
+            shard, hidden, rng = split.client_train[k], split.hidden_labels(k), stream(
+                cfg.seed, "client", k, t)
+            if recipe.labels == "hidden":
+                terms, pos, neg = [(np.arange(len(shard)), hidden, 1.0, False, weak)], [], []
+            else:
+                conf = ensembles[k] if recipe.labels == "ensemble" else probs(w, shard)
+                pos = [(i, int(np.argmax(row))) for i, row in enumerate(conf)
+                       if row.max() >= client_taus[int(np.argmax(row))]]
+                neg = reference_negative_set(conf, client_taus, cfg.client.theta, stream(
+                    cfg.seed, "negative", k, t)) if recipe.negative else []
+                terms = [(*_pairs(pos), lam, False, reference_strong_vectors),
+                         (*_pairs(neg), 1.0, True, None)]
+            uploads.append(_reference_train(w, client_cfg, rng, shard, terms))
+            sets.append((hidden, pos, neg))
+        pos_hits = [hidden[i] == y for hidden, pos, _ in sets for i, y in pos]
+        neg_hits = [hidden[i] != y for hidden, _, neg in sets for i, y in neg]
+        records.append(RoundRecord(
+            round=t,
+            test_accuracy=float(np.mean(probs(w, split.test.X).argmax(axis=1) == split.test.y)),
+            taus=tuple(taus),
+            pos_sizes=tuple(len(pos) for _, pos, _ in sets),
+            neg_sizes=tuple(len(neg) for *_, neg in sets),
+            pos_correct_rate=float(np.mean(pos_hits)) if pos_hits else None,
+            neg_correct_rate=float(np.mean(neg_hits)) if neg_hits else None,
+            lambda_weight=lam,
+        ))
+        server_lr *= cfg.server.lr_decay
+        client_lr *= cfg.client.lr_decay
+    return records, SimpleNamespace(
+        global_params=w, ensembles=ensembles, server_lr=server_lr, client_lr=client_lr,
+        upload_mean=reference_aggregate(uploads) if uploads else None)
+
+
 # ---------------------------------------------------------------------------
 # Per-row augmentation references: each op on one image or vector row, with
 # its parameters given explicitly, and whole-batch oracles built from them.
@@ -276,7 +393,7 @@ def reference_strong_vectors(X: np.ndarray, rng) -> np.ndarray:
     """
     w = X.shape[1]
     span = max(1, w // 4)
-    rows = [x.copy() for x in X]
+    rows = [x.astype(np.float64) for x in X]  # a private float64 copy, as augment_strong
     ops = rng.integers(0, 3, size=(len(X), 2))
     per_op = [
         (lambda k: rng.normal(0.0, 0.1, size=(k, 1, w)), lambda x, p: ref_noise(x, p[0])),

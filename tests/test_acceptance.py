@@ -38,6 +38,7 @@ from fedseal.cli import run
 from fedseal.data import augment_strong, augment_weak
 
 from conftest import (
+    REPO_ROOT,
     fd_gradient,
     labeled_rows,
     make_params,
@@ -45,8 +46,6 @@ from conftest import (
     rel_error,
     run_all_rounds,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 FASHION_MNIST_FILES = (
     "train-images-idx3-ubyte",

@@ -158,6 +158,19 @@ def test_ingest_idx_truncated_reports_offset(tmp_path):
         ingest_idx(truncated, labels_path)
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda gz: gz[:-4], "Compressed file ended"),
+    (lambda gz: gz[:-8] + bytes([gz[-8] ^ 1]) + gz[-7:], "CRC check failed"),
+    (lambda gz: gzip.decompress(gz), "Not a gzipped file"),
+], ids=["truncated", "crc", "not-gzipped"])
+def test_ingest_idx_names_a_bad_gz_file(tmp_path, damage, message):
+    images_path, labels_path = write_idx_pair(tmp_path, np.zeros((50, 4, 4), np.uint8), [0] * 50)
+    gz_path = tmp_path / "images-idx3-ubyte.gz"
+    gz_path.write_bytes(damage(gzip.compress(images_path.read_bytes())))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(gz_path))}: {message}"):
+        ingest_idx(gz_path, labels_path)
+
+
 @pytest.mark.parametrize("gz", [False, True], ids=["raw", "gz"])
 def test_ingest_idx_counts_the_bytes_past_the_declared_end(tmp_path, gz):
     # 2.5 MiB past the 8 declared pixel bytes: more than one bounded read.

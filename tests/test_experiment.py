@@ -20,18 +20,11 @@ from fedseal import (
     ExperimentConfig,
     FilteredSets,
     ServerConfig,
-    Uploads,
     aggregate,
-    bootstrap,
-    build_negative_set,
-    build_positive_set,
     client_train,
-    compute_thresholds,
     evaluate,
     experiment,
     label_correct_rates,
-    lambda_at,
-    load_split,
     parse_config,
     run_experiment,
     sample_clients,
@@ -41,7 +34,6 @@ from fedseal import (
     update_ensemble,
 )
 from fedseal.config import with_overrides
-from fedseal.data import augment_strong, augment_weak
 from fedseal.experiment import run_round
 from fedseal.nn import ModelParams, forward_batch, param_count, shapes_for
 
@@ -50,6 +42,8 @@ from conftest import (
     REPO_ROOT,
     labeled_rows,
     make_params,
+    reference_round,
+    rel_error,
     run_all_rounds,
     write_idx,
 )
@@ -277,93 +271,45 @@ def test_run_round_repeatable_record():
     np.testing.assert_array_equal(a.global_params.values, b.global_params.values)
 
 
-@pytest.mark.parametrize("algorithm, expected", [
-    ("fedseal", 0.2), ("fedseal_no_ensemble", 0.2), ("fedavg_fixmatch", 1.0),
-    # No client phase, or clients trained on true labels: no loss takes lambda.
-    ("server_sl", None), ("fedavg_sl", None),
-])
-def test_record_lambda_only_where_a_loss_is_weighted_by_it(algorithm, expected):
-    state, _ = run_round(start(small_config(algorithm)), 1)
-    _, record = run_round(state, 2)
-    assert record.lambda_weight == expected
-
-
-@pytest.mark.parametrize("algorithm", ["fedseal", "fedavg_fixmatch"])
-def test_clients_train_with_the_lambda_the_round_records(monkeypatch, algorithm):
-    received = []
-
-    def recording_client_train(w_t, sets, features, cfg, lam, *rest):
-        received.append(lam)
-        return client_train(w_t, sets, features, cfg, lam, *rest)
-
-    monkeypatch.setattr("fedseal.experiment.client_train", recording_client_train)
-    cfg = small_config(algorithm, rounds=4)
-    state = start(cfg)
-    for t in range(1, cfg.rounds + 1):
-        received.clear()
-        state, record = run_round(state, t)
-        # fedavg_fixmatch weighs the positive loss fully from round 1.
-        expected = lambda_at(t, cfg.client) if algorithm == "fedseal" else 1.0
-        assert received == [expected] * cfg.clients_per_round
-        assert record.lambda_weight == expected
-
-
-def test_three_round_trace_matches_hand_stepped_transcript():
-    # Walk the four round steps by hand with the same streams and compare
-    # every published quantity and the final model bit for bit.  The two
-    # sides decay their learning rates at different rates.
-    cfg = small_config(seed=8)
+@pytest.mark.parametrize("n_clients, clients_per_round", [(3, 3), (4, 2)],
+                         ids=["full", "partial"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_round_computes_the_reference_round(algorithm, n_clients, clients_per_round,
+                                                float64_params):
+    # Three float64 rounds against conftest.reference_round from one start state.
+    # Server and clients decay their rates apart, and fedavg_fixmatch's
+    # threshold is one that this small model's confidence reaches.
+    cfg = small_config(algorithm, seed=8, n_clients=n_clients,
+                       clients_per_round=clients_per_round, fixmatch_threshold=0.6)
     cfg = replace(cfg, server=replace(cfg.server, lr_decay=0.5),
                   client=replace(cfg.client, lr_decay=0.9))
-    records, state = run_all_rounds(cfg)
+    state = start(cfg)
+    expected, ref = reference_round(state, cfg.rounds)
+    records = [run_round(state, t)[1] for t in range(1, cfg.rounds + 1)]
 
-    split = load_split(cfg.data, cfg.n_clients, cfg.seed)
-    dims = (split.feature_width, *cfg.hidden_dims, split.n_classes)
-    weak = partial(augment_weak, image_shape=None)
-    strong = partial(augment_strong, image_shape=None)
-    w = bootstrap(split.server_train, cfg.server, stream(cfg.seed, "bootstrap"), dims, weak)
-    uploads = []
-    ensembles = [None] * cfg.n_clients
-    server_lr, client_lr = cfg.server.learning_rate, cfg.client.learning_rate
+    def floats(rec):
+        return [rec.test_accuracy, *rec.taus, rec.pos_correct_rate, rec.neg_correct_rate,
+                rec.lambda_weight]
 
-    for t in range(1, cfg.rounds + 1):
-        w_bar = aggregate(Uploads(uploads)) if uploads else w
-        w_t = server_train(
-            w_bar, split.server_train, replace(cfg.server, learning_rate=server_lr),
-            stream(cfg.seed, "server", t), weak,
-        )
-        taus = compute_thresholds(w_t, split.server_val)
-        sampled = sample_clients(cfg.n_clients, cfg.clients_per_round, t, cfg.seed)
-        for k in range(cfg.n_clients):
-            ensembles[k] = update_ensemble(ensembles[k], t, w_t, split.client_train[k])
-        uploads = []
-        rec = records[t - 1]
-        np.testing.assert_array_equal(np.array(rec.taus), taus)
-        assert rec.test_accuracy == evaluate(w_t, split.test)
-        for pos_in_rec, neg_in_rec, k in zip(rec.pos_sizes, rec.neg_sizes, sampled):
-            pos = build_positive_set(ensembles[k], taus)
-            neg = build_negative_set(
-                ensembles[k], taus, cfg.client.theta, stream(cfg.seed, "negative", k, t),
-            )
-            assert (len(pos[0]), len(neg[0])) == (pos_in_rec, neg_in_rec)
-            uploads.append(
-                client_train(
-                    w_t, FilteredSets(pos, neg), split.client_train[k],
-                    replace(cfg.client, learning_rate=client_lr), lambda_at(t, cfg.client),
-                    stream(cfg.seed, "client", k, t), strong,
-                )
-            )
-        w = w_t
-        server_lr *= cfg.server.lr_decay
-        client_lr *= cfg.client.lr_decay
-
-    np.testing.assert_array_equal(state.global_params.values, w.values)
-
-
-def _same_sets(a: FilteredSets, b: FilteredSets) -> bool:
-    return all(
-        np.array_equal(x, y) for x, y in zip((*a.positive, *a.negative), (*b.positive, *b.negative))
-    )
+    close = partial(pytest.approx, rel=1e-9, abs=0)
+    for got, want in zip(records, expected, strict=True):
+        assert (got.round, got.pos_sizes, got.neg_sizes) == (want.round, want.pos_sizes,
+                                                             want.neg_sizes)
+        assert floats(got) == close(floats(want))
+    assert (state.server_lr, state.client_lr) == close((ref.server_lr, ref.client_lr))
+    assert state.global_params.values.dtype == np.float64
+    assert rel_error(state.global_params.values, ref.global_params.values) <= 1e-9
+    for got, want in zip(state.ensembles, ref.ensembles, strict=True):
+        assert want is None if got is None else rel_error(got, want) <= 1e-9
+    assert (ref.upload_mean is None if not state.uploads
+            else rel_error(aggregate(state.uploads).values, ref.upload_mean) <= 1e-9)
+    # Every lambda-weighted loss has rows to weigh, and once an ensemble
+    # holds two models the ablation filters apart from fedseal.
+    assert expected[0].lambda_weight is None or all(sum(r.pos_sizes) for r in expected)
+    if algorithm == "fedseal_no_ensemble":
+        full, _ = reference_round(start(replace(cfg, algorithm="fedseal")), cfg.rounds)
+        assert [(r.pos_sizes, r.neg_sizes) for r in expected[1:]] != [
+            (r.pos_sizes, r.neg_sizes) for r in full[1:]]
 
 
 def test_uploads_are_freed_once_aggregated(monkeypatch):
@@ -450,55 +396,6 @@ def test_round_peak_does_not_grow_with_the_clients_sampled():
     assert grown < vector, grown / vector
 
 
-def test_ensemble_ablation_filters_on_the_current_model_only(monkeypatch, float64_params):
-    # Under fedseal_no_ensemble each sampled client filters on the confidence
-    # of the round's global model alone and no client keeps an ensemble; the
-    # row must change the sets once an ensemble holds two models.
-    trained = []
-
-    def recording_client_train(w_t, sets, *rest):
-        trained.append(sets)
-        return client_train(w_t, sets, *rest)
-
-    monkeypatch.setattr("fedseal.experiment.client_train", recording_client_train)
-
-    def run(algorithm):
-        cfg = small_config(algorithm, n_clients=4, clients_per_round=2, rounds=5)
-        state = start(cfg)
-        rounds = []
-        for t in range(1, cfg.rounds + 1):
-            trained.clear()
-            state, _ = run_round(state, t)
-            sampled = sample_clients(cfg.n_clients, cfg.clients_per_round, t, cfg.seed)
-            assert len(trained) == len(sampled)
-            rounds.append((state.global_params, dict(zip(sampled, trained))))
-        return cfg, state, rounds
-
-    cfg, state, ablated = run("fedseal_no_ensemble")
-    assert state.ensembles == [None] * cfg.n_clients
-    for t, (w_t, sets_by_client) in enumerate(ablated, start=1):
-        taus = compute_thresholds(w_t, state.split.server_val)
-        for k, sets in sets_by_client.items():
-            conf = forward_batch(w_t, state.split.client_train[k])
-            expected = FilteredSets(
-                build_positive_set(conf, taus),
-                build_negative_set(conf, taus, cfg.client.theta, stream(cfg.seed, "negative", k, t)),
-            )
-            assert _same_sets(sets, expected), (t, k)
-    assert any(len(sets.positive[0]) for _, by_k in ablated for sets in by_k.values())
-
-    _, with_ensemble, full = run("fedseal")
-    # Sampled or not, every client folds in every round's global model.
-    for k, avg in enumerate(with_ensemble.ensembles):
-        outputs = [forward_batch(w_t, with_ensemble.split.client_train[k]) for w_t, _ in full]
-        np.testing.assert_allclose(avg, np.mean(outputs, axis=0), atol=1e-12)
-    assert any(
-        not _same_sets(a, b)
-        for (_, by_k_a), (_, by_k_b) in zip(ablated[1:], full[1:])
-        for a, b in zip(by_k_a.values(), by_k_b.values())
-    )
-
-
 # ---------------------------------------------------------------------------
 # run_experiment
 # ---------------------------------------------------------------------------
@@ -565,35 +462,6 @@ def test_noop_clients_reduce_fedseal_to_server_sl_exactly():
     )
     assert np.array_equal(fed_state.global_params.values, sl_state.global_params.values)
     assert [r.test_accuracy for r in fed_records] == [r.test_accuracy for r in sl_records]
-
-
-def test_fedavg_sl_reduces_to_textbook_fedavg(float64_params):
-    # No server epochs, no bootstrap training: after round 2 the global model
-    # is exactly the mean of the two locals trained independently in round 1.
-    cfg = small_config(
-        algorithm="fedavg_sl",
-        rounds=2,
-        n_clients=2,
-        clients_per_round=2,
-        server=ServerConfig(epochs=0, batch_size=16, learning_rate=0.08, bootstrap_epochs=0),
-    )
-    _, state = run_all_rounds(cfg)
-
-    split = load_split(cfg.data, cfg.n_clients, cfg.seed)
-    dims = (split.feature_width, *cfg.hidden_dims, split.n_classes)
-    weak = partial(augment_weak, image_shape=None)
-    w0 = bootstrap(split.server_train, cfg.server, stream(cfg.seed, "bootstrap"), dims, weak)
-    locals_ = []
-    for k in range(2):
-        shard = split.client_train[k]
-        labeled = Collection(shard, split.hidden_labels(k))
-        locals_.append(
-            server_train(w0, labeled, cfg.client, stream(cfg.seed, "client", k, 1), weak)
-        )
-    coordinate_mean = (locals_[0].values + locals_[1].values) / 2
-    np.testing.assert_allclose(
-        state.global_params.values, coordinate_mean, rtol=1e-12, atol=1e-15
-    )
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
