@@ -612,14 +612,14 @@ def _carve(labels, cfg: DataConfig, n_clients: int, seed: int, test_n: int,
     is left, or over all of ``shard_labels``, a separate client pool, when
     given; shard positions are then rows of that pool.
     """
-    rng = stream(seed, "split")
-    pools = _class_pools(labels, rng)
-    n_classes = len(pools)
+    n_classes = int(np.max(labels)) + 1
     per_class, rest = divmod(cfg.server_train_n, n_classes)
     if rest:
         raise ValueError(
             f"server_train_n {cfg.server_train_n} not divisible by {n_classes} classes"
         )
+    rng = stream(seed, "split")
+    pools = _class_pools(labels, rng)
     for m, class_pool in enumerate(pools):
         if len(class_pool) < per_class:
             raise ValueError(f"class {m} has too few instances for the server split")

@@ -11,15 +11,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import ndimage
 
 from fedseal import (
-    Collection, ModelParams, RoundRecord, batch_loss, init_params, nn, run_round, start, stream,
+    Collection, ModelParams, RoundRecord, init_params, nn, run_round, start, stream,
 )
 from fedseal.experiment import RECIPES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BUNDLED_SYNTHETIC = REPO_ROOT / "configs" / "synthetic_small.ini"
+
+# Every property test draws the same examples on every run, keeps no example
+# database and has no deadline; a test sets only its max_examples.
+settings.register_profile("fedseal", deadline=None, derandomize=True, database=None)
+settings.load_profile("fedseal")
 
 
 def write_idx(path, array) -> None:
@@ -64,10 +70,6 @@ def fd_gradient(params: ModelParams, loss_fn, h: float = 1e-4) -> np.ndarray:
             loss_fn(ModelParams(up, params.shapes)) - loss_fn(ModelParams(down, params.shapes))
         ) / (2 * h)
     return grad
-
-
-def fd_batch_gradient(params: ModelParams, batch, h: float = 1e-4) -> np.ndarray:
-    return fd_gradient(params, lambda p: batch_loss(p, *batch), h)
 
 
 def rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:

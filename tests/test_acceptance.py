@@ -128,13 +128,16 @@ def test_criterion_1_oracle_equivalences():
         batch_avg = np.mean([forward_batch(m, feats) for m in models], axis=0)
         assert np.max(np.abs(avg - batch_avg)) <= 1e-12
 
-    # Filter sets vs a brute-force inequality scan.
+    # Filter sets vs a brute-force inequality scan and one scalar draw per
+    # eligible row.  Low concentration and a wide theta range give rows with
+    # no candidate class and rows with several; every fifth seed's taus lie
+    # below 1/7, so its shard is all positive and draws nothing.
     for seed in range(100):
         rng = stream(seed, "c1-filter")
-        n, n_classes = 12, 5
-        rows = rng.dirichlet(np.ones(n_classes) * 0.5, size=n)
-        taus = rng.uniform(0.0, 1.0, n_classes)
-        theta = float(rng.uniform(0.01, 0.35))
+        n, n_classes = int(rng.integers(1, 40)), int(rng.integers(2, 8))
+        rows = rng.dirichlet(np.ones(n_classes) * rng.uniform(0.1, 2.0), size=n)
+        taus = rng.uniform(0.0, 1.0 if seed % 5 else 0.05, n_classes)
+        theta = float(rng.uniform(0.001, 0.5))
         pos_rows, pos_labels = build_positive_set(rows, taus)
         positive = list(zip(pos_rows.tolist(), pos_labels.tolist()))
         expected_pos = []
@@ -144,9 +147,11 @@ def test_criterion_1_oracle_equivalences():
                 expected_pos.append((i, label))
         assert positive == expected_pos
 
-        neg_rows, neg_labels = build_negative_set(rows, taus, theta, stream(seed, "c1-neg"))
+        got_rng, ref_rng = stream(seed, "c1-neg"), stream(seed, "c1-neg")
+        neg_rows, neg_labels = build_negative_set(rows, taus, theta, got_rng)
         negative = list(zip(neg_rows.tolist(), neg_labels.tolist()))
-        assert negative == reference_negative_set(rows, taus, theta, stream(seed, "c1-neg"))
+        assert negative == reference_negative_set(rows, taus, theta, ref_rng)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
         assert {i for i, _ in negative}.isdisjoint(i for i, _ in expected_pos)
 
     elapsed = time.perf_counter() - started

@@ -119,7 +119,7 @@ def test_round_trip_serialize_then_parse(tmp_path):
     assert config_hash(parse_config(path)) == config_hash(cfg)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(lambda_max=st.floats(min_value=0.0, allow_infinity=False),
        spread=st.floats(min_value=0.0, allow_infinity=False))
 @example(lambda_max=0.1234567, spread=1e-7)
