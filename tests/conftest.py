@@ -15,7 +15,7 @@ from hypothesis import settings
 from scipy import ndimage
 
 from fedseal import (
-    Collection, ModelParams, RoundRecord, init_params, nn, run_round, start, stream,
+    Collection, ModelParams, RoundRecord, batch_loss, init_params, nn, run_round, start, stream,
 )
 from fedseal.experiment import RECIPES
 
@@ -70,6 +70,10 @@ def fd_gradient(params: ModelParams, loss_fn, h: float = 1e-4) -> np.ndarray:
             loss_fn(ModelParams(up, params.shapes)) - loss_fn(ModelParams(down, params.shapes))
         ) / (2 * h)
     return grad
+
+
+def fd_batch_gradient(params: ModelParams, batch, h: float = 1e-4) -> np.ndarray:
+    return fd_gradient(params, lambda p: batch_loss(p, *batch), h)
 
 
 def rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from fedseal import (
 )
 from fedseal.data import augment_strong
 
-from conftest import make_params
+from conftest import fd_gradient, make_params, reference_negative_set, rel_error
 
 
 def unlabeled(n: int, width: int, seed: int) -> np.ndarray:
@@ -60,6 +60,14 @@ def test_same_model_twice_leaves_average_unchanged():
     once = update_ensemble(None, 1, model, data)
     twice = update_ensemble(once, 2, model, data)
     np.testing.assert_array_equal(twice, once)
+
+
+def test_incremental_average_equals_batch_mean_of_three_models():
+    data = unlabeled(9, 5, seed=2)
+    models = [make_params((5, 7, 4), seed=s, dtype=np.float64) for s in (10, 11, 12)]
+    avg = ensemble_of(models, data)
+    batch_mean = np.mean([forward_batch(m, data) for m in models], axis=0)
+    np.testing.assert_allclose(avg, batch_mean, atol=1e-12)
 
 
 def test_incremental_average_drift_over_hundred_updates():
@@ -138,6 +146,18 @@ def test_positive_set_unit_thresholds_empty():
     assert pairs(build_positive_set(conf, np.ones(5))) == []
 
 
+def test_positive_set_matches_brute_force_comparison():
+    rows = filter_fixture(9)
+    taus = stream(9, "taus").uniform(0.1, 0.9, 5)
+    got = pairs(build_positive_set(rows, taus))
+    expected = []
+    for i in range(20):
+        label = int(np.argmax(rows[i]))
+        if rows[i][label] >= taus[label]:
+            expected.append((i, label))
+    assert got == expected
+
+
 def test_positive_set_monotone_in_tau():
     conf = filter_fixture(10)
     taus = stream(10, "taus").uniform(0.2, 0.8, 5)
@@ -163,6 +183,22 @@ def test_negative_set_candidate_at_exactly_theta():
 def test_negative_set_skips_when_no_class_below_theta():
     conf = conf_matrix([[0.4, 0.3, 0.3]])
     assert pairs(build_negative_set(conf, np.ones(3), 0.05, stream(0, "neg"))) == []
+
+
+def test_negative_set_disjoint_from_positive_over_random_configs():
+    for trial in range(1000):
+        rng = stream(trial, "disjoint")
+        n, n_classes = 8, 4
+        rows = rng.dirichlet(np.ones(n_classes) * 0.4, size=n)
+        taus = rng.uniform(0.0, 1.0, n_classes)
+        theta = float(rng.uniform(0.01, 0.4))
+        pos_rows = set(build_positive_set(rows, taus)[0].tolist())
+        neg = pairs(build_negative_set(rows, taus, theta, rng))
+        neg_rows = {i for i, _ in neg}
+        assert pos_rows.isdisjoint(neg_rows)
+        assert len(pos_rows | neg_rows) <= n
+        for i, comp in neg:
+            assert rows[i][comp] <= theta
 
 
 def random_models(t: int, dims, seed: int) -> list[ModelParams]:
@@ -214,6 +250,23 @@ def test_ensemble_is_the_mean_of_its_models_outputs(n, width, n_classes, t, seed
     avg = ensemble_of(models, X)
     expected = np.mean([forward_batch(model, X) for model in models], axis=0)
     np.testing.assert_allclose(avg, expected, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_negative_set_matches_per_row_reference(seed):
+    # One vectorized draw must give the same pairs, and leave the generator
+    # in the same state, as one scalar draw per eligible row.  Low
+    # concentration and a wide theta range give rows with no candidate
+    # class, rows with several, and (with low taus) all-positive shards.
+    rng = stream(seed, "neg-oracle")
+    n, n_classes = int(rng.integers(1, 40)), int(rng.integers(2, 8))
+    rows = rng.dirichlet(np.ones(n_classes) * rng.uniform(0.1, 2.0), size=n)
+    taus = rng.uniform(0.0, 1.0 if seed % 5 else 0.05, n_classes)
+    theta = float(rng.uniform(0.001, 0.5))
+    got_rng, ref_rng = stream(seed, "neg-draws"), stream(seed, "neg-draws")
+    got = pairs(build_negative_set(rows, taus, theta, got_rng))
+    assert got == reference_negative_set(rows, taus, theta, ref_rng)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_negative_set_all_positive_shard_draws_nothing():
@@ -282,6 +335,25 @@ def test_client_train_positive_only_matches_pseudo_label_oracle():
             grad = gradient(model.with_values(values), x, [label for _, label in picked])
             sgd_step(values, velocity, grad, cfg, scratch)
     np.testing.assert_array_equal(trained.values, values)
+
+
+def test_client_combined_loss_gradient_matches_finite_differences():
+    model = make_params((3, 5, 4), seed=13, dtype=np.float64)
+    rng = stream(13, "mix")
+    pos = [(rng.random(3), int(rng.integers(0, 4))) for _ in range(3)]
+    neg = [(rng.random(3), int(rng.integers(0, 4))) for _ in range(3)]
+    lam = 0.37
+
+    pos_batch = (np.stack([x for x, _ in pos]), [y for _, y in pos], False)
+    neg_batch = (np.stack([x for x, _ in neg]), [y for _, y in neg], True)
+    analytic = lam * gradient(model, *pos_batch) + gradient(model, *neg_batch)
+
+    from fedseal import batch_loss
+
+    def combined(p):
+        return lam * batch_loss(p, *pos_batch) + batch_loss(p, *neg_batch)
+
+    assert rel_error(analytic, fd_gradient(model, combined, h=1e-4)) < 1e-4
 
 
 def test_client_train_bit_deterministic():

@@ -51,6 +51,7 @@ from conftest import (
     ref_noise,
     ref_rotate,
     ref_translate,
+    ref_vector_cutout,
     reference_strong_images,
     reference_strong_vectors,
     reference_weak_images,
@@ -325,6 +326,23 @@ def test_partition_iid_exact_per_class_counts():
         np.testing.assert_array_equal(counts, np.full(10, 120))
 
 
+def test_partition_single_client():
+    labels = pool_labels(100, 5)
+    (shard,) = partition(labels, n_clients=1, mode="iid", per_client=50, rng_seed=1)
+    assert len(shard) == 50
+
+
+def test_partition_dirichlet_disjoint_and_exact_sizes():
+    labels = pool_labels(900, 6, seed=3)
+    for seed in (0, 1, 2, 3):
+        shards = partition(
+            labels, n_clients=4, mode="dirichlet", per_client=200, rng_seed=seed
+        )
+        ids = [int(row) for shard in shards for row in shard]
+        assert len(ids) == len(set(ids)) == 4 * 200
+        assert all(len(shard) == 200 for shard in shards)
+
+
 def test_partition_insufficient_pool():
     labels = pool_labels(100, 5)
     with pytest.raises(ValueError, match="cannot supply"):
@@ -402,6 +420,22 @@ def test_augment_weak_flip():
     np.testing.assert_array_equal(out, [[0.2, 0.1], [0.4, 0.3]])
 
 
+def test_augment_weak_bounds_and_length():
+    rng = stream(8, "weak")
+    img = rng.random(36)
+    out = augment_weak(np.tile(img, (1000, 1)), rng, image_shape=(6, 6))
+    assert out.shape == (1000, 36)
+    assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def test_augment_weak_vector_mode_bounds():
+    rng = stream(9, "weakvec")
+    x = rng.random(12)
+    out = augment_weak(np.tile(x, (1000, 1)), rng, image_shape=None)
+    assert out.shape == (1000, 12)
+    assert out.min() >= 0.0 and out.max() <= 1.0
+
+
 def test_augment_strong_double_flip_is_identity():
     img = stream(10, "img").random((1, 25))
     rng = ForcedRng(integers=[(0, 0)])  # ops = (flip, flip)
@@ -417,6 +451,29 @@ def test_augment_strong_cutout_masks_quarter_area():
     grid = img.reshape(4, 4).copy()
     grid[1:3, 1:3] = 0.5
     np.testing.assert_array_equal(out, grid)
+
+
+def test_augment_strong_bounds_image_mode():
+    rng = stream(11, "strong")
+    img = rng.random(49)
+    out = augment_strong(np.tile(img, (1000, 1)), rng, image_shape=(7, 7))
+    assert out.shape == (1000, 49)
+    assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def test_augment_strong_bounds_vector_mode():
+    rng = stream(12, "strongvec")
+    x = rng.random(20)
+    out = augment_strong(np.tile(x, (1000, 1)), rng, image_shape=None)
+    assert out.shape == (1000, 20)
+    assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def test_augmentation_streams_reproducible():
+    imgs = stream(13, "img").random((20, 64))
+    a = augment_strong(imgs, stream(13, "aug"), image_shape=(8, 8))
+    b = augment_strong(imgs, stream(13, "aug"), image_shape=(8, 8))
+    np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("augment", [augment_weak, augment_strong])
@@ -515,6 +572,18 @@ def test_batched_ops_match_per_row_references(shape):
         assert rng_op.bit_generator.state == rng_ref.bit_generator.state
 
 
+def test_batched_vector_cutout_matches_per_row_reference():
+    for width in (1, 3, 4, 17, 32):
+        x = stream(16, "vcut", width).random((30, 1, width))
+        rng_op, rng_ref = stream(16, "vcut-draws", width), stream(16, "vcut-draws", width)
+        batched = _cutout(x, rng_op, image=False)
+        corner = rng_ref.integers(0, [1, width - max(1, width // 4) + 1], size=(30, 2))
+        assert (corner[:, 0] == 0).all()
+        per_row = [ref_vector_cutout(row[0], s) for row, s in zip(x, corner[:, 1])]
+        assert batched[:, 0].tobytes() == np.array(per_row).tobytes()
+        assert rng_op.bit_generator.state == rng_ref.bit_generator.state
+
+
 @pytest.mark.parametrize("shape", [(28, 28), (5, 7), (3, 3)])
 def test_rotation_matches_ndimage_rotate(shape):
     rng = stream(17, "rotate", *shape)
@@ -584,6 +653,17 @@ def test_weak_image_augmentation_of_float32_rows_stays_float32_with_the_float64_
         assert out.dtype == np.float32 and expected.dtype == np.float64
         assert out.astype(np.float64).tobytes() == expected.tobytes()
         assert rng32.bit_generator.state == rng64.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (1, 5)])
+def test_strong_augmentation_of_images_smaller_than_a_shift(shape):
+    # Translating by up to 3 px used to raise "could not broadcast" on images
+    # smaller than the shift; the padded gather fills the rest with 0.
+    X = stream(18, "tiny", *shape).random((8, shape[0] * shape[1]))
+    for seed in range(300):
+        out = augment_strong(X, stream(seed, "tiny-aug"), image_shape=shape)
+        assert out.shape == X.shape
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -440,6 +440,13 @@ def test_server_sl_independent_of_client_count():
     assert two == six
 
 
+def test_fixmatch_threshold_one_filters_nothing():
+    cfg = small_config(algorithm="fedavg_fixmatch", fixmatch_threshold=1.0, rounds=3)
+    records = run_experiment(cfg)
+    assert all(size == 0 for rec in records for size in rec.pos_sizes)
+    assert all(size == 0 for rec in records for size in rec.neg_sizes)
+
+
 def test_noop_clients_reduce_fedseal_to_server_sl_exactly():
     # lambda_max = 0 plus a theta no confidence ever reaches: every client
     # update is a no-op and the global trajectory must equal server-only
@@ -476,6 +483,13 @@ def test_full_run_deterministic_including_parallel_clients(algorithm, monkeypatc
     parallel = run_experiment(small_config(algorithm, rounds=3, parallel_clients=3))
     assert serial == again
     assert serial == parallel
+
+
+def test_theta_warning_when_above_class_count_inverse():
+    cfg = small_config(rounds=1)
+    cfg.client.theta = 0.5  # 1/M = 0.25 for 4 classes
+    with pytest.warns(UserWarning, match="theta"):
+        run_experiment(cfg)
 
 
 def test_full_round_loop_on_idx_image_data(tmp_path):

@@ -23,6 +23,7 @@ from fedseal import (
 from fedseal.nn import SGDConfig, _features, _forward_cached, param_count, shapes_for, train
 
 from conftest import (
+    fd_batch_gradient,
     make_params,
     random_batch,
     reference_gradient,
@@ -233,6 +234,26 @@ def test_negative_cross_entropy_out_of_range():
 # ---------------------------------------------------------------------------
 # gradient
 # ---------------------------------------------------------------------------
+
+
+def test_gradient_matches_finite_differences_for_each_loss_kind():
+    params = make_params((2, 4, 3), seed=5, dtype=np.float64)
+    for negative in (False, True):
+        batch = random_batch(params, 8, seed=5, negative=negative)
+        analytic = gradient(params, *batch)
+        numeric = fd_batch_gradient(params, batch, h=1e-4)
+        assert rel_error(analytic, numeric) < 1e-4
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gradient_finite_difference_property(seed):
+    rng = stream(seed, "dims")
+    dims = (int(rng.integers(2, 5)), int(rng.integers(3, 6)), int(rng.integers(2, 5)))
+    params = make_params(dims, seed=seed + 100, dtype=np.float64)
+    n = int(rng.integers(2, 9))
+    for negative in (False, True):
+        batch = random_batch(params, n, seed=seed + 200, negative=negative)
+        assert rel_error(gradient(params, *batch), fd_batch_gradient(params, batch)) < 1e-4
 
 
 @pytest.mark.parametrize("label, negative", [(1, False), (0, True)])

@@ -50,6 +50,14 @@ def test_aggregate_two_models():
     np.testing.assert_array_equal(avg.values, [1.0, 1.0])
 
 
+def test_aggregate_matches_per_coordinate_mean():
+    models = [make_params((4, 5, 3), seed=s, dtype=np.float64) for s in range(5)]
+    averaged = aggregate(Uploads(models))
+    for j in range(models[0].values.size):
+        coordinate_mean = sum(m.values[j] for m in models) / 5
+        assert averaged.values[j] == pytest.approx(coordinate_mean, rel=1e-12)
+
+
 def test_aggregate_empty_is_error():
     with pytest.raises(ValueError, match="empty"):
         aggregate(Uploads())
@@ -168,6 +176,21 @@ def test_thresholds_perfect_classifier_gives_ones():
     val = one_hot_rows([0, 1, 2, 3, 1, 2], 4)
     taus = compute_thresholds(model, val)
     np.testing.assert_array_equal(taus, np.ones(4))
+
+
+def test_thresholds_match_direct_formula():
+    # Oracle: transcribe the sum directly from forward outputs.
+    model = make_params((5, 7, 4), seed=7)
+    val = labeled_rows(6, 5, 4, seed=7)
+    taus = compute_thresholds(model, val)
+
+    probs = forward_batch(model, val.X)
+    preds = probs.argmax(axis=1)
+    for m in range(4):
+        den = sum(1 for label in val.y if label == m)
+        num = sum(probs[i, m] for i in range(6) if preds[i] == m)
+        expected = min(num / den, 1.0) if den else 1.0
+        assert taus[m] == pytest.approx(expected, rel=1e-12)
 
 
 def test_thresholds_absent_class_falls_back_to_one():
