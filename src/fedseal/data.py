@@ -3,8 +3,7 @@
 A dataset is a pair of arrays: an (n, width) feature matrix of values in
 [0, 1], stored as uint8 pixels (value pixel / 255) for images and as float32
 otherwise, and n non-negative integer class labels.  Pixels become float32 a
-block at a time, where they enter the network or augmentation.  Augmentation
-works on a private float64 copy of its batch, or float32 for weak images.
+block at a time, where they enter the network or augmentation.
 :func:`load_split` carves one labeled pool into the four parts a run needs,
 held by a :class:`DatasetSplit` and each gathered once: the server train,
 server validation and test sets are each a labeled :class:`Collection`, and
@@ -195,6 +194,8 @@ def ingest_csv(path) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(
                 f"{path}: line {line_no}: non-integer label {cells[0]!r}"
             ) from None
+        except OverflowError:
+            raise ValueError(f"{path}: line {line_no}: label {cells[0]!r} out of range") from None
         if labels[row] < 0:
             raise ValueError(f"{path}: line {line_no}: negative label {cells[0]!r}")
         try:
@@ -321,11 +322,11 @@ def _float_rows(X: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _stack(X, image_shape, dtype=np.float64) -> np.ndarray:
-    """(n, h, w) copy of an (n, width) batch in ``dtype``; a vector row is 1 x width."""
+def _stack(X, image_shape) -> np.ndarray:
+    """(n, h, w) copy of an (n, width) batch in its float dtype; a vector row is 1 x width."""
     X = np.asarray(X)
     rows = _float_rows(X)  # uint8 pixels come back as new rows: no second copy
-    X = rows.astype(dtype, copy=rows is X)
+    X = rows.astype(np.result_type(rows.dtype, np.float32), copy=rows is X)
     h, w = (1, X.shape[-1]) if image_shape is None else image_shape
     if X.ndim != 2 or X.shape[1] != h * w:
         raise ValueError(f"augmentation expects an (n, {h * w}) batch, got shape {X.shape}")
@@ -409,14 +410,13 @@ def augment_weak(X: np.ndarray, rng, image_shape: tuple[int, int] | None = None)
     """Mild transform of an (n, width) batch: flip + crop for images, light noise otherwise.
 
     Images draw a flip mask, ``rng.random(n)``, then the crop offsets;
-    vectors draw one (n, width) block of N(0, 0.05) noise.  Flip and crop
-    only move pixels, so an image batch keeps its float dtype (pixels: float32).
+    vectors draw one (n, width) block of N(0, 0.05) noise.  The batch keeps
+    its float dtype (pixels: float32).
     """
-    X = np.asarray(X)
-    imgs = _stack(X, image_shape, np.result_type(X.dtype, np.float32))
+    imgs = _stack(X, image_shape)
     n, h, w = imgs.shape
     if image_shape is None:
-        imgs = imgs + rng.normal(0.0, 0.05, size=imgs.shape)
+        imgs += rng.normal(0.0, 0.05, size=imgs.shape)
     else:
         flip = rng.random(n) < 0.5
         imgs[flip] = imgs[flip, :, ::-1]
@@ -434,6 +434,7 @@ def augment_strong(X: np.ndarray, rng, image_shape: tuple[int, int] | None = Non
     outside the image are 0.  Both pools draw the same way: the (n, 2) op
     codes, then for each slot and each op in pool order one draw, made by
     the op function, holding the parameters of every row that picked it.
+    Each op's result rounds to the batch's float dtype (pixels: float32).
     """
     imgs = _stack(X, image_shape)
     n, h, w = imgs.shape

@@ -7,8 +7,7 @@ array; only :func:`_layer_views` knows how the layers pack into it, and the
 model, :func:`init_params` and :func:`gradient` read and write through its
 views.  The network computes in that vector's dtype: :func:`init_params`
 makes float32, and float64 parameters give exact float64 algebra.  Rows of
-another dtype (uint8 pixels, augmented float64 batches, any rows at float64
-parameters) are converted one forward block or mini-batch at a time.
+another dtype (uint8 pixels, say) are converted a block or mini-batch at a time.
 
 A :class:`ModelParams` is read-only; :func:`train`, the one SGD loop of
 server, bootstrap and clients, owns a private copy of the parameters and a
@@ -159,8 +158,7 @@ def _features(params: ModelParams, X, rows=slice(None)) -> np.ndarray:
     width, in the parameters' dtype.
 
     Rows already in that dtype are not copied; others (uint8 pixels, through
-    ``data._float_rows``, an augmented float64 batch, or float32 rows at
-    float64 parameters) are, so a pass over many rows takes them a block at a time.
+    ``data._float_rows``) are, so a pass over many rows takes them a block at a time.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != params.n_inputs:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from scipy import ndimage
 from fedseal import (
     Collection, ModelParams, RoundRecord, batch_loss, init_params, nn, run_round, start, stream,
 )
+from fedseal.data import _float_rows
 from fedseal.experiment import RECIPES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -252,23 +254,32 @@ def _pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reference_round(state, rounds: int):
-    """``rounds`` rounds of README's four steps from ``state`` (vector data), as
-    plain loops over the references with the same ``rng.stream`` keys.
+    """``rounds`` rounds of README's four steps from ``state``, as plain loops
+    over the references with the same ``rng.stream`` keys.
 
-    ``state`` is only read.  Returns the RoundRecords, and what ``run_round``
-    leaves in its state: ``global_params``, ``ensembles`` (each the plain mean
-    of every broadcast model's outputs on a shard), ``upload_mean`` (of the
-    last round's uploads, None without any), ``server_lr`` and ``client_lr``.
+    Pixels enter as the float32 rows ``data._float_rows`` makes of them, and
+    image data augments through the per-row image references.  ``state`` is
+    only read.  Returns the RoundRecords, and what ``run_round`` leaves in its
+    state: ``global_params``, ``ensembles`` (each the plain mean of every
+    broadcast model's outputs on a shard), ``upload_mean`` (of the last
+    round's uploads, None without any), ``server_lr`` and ``client_lr``.
     """
-    cfg, split = state.cfg, state.split
-    assert cfg.data.image_shape is None, "the references here augment vectors only"
+    cfg, split, shape = state.cfg, state.split, state.cfg.data.image_shape
     recipe = RECIPES[cfg.algorithm]
+    labeled, val, test = (Collection(_float_rows(c.X), c.y)
+                          for c in (split.server_train, split.server_val, split.test))
+    shards = [_float_rows(shard) for shard in split.client_train]
 
     def probs(model, X):
         return reference_forward(model, X)[2]
 
-    def weak(X, rng):
-        return np.array([reference_weak_vector(x, rng) for x in X])
+    if shape is None:
+        def weak(X, rng):
+            return np.array([reference_weak_vector(x, rng) for x in X])
+        strong = reference_strong_vectors
+    else:
+        weak = partial(reference_weak_images, shape=shape)
+        strong = partial(reference_strong_images, shape=shape)
 
     w, uploads, broadcast, records = state.global_params, [], [], []
     server_lr, client_lr = state.server_lr, state.client_lr
@@ -278,7 +289,6 @@ def reference_round(state, rounds: int):
         if uploads:
             w = w.with_values(reference_aggregate(uploads))
         server_cfg = replace(cfg.server, learning_rate=server_lr)
-        labeled, val = split.server_train, split.server_val
         w = _reference_train(w, server_cfg, stream(cfg.seed, "server", t), labeled.X,
                              [(np.arange(len(labeled.y)), labeled.y, 1.0, False, weak)])
         conf = probs(w, val.X)
@@ -288,7 +298,7 @@ def reference_round(state, rounds: int):
         broadcast.append(w)
         if recipe.labels == "ensemble":
             ensembles = [np.mean([probs(b, shard) for b in broadcast], axis=0)
-                         for shard in split.client_train]
+                         for shard in shards]
         # 3. The sampled clients filter and train; 4. they upload.
         ramp = cfg.client.lambda_max * min(1.0, t / cfg.client.lambda_ramp_rounds)
         lam = (ramp if recipe.ramp else 1.0) if recipe.labels in ("ensemble", "model") else None
@@ -298,8 +308,7 @@ def reference_round(state, rounds: int):
             cfg.n_clients, size=cfg.clients_per_round, replace=False))
         uploads, sets = [], []
         for k in sampled:
-            shard, hidden, rng = split.client_train[k], split.hidden_labels(k), stream(
-                cfg.seed, "client", k, t)
+            shard, hidden, rng = shards[k], split.hidden_labels(k), stream(cfg.seed, "client", k, t)
             if recipe.labels == "hidden":
                 terms, pos, neg = [(np.arange(len(shard)), hidden, 1.0, False, weak)], [], []
             else:
@@ -308,7 +317,7 @@ def reference_round(state, rounds: int):
                        if row.max() >= client_taus[int(np.argmax(row))]]
                 neg = reference_negative_set(conf, client_taus, cfg.client.theta, stream(
                     cfg.seed, "negative", k, t)) if recipe.negative else []
-                terms = [(*_pairs(pos), lam, False, reference_strong_vectors),
+                terms = [(*_pairs(pos), lam, False, strong),
                          (*_pairs(neg), 1.0, True, None)]
             uploads.append(_reference_train(w, client_cfg, rng, shard, terms))
             sets.append((hidden, pos, neg))
@@ -316,7 +325,7 @@ def reference_round(state, rounds: int):
         neg_hits = [hidden[i] != y for hidden, _, neg in sets for i, y in neg]
         records.append(RoundRecord(
             round=t,
-            test_accuracy=float(np.mean(probs(w, split.test.X).argmax(axis=1) == split.test.y)),
+            test_accuracy=float(np.mean(probs(w, test.X).argmax(axis=1) == test.y)),
             taus=tuple(taus),
             pos_sizes=tuple(len(pos) for _, pos, _ in sets),
             neg_sizes=tuple(len(neg) for *_, neg in sets),
@@ -386,9 +395,14 @@ def ref_noise(x: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return x + noise
 
 
+# Each reference takes float rows, as data._float_rows makes them, and rounds
+# each op's result to their dtype, the one augmentation keeps.
+
+
 def reference_weak_vector(x: np.ndarray, rng) -> np.ndarray:
     """Per-row weak augmentation of one vector row."""
-    return np.clip(ref_noise(x, rng.normal(0.0, 0.05, size=x.shape)), 0.0, 1.0)
+    noisy = ref_noise(x, rng.normal(0.0, 0.05, size=x.shape)).astype(x.dtype)
+    return np.clip(noisy, 0.0, 1.0)
 
 
 def reference_strong_vectors(X: np.ndarray, rng) -> np.ndarray:
@@ -399,7 +413,7 @@ def reference_strong_vectors(X: np.ndarray, rng) -> np.ndarray:
     """
     w = X.shape[1]
     span = max(1, w // 4)
-    rows = [x.astype(np.float64) for x in X]  # a private float64 copy, as augment_strong
+    rows = list(X)
     ops = rng.integers(0, 3, size=(len(X), 2))
     per_op = [
         (lambda k: rng.normal(0.0, 0.1, size=(k, 1, w)), lambda x, p: ref_noise(x, p[0])),
@@ -412,7 +426,7 @@ def reference_strong_vectors(X: np.ndarray, rng) -> np.ndarray:
             picked = np.flatnonzero(ops[:, slot] == code)
             if picked.size:
                 for r, p in zip(picked, draw(picked.size)):
-                    rows[r] = op(rows[r], p)
+                    rows[r] = op(rows[r], p).astype(X.dtype)
     return np.clip(np.array(rows).reshape(X.shape), 0.0, 1.0)
 
 
@@ -423,7 +437,7 @@ def reference_weak_images(X: np.ndarray, rng, shape) -> np.ndarray:
     out = []
     for x, flip, (dy, dx) in zip(X, flips, offsets):
         img = x.reshape(shape)
-        out.append(ref_crop(ref_flip(img) if flip else img, dy, dx).ravel())
+        out.append(ref_crop(ref_flip(img) if flip else img, dy, dx).ravel().astype(X.dtype))
     return np.clip(np.array(out), 0.0, 1.0)
 
 
@@ -452,7 +466,7 @@ def reference_strong_images(X: np.ndarray, rng, shape) -> np.ndarray:
             rows = np.flatnonzero(ops[:, slot] == code)
             if rows.size:
                 for r, p in zip(rows, draw(rows.size)):
-                    imgs[r] = op(imgs[r], p)
+                    imgs[r] = op(imgs[r], p).astype(X.dtype)
     return np.clip(np.array([img.ravel() for img in imgs]), 0.0, 1.0)
 
 

@@ -275,6 +275,7 @@ def test_ingest_csv_ragged_row_names_line(tmp_path):
         ("-2,0.5,0.5", "negative label"),
         ("1.5,0.5,0.5", "non-integer label"),
         ("x,0.5,0.5", "non-integer label"),
+        ("99999999999999999999,0.5,0.5", "out of range"),
     ],
 )
 def test_ingest_csv_rejects_bad_values_with_line(tmp_path, row, problem):
@@ -420,22 +421,6 @@ def test_augment_weak_flip():
     np.testing.assert_array_equal(out, [[0.2, 0.1], [0.4, 0.3]])
 
 
-def test_augment_weak_bounds_and_length():
-    rng = stream(8, "weak")
-    img = rng.random(36)
-    out = augment_weak(np.tile(img, (1000, 1)), rng, image_shape=(6, 6))
-    assert out.shape == (1000, 36)
-    assert out.min() >= 0.0 and out.max() <= 1.0
-
-
-def test_augment_weak_vector_mode_bounds():
-    rng = stream(9, "weakvec")
-    x = rng.random(12)
-    out = augment_weak(np.tile(x, (1000, 1)), rng, image_shape=None)
-    assert out.shape == (1000, 12)
-    assert out.min() >= 0.0 and out.max() <= 1.0
-
-
 def test_augment_strong_double_flip_is_identity():
     img = stream(10, "img").random((1, 25))
     rng = ForcedRng(integers=[(0, 0)])  # ops = (flip, flip)
@@ -451,29 +436,6 @@ def test_augment_strong_cutout_masks_quarter_area():
     grid = img.reshape(4, 4).copy()
     grid[1:3, 1:3] = 0.5
     np.testing.assert_array_equal(out, grid)
-
-
-def test_augment_strong_bounds_image_mode():
-    rng = stream(11, "strong")
-    img = rng.random(49)
-    out = augment_strong(np.tile(img, (1000, 1)), rng, image_shape=(7, 7))
-    assert out.shape == (1000, 49)
-    assert out.min() >= 0.0 and out.max() <= 1.0
-
-
-def test_augment_strong_bounds_vector_mode():
-    rng = stream(12, "strongvec")
-    x = rng.random(20)
-    out = augment_strong(np.tile(x, (1000, 1)), rng, image_shape=None)
-    assert out.shape == (1000, 20)
-    assert out.min() >= 0.0 and out.max() <= 1.0
-
-
-def test_augmentation_streams_reproducible():
-    imgs = stream(13, "img").random((20, 64))
-    a = augment_strong(imgs, stream(13, "aug"), image_shape=(8, 8))
-    b = augment_strong(imgs, stream(13, "aug"), image_shape=(8, 8))
-    np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("augment", [augment_weak, augment_strong])
@@ -504,7 +466,7 @@ def test_stack_copies_uint8_pixels_once():
     X = stream(16, "img").integers(0, 256, size=(64, 784)).astype(np.uint8)
     tracemalloc.start()
     try:
-        imgs = _stack(X, (28, 28), np.float32)
+        imgs = _stack(X, (28, 28))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -527,18 +489,23 @@ def test_augmenters_reject_a_row_that_is_not_a_batch(augment, shape):
     n=st.integers(0, 70),
     shape=st.none() | st.tuples(st.integers(1, 9), st.integers(1, 9)),
     vector_width=st.integers(1, 40),
+    dtype=st.sampled_from([np.uint8, np.float32, np.float64]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(augment=augment_weak, n=0, shape=None, vector_width=7, seed=0)
-@example(augment=augment_strong, n=0, shape=None, vector_width=7, seed=0)
-@example(augment=augment_weak, n=0, shape=(3, 4), vector_width=1, seed=0)
-@example(augment=augment_strong, n=0, shape=(3, 4), vector_width=1, seed=0)
-def test_augmenters_keep_shape_range_and_input_of_any_batch(augment, n, shape, vector_width, seed):
+@example(augment=augment_weak, n=0, shape=None, vector_width=7, dtype=np.float32, seed=0)
+@example(augment=augment_strong, n=0, shape=None, vector_width=7, dtype=np.float64, seed=0)
+@example(augment=augment_weak, n=0, shape=(3, 4), vector_width=1, dtype=np.uint8, seed=0)
+@example(augment=augment_strong, n=0, shape=(3, 4), vector_width=1, dtype=np.uint8, seed=0)
+def test_augmenters_keep_shape_range_and_input_of_any_batch(augment, n, shape, vector_width,
+                                                            dtype, seed):
+    # One dtype rule: a batch augments in its float dtype, float32 for pixels.
     width = vector_width if shape is None else shape[0] * shape[1]
     X = stream(seed, "prop-rows").random((n, width))
+    X = np.rint(255 * X).astype(dtype) if dtype == np.uint8 else X.astype(dtype)
     before = X.copy()
     out = augment(X, stream(seed, "prop-aug"), image_shape=shape)
     assert out.shape == X.shape
+    assert out.dtype == np.result_type(_float_rows(X).dtype, np.float32)
     assert ((out >= 0.0) & (out <= 1.0)).all()
     assert X.tobytes() == before.tobytes()
     assert augment(X, stream(seed, "prop-aug"), image_shape=shape).tobytes() == out.tobytes()

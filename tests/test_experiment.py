@@ -271,18 +271,24 @@ def test_run_round_repeatable_record():
     np.testing.assert_array_equal(a.global_params.values, b.global_params.values)
 
 
-@pytest.mark.parametrize("n_clients, clients_per_round", [(3, 3), (4, 2)],
-                         ids=["full", "partial"])
+@pytest.mark.parametrize("n_clients, clients_per_round, images",
+                         [(3, 3, False), (4, 2, False), (3, 3, True), (4, 2, True)],
+                         ids=["full", "partial", "full_images", "partial_images"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_run_round_computes_the_reference_round(algorithm, n_clients, clients_per_round,
-                                                float64_params):
-    # Three float64 rounds against conftest.reference_round from one start state.
-    # Server and clients decay their rates apart, and fedavg_fixmatch's
-    # threshold is one that this small model's confidence reaches.
+                                                images, float64_params):
+    # Three float64 rounds against conftest.reference_round from one start state,
+    # on vectors and on 8 x 8 images.  Server and clients decay their rates
+    # apart, and fedavg_fixmatch's threshold is one that this small model's
+    # confidence reaches.  As images the model stays near chance, so there a
+    # looser theta and threshold, and seed 1, give every round positive rows.
     cfg = small_config(algorithm, seed=8, n_clients=n_clients,
                        clients_per_round=clients_per_round, fixmatch_threshold=0.6)
     cfg = replace(cfg, server=replace(cfg.server, lr_decay=0.5),
                   client=replace(cfg.client, lr_decay=0.9))
+    if images:
+        cfg = replace(cfg, seed=1, fixmatch_threshold=0.3, client=replace(cfg.client, theta=0.2),
+                      data=replace(cfg.data, n_features=64, image_height=8, image_width=8))
     state = start(cfg)
     expected, ref = reference_round(state, cfg.rounds)
     records = [run_round(state, t)[1] for t in range(1, cfg.rounds + 1)]

@@ -23,29 +23,29 @@ from conftest import BUNDLED_SYNTHETIC, REPO_ROOT, child_env, run_all_rounds, wr
 
 # algorithm -> (MD5 of rounds.csv, MD5 of the final global parameter bytes)
 GOLDEN = {
-    "fedseal": ("a773a5654fe3e01648aad3ca8c1fdc46", "b763627c82e9473dc88d14cc3f1392ef"),
+    "fedseal": ("3739d1a843fa761c05aa61ecd329ef46", "2909b8caaa083ffbfe1f355127900c35"),
     "server_sl": ("9e98229ebd55d8e6ddab2dc7e94f7f5f", "7f2b4400ac5764b97e8ac47fe3de1523"),
     "fedavg_sl": ("e7fc7116b575f5dff7679a17d1b0b543", "8fa46eedf3040e8690206b12384e5372"),
     "fedavg_fixmatch": (
-        "57f9d1baece84f9a0dd5aa6882e0f47d",
-        "c5a460dfd6b2ee073fc92333f25d6304",
+        "0fcbb8ab06892c945ab4e6b8af47bf7c",
+        "e95467d2264ac34d7ea747d36fcbde7c",
     ),
-    "fedseal_no_ensemble": ("ad203a7b0a54cf9110ba101afaa7fe36", "103984418e99f00677e72539cfe00f86"),
+    "fedseal_no_ensemble": ("9db940466f791648a5917cf797766149", "4224d75d5c8e827d2d02f24bf566801a"),
 }
 
 
 # synthetic_small.ini as 8 x 8 images (fedseal), so that weak and strong
 # augmentation both take the image path.
-GOLDEN_IMAGES = ("745013615bffa1bbb3e0ed7181cf6628", "d59f825329adb9f326330541b663d850")
+GOLDEN_IMAGES = ("13cfdb0bc1efa1938f0267edd69cd5ac", "581e4985749e4d375935314afe87d481")
 
 
 # synthetic_small.ini with 2000-row shards and a 3000-row test set, for 6
 # rounds: every whole-collection forward pass spans many 256-row blocks.
 GOLDEN_LARGE = {
-    "fedseal": ("73a7c247052e540f986d9d6372717805", "9ad7e4214266f56e6972a8fc29dc76d1"),
+    "fedseal": ("76635d54b134ef0929cc3e9cc96201e6", "eb7390066cc91ec1b331f210190bba38"),
     "fedavg_fixmatch": (
-        "07a9fe9aaff03bc2ce3515bd7f523139",
-        "52c3cefb7eb01a78845dd33a7e097849",
+        "2bfe72d2897098eda62a1540ca250925",
+        "6d1fb96cdabfeeaf82b99067da799ce7",
     ),
 }
 
@@ -79,7 +79,7 @@ def test_collections_larger_than_one_forward_block_match_golden_digests(algorith
 # synthetic_small.ini (fedseal) with 3 of its 5 clients sampled each round:
 # clients that sit a round out still fold every broadcast model into their
 # self-ensembles, and only this golden runs that path.
-GOLDEN_PARTIAL = ("e16f35a7171482de4a08a5aa7c11aac9", "cde2509febcd412e0188957ae042ebf7")
+GOLDEN_PARTIAL = ("86bbd7544a0511af874e08a3fed7cbf3", "87119dc84387d8d96da219668869eb06")
 
 
 def test_partial_participation_matches_golden_digests(tmp_path):
@@ -137,7 +137,7 @@ def test_load_split_matches_golden_digests(case, tmp_path):
 
 # synthetic_small.ini (fedseal) on the 8 x 8 IDX pool that split_config("idx")
 # writes: the run golden of pixels read from a file.
-GOLDEN_IDX = ("c26d06efdb3cbdc7af2de4450c3c1701", "470d6fc973120484fec6f34e0a8b0f4c")
+GOLDEN_IDX = ("efea6377498f5f2b8b2e80b1243877dd", "115238e1c65457b1207edd8f7cad3aa7")
 
 
 def test_idx_run_matches_golden_digests(tmp_path):
@@ -151,8 +151,8 @@ def test_idx_run_matches_golden_digests(tmp_path):
 # paper_iid is the only test run that trains the 784-wide network through
 # nn.train.
 GOLDEN_PAPER_SHAPED = {
-    "paper_iid": "a8f31085855483881a40db94e2cfd196",
-    "narrow_tabular": "591ca203dd4f4aea902d3cfc4b8b2788",
+    "paper_iid": "e46d69728759ddd7193c6265ecbddfbc",
+    "narrow_tabular": "8b4392fd85d50731c5c337f394306ee7",
 }
 
 PAPER_SHAPED_SCRIPT = """\

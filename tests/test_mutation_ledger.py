@@ -142,7 +142,7 @@ SWEPT = (
      "tests/test_cli.py::test_hidden_dims_given_as_a_list_are_held_as_an_int_tuple"),
     ("data.py", "labels = np.asarray(labels, dtype=np.int64)", "pass",
      "tests/test_data.py::test_partition_takes_labels_as_a_list"),
-    ("data.py", "X = np.asarray(X)\n    imgs = _stack(", "pass\n    imgs = _stack(",
+    ("data.py", "X = np.asarray(X)\n    rows = _float_rows(X)", "pass\n    rows = _float_rows(X)",
      "tests/test_data.py::test_augmenters_take_a_batch_as_a_list_of_rows[None-augment_weak]"),
     ("cli.py", "out_dir = Path(out_dir)", "pass",
      "tests/test_cli.py::test_emit_takes_its_directory_as_a_str"),
